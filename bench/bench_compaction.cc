@@ -91,7 +91,7 @@ struct TombstonedCorpus {
 };
 
 std::vector<ColumnVector> ScanAll(ShardedTableReader* reader) {
-  auto scan = DatasetScanBuilder(reader).Threads(2).Scan();
+  auto scan = Scan(reader).Threads(2).Collect();
   BULLION_CHECK(scan.ok());
   std::vector<ColumnVector> cols;
   for (size_t c = 0; c < scan->columns.size(); ++c) {

@@ -11,9 +11,9 @@
 // the reproduction target.
 //
 // E1b: the same metadata-light open measured end to end through the
-// exec layer — ScanBuilder opens, plans coalesced reads, and scans one
-// column out of a real multi-group file, so the "open cost ≈ 0" claim
-// is shown on the full plan → fetch → decode path.
+// exec layer — Scan(...).Collect() opens, plans coalesced reads, and
+// scans one column out of a real multi-group file, so the "open cost
+// ≈ 0" claim is shown on the full plan → fetch → decode path.
 
 #include <benchmark/benchmark.h>
 
@@ -173,7 +173,7 @@ void PrintScannerOpenScan() {
 
     double open_scan_ms = bench::TimeUsAveraged([&] {
       auto r = *TableReader::Open(*fs.NewReadableFile("t"));
-      auto scan = ScanBuilder(r.get()).Columns({probe}).Scan();
+      auto scan = Scan(r.get()).Columns({probe}).Collect();
       BULLION_CHECK(scan.ok());
       benchmark::DoNotOptimize(scan);
     }) / 1000.0;

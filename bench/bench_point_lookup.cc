@@ -97,31 +97,19 @@ struct LookupCorpus {
 
 const std::vector<std::string> kProjection = {"uid", "score", "tag"};
 
-/// Ground truth for one key: a full filtered scan, drained and
-/// concatenated.
+/// Ground truth for one key: a full filtered scan, collected and
+/// concatenated column by column.
 std::vector<ColumnVector> ScanTruth(const ShardedTableReader* reader,
                                     int64_t key) {
-  auto stream = Scan(reader)
-                    .Columns(kProjection)
-                    .Filter("uid", CompareOp::kEq, key)
-                    .Threads(1)
-                    .Stream();
-  BULLION_CHECK(stream.ok());
+  auto scan = Scan(reader)
+                  .Columns(kProjection)
+                  .Filter("uid", CompareOp::kEq, key)
+                  .Threads(1)
+                  .Collect();
+  BULLION_CHECK(scan.ok());
   std::vector<ColumnVector> concat;
-  RowBatch batch;
-  for (;;) {
-    auto more = (*stream)->Next(&batch);
-    BULLION_CHECK(more.ok());
-    if (!*more) break;
-    if (concat.empty()) {
-      concat = std::move(batch.columns);
-      continue;
-    }
-    for (size_t c = 0; c < concat.size(); ++c) {
-      for (size_t r = 0; r < batch.columns[c].num_rows(); ++r) {
-        concat[c].AppendRowFrom(batch.columns[c], static_cast<int64_t>(r));
-      }
-    }
+  for (size_t c = 0; c < scan->columns.size(); ++c) {
+    concat.push_back(*scan->ConcatColumn(c));
   }
   return concat;
 }
@@ -140,16 +128,11 @@ void AssertLookupExactness(const LookupCorpus& corpus, size_t samples,
                    .Columns(kProjection)
                    .Run();
     BULLION_CHECK(got.ok());
+    // Hits and misses alike: one column per projected column, equal
+    // to the scan's.
     std::vector<ColumnVector> want = ScanTruth(corpus.reader.get(), key);
-    if (want.empty()) {
-      BULLION_CHECK(got->num_rows() == 0);
-      BULLION_CHECK(!hit);
-      continue;
-    }
-    BULLION_CHECK(got->columns.size() == want.size());
-    for (size_t c = 0; c < want.size(); ++c) {
-      BULLION_CHECK(got->columns[c] == want[c]);
-    }
+    BULLION_CHECK(got->columns == want);
+    if (got->num_rows() == 0) BULLION_CHECK(!hit);
   }
 }
 

@@ -1,9 +1,9 @@
 // E12 — dataset layer: sharded parallel scan + decoded-chunk cache.
 //
-// E12a: one logical ads table sharded 1/2/4/8 ways, scanned through
-//       DatasetScanBuilder at increasing thread counts on ONE shared
-//       pool. Every cell is verified byte-identical to concatenating
-//       per-shard serial scans before it is timed.
+// E12a: one logical ads table sharded 1/2/4/8 ways, collected through
+//       bullion::Scan at increasing thread counts on ONE shared pool.
+//       Every cell is verified byte-identical to concatenating the
+//       per-group serial TableReader reads before it is timed.
 // E12b: epoch loop with a DecodedChunkCache — the training-shaped
 //       access pattern. The cold epoch pays fetch + decode and fills
 //       the cache; warm epochs must issue ZERO preads (asserted via
@@ -89,15 +89,17 @@ void PrintShardedScanReport() {
     ShardedCorpus corpus(0.02, 4096, 512, shards);
     uint64_t data_bytes = corpus.DataBytes();
 
-    // Ground truth: per-shard serial scans, concatenated.
+    // Ground truth: per-group serial TableReader reads, concatenated
+    // shard by shard.
     std::vector<std::vector<ColumnVector>> truth;
     for (size_t s = 0; s < corpus.reader->num_shards(); ++s) {
-      auto scan = ScanBuilder(corpus.reader->shard_reader(s))
-                      .ColumnIndices(corpus.projection)
-                      .Threads(1)
-                      .Scan();
-      BULLION_CHECK(scan.ok());
-      for (auto& g : scan->groups) truth.push_back(std::move(g));
+      const TableReader* shard = corpus.reader->shard_reader(s);
+      for (uint32_t g = 0; g < shard->num_row_groups(); ++g) {
+        std::vector<ColumnVector> group;
+        BULLION_CHECK_OK(shard->ReadProjection(g, corpus.projection,
+                                               ReadOptions{}, &group));
+        truth.push_back(std::move(group));
+      }
     }
 
     double serial_ms = 0;
@@ -105,12 +107,12 @@ void PrintShardedScanReport() {
       std::unique_ptr<ThreadPool> pool;
       if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
       auto scan_once = [&] {
-        return DatasetScanBuilder(corpus.reader.get())
+        return Scan(corpus.reader.get())
             .ColumnIndices(corpus.projection)
             .Threads(threads)
             .PrefetchDepth(2)
             .Pool(pool.get())
-            .Scan();
+            .Collect();
       };
       auto check = scan_once();
       BULLION_CHECK(check.ok());
@@ -129,7 +131,7 @@ void PrintShardedScanReport() {
   }
   std::printf(
       "(all shards fan through one ThreadPool + one in-flight window; "
-      "output == per-shard serial concat)\n");
+      "output == per-group serial reads, concatenated)\n");
 }
 
 void PrintEpochCacheReport() {
@@ -139,11 +141,11 @@ void PrintEpochCacheReport() {
   IoStats& stats = corpus.fs.stats();
 
   auto epoch = [&](DecodedChunkCache* cache) {
-    auto scan = DatasetScanBuilder(corpus.reader.get())
+    auto scan = Scan(corpus.reader.get())
                     .ColumnIndices(corpus.projection)
                     .Threads(4)
                     .Cache(cache)
-                    .Scan();
+                    .Collect();
     BULLION_CHECK(scan.ok());
     return scan;
   };
@@ -158,9 +160,9 @@ void PrintEpochCacheReport() {
       bench::TimeUs([&] { epoch(&cache).status().IgnoreError(); }) / 1000.0;
   IoStatsSnapshot cold_io = IoStatsDelta(before_cold, stats.Snapshot());
 
-  auto cold_result = DatasetScanBuilder(corpus.reader.get())
+  auto cold_result = Scan(corpus.reader.get())
                          .ColumnIndices(corpus.projection)
-                         .Scan();
+                         .Collect();
 
   IoStatsSnapshot before_warm = stats.Snapshot();
   double warm_ms = bench::TimeUsAveraged([&] {
@@ -260,11 +262,11 @@ void BM_ShardedScan(benchmark::State& state) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   for (auto _ : state) {
-    auto scan = DatasetScanBuilder(corpus->reader.get())
+    auto scan = Scan(corpus->reader.get())
                     .ColumnIndices(corpus->projection)
                     .Threads(threads)
                     .Pool(pool.get())
-                    .Scan();
+                    .Collect();
     BULLION_CHECK(scan.ok());
     benchmark::DoNotOptimize(scan);
   }
@@ -276,11 +278,11 @@ void BM_WarmEpochScan(benchmark::State& state) {
   static ShardedCorpus* corpus = new ShardedCorpus(0.02, 4096, 512, 4);
   static DecodedChunkCache* cache = new DecodedChunkCache(1ull << 30);
   for (auto _ : state) {
-    auto scan = DatasetScanBuilder(corpus->reader.get())
+    auto scan = Scan(corpus->reader.get())
                     .ColumnIndices(corpus->projection)
                     .Threads(2)
                     .Cache(cache)
-                    .Scan();
+                    .Collect();
     BULLION_CHECK(scan.ok());
     benchmark::DoNotOptimize(scan);
   }

@@ -11,8 +11,8 @@
 // E10: prints the Fig. 1 top-10 ad table sizes with a rows-equivalent
 //     extrapolation from the generator's bytes/row estimate.
 // E11: projects ~10% of a multi-row-group ads table through
-//     ScanBuilder at increasing thread counts, verifying each result
-//     against the serial scan and reporting throughput + speedup.
+//     Scan(...).Collect() at increasing thread counts, verifying each
+//     result against the serial scan and reporting throughput + speedup.
 
 #include <benchmark/benchmark.h>
 
@@ -111,12 +111,12 @@ void PrintParallelScanReport() {
   // The pool is shared across scans (server shape): workers spawn
   // once, each timed iteration only pays plan + fetch + decode.
   auto scan_with = [&](size_t threads, ThreadPool* pool) {
-    return ScanBuilder(reader.get())
+    return Scan(reader.get())
         .ColumnIndices(corpus.projection)
         .Threads(threads)
         .PrefetchDepth(2)
         .Pool(pool)
-        .Scan();
+        .Collect();
   };
   ScanResult serial = *scan_with(1, nullptr);
 
@@ -261,11 +261,11 @@ void BM_ParallelScan(benchmark::State& state) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   for (auto _ : state) {
-    auto scan = ScanBuilder(reader.get())
+    auto scan = Scan(reader.get())
                     .ColumnIndices(corpus->projection)
                     .Threads(threads)
                     .Pool(pool.get())
-                    .Scan();
+                    .Collect();
     BULLION_CHECK(scan.ok());
     benchmark::DoNotOptimize(scan);
   }

@@ -7,9 +7,8 @@
 // tombstone + compact a shard (with GC and cache invalidation), and
 // delete a user's rows in place.
 //
-// The legacy materializing front doors (ScanBuilder /
-// DatasetScanBuilder) are thin wrappers that drain the same stream —
-// equivalent output, just fully buffered; both appear below.
+// Scan(...).Collect() drains the same stream into memory instead —
+// equivalent output, just fully buffered; both forms appear below.
 //
 //   ./build/quickstart [/tmp/quickstart.bullion]
 
@@ -142,14 +141,13 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(scan_stats.groups_pruned.load()));
   }
 
-  // 4b. The legacy materializing scan is a wrapper that drains the same
-  //     stream (no filters, one batch per row group) — equivalent
-  //     output, fully buffered.
-  auto scan = ScanBuilder(reader->get())
+  // 4b. Collect() drains the same stream into memory (no filters, one
+  //     entry per row group) — equivalent output, fully buffered.
+  auto scan = Scan(reader->get())
                   .Columns({"score", "clk_seq"})
                   .Threads(2)
                   .PrefetchDepth(2)
-                  .Scan();
+                  .Collect();
   if (!scan.ok()) {
     std::fprintf(stderr, "scan failed: %s\n",
                  scan.status().ToString().c_str());
@@ -209,11 +207,11 @@ int main(int argc, char** argv) {
       }
       DecodedChunkCache cache(64 << 20);
       auto epoch = [&] {
-        return DatasetScanBuilder(ds->get())
+        return Scan(ds->get())
             .Columns({"score", "clk_seq"})
             .Threads(2)
             .Cache(&cache)
-            .Scan();
+            .Collect();
       };
       auto cold = epoch();  // fills the cache
       uint64_t cold_hits = cache.hits(), cold_misses = cache.misses();
@@ -421,11 +419,11 @@ int main(int argc, char** argv) {
                      evolved.status().ToString().c_str());
         return 1;
       }
-      auto rescan = DatasetScanBuilder(evolved->get())
+      auto rescan = Scan(evolved->get())
                         .Columns({"score", "clk_seq"})
                         .Threads(2)
                         .Cache(&cache)
-                        .Scan();
+                        .Collect();
       if (!rescan.ok()) {
         std::fprintf(stderr, "post-compaction scan failed\n");
         return 1;

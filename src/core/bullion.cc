@@ -28,20 +28,12 @@ Result<ColumnVector> ReadFullColumn(TableReader* reader,
                                     const std::string& column,
                                     const ReadOptions& options,
                                     size_t threads) {
-  BULLION_ASSIGN_OR_RETURN(ScanResult scan, ScanBuilder(reader)
+  BULLION_ASSIGN_OR_RETURN(ScanResult scan, Scan(reader)
                                                 .Columns({column})
                                                 .Threads(threads)
                                                 .Options(options)
-                                                .Scan());
+                                                .Collect());
   return scan.ConcatColumn(0);
-}
-
-Result<ScanResult> ScanTable(TableReader* reader,
-                             const std::vector<std::string>& columns,
-                             size_t threads, const ReadOptions& options) {
-  ScanBuilder builder(reader);
-  if (!columns.empty()) builder.Columns(columns);
-  return builder.Threads(threads).Options(options).Scan();
 }
 
 }  // namespace bullion

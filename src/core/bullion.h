@@ -5,9 +5,10 @@
 //   Schema / ColumnVector      -- format/schema.h, format/column_vector.h
 //   TableWriter / TableReader  -- format/writer.h, format/reader.h
 //   Read planning              -- io/read_planner.h (coalesced pread plans)
-//   Unified streaming scan     -- core/scan.h (bullion::Scan front door),
+//   Unified scan               -- core/scan.h (bullion::Scan front door:
+//                                 Stream() or Collect()),
 //                                 exec/batch_stream.h, io/predicate.h
-//   Parallel scan layer        -- exec/scanner.h, exec/thread_pool.h
+//   Thread pool                -- exec/thread_pool.h
 //   Sharded datasets           -- dataset/* (multi-file logical tables)
 //   Point-lookup serving       -- serve/* (split-block Bloom filters,
 //                                 the bullion::Lookup front door with
@@ -42,15 +43,15 @@
 //   RowBatch batch;
 //   while (*(*stream)->Next(&batch)) Consume(batch.columns);
 //
-// The legacy materializing ScanBuilder drains exactly that stream (no
-// filters, one batch per row group):
+// Collect() drains the same stream into memory instead; without
+// filters it holds one entry per row group:
 //
-//   auto scan = ScanBuilder(reader->get())
+//   auto scan = Scan(reader->get())
 //                   .Columns({"uid", "score"})  // default: all leaves
 //                   .RowGroups(0, (*reader)->num_row_groups())
 //                   .Threads(8)                 // <=1 = serial path
 //                   .PrefetchDepth(2)           // reads in flight/thread
-//                   .Scan();
+//                   .Collect();
 //   auto uid = scan->ConcatColumn(0);           // across row groups
 //
 // Output is byte-identical to the serial TableReader path at any
@@ -84,19 +85,19 @@
 // coalesced reads through ONE shared ThreadPool. An optional
 // DecodedChunkCache (byte-budgeted LRU of decoded chunks) lets
 // repeated training epochs skip fetch + decode — fully cached row
-// groups issue zero preads (see IoStats.cache_hits).
-// DatasetScanBuilder is the front door:
+// groups issue zero preads (see IoStats.cache_hits). The same
+// bullion::Scan front door reads a dataset:
 //
 //   auto ds = ShardedTableReader::Open(manifest, open_fn);
 //   DecodedChunkCache cache(256 << 20, &fs.stats());
-//   auto scan = DatasetScanBuilder(ds->get())
+//   auto scan = Scan(ds->get())
 //                   .Columns({"uid", "clk_seq"})
 //                   .Threads(8)                 // one pool, all shards
 //                   .Cache(&cache)              // warm epochs skip I/O
-//                   .Scan();
+//                   .Collect();
 //   auto uid = scan->ConcatColumn(0);           // across every shard
 //
-// Output is byte-identical to concatenating per-shard serial scans at
+// Output is byte-identical to concatenating per-shard serial reads at
 // any thread/shard count.
 //
 // Datasets are LIVE (dataset/evolution.h): DatasetAppender opens an
@@ -134,7 +135,6 @@
 #include "dataset/sharded_reader.h"
 #include "dataset/sharded_writer.h"
 #include "encoding/cascade.h"
-#include "exec/scanner.h"
 #include "exec/thread_pool.h"
 #include "exec/writer.h"
 #include "format/column_vector.h"
@@ -171,20 +171,12 @@ Status WriteTableFile(WritableFile* file, const Schema& schema,
                       const std::vector<std::vector<ColumnVector>>& groups,
                       const WriterOptions& options = {}, size_t threads = 1);
 
-/// Convenience: opens a table and reads one full column across all row
-/// groups (concatenated). Runs on the exec-layer scanner; `threads`
-/// <= 1 keeps the scan serial.
+/// Convenience: reads one full column across all row groups
+/// (concatenated) through Scan(...).Collect(); `threads` <= 1 keeps
+/// the scan serial.
 Result<ColumnVector> ReadFullColumn(TableReader* reader,
                                     const std::string& column,
                                     const ReadOptions& options = {},
                                     size_t threads = 1);
-
-/// Convenience: scans a projection of every row group, fanning fetch +
-/// decode across `threads` workers (the ScanBuilder front door with
-/// defaults applied).
-Result<ScanResult> ScanTable(TableReader* reader,
-                             const std::vector<std::string>& columns,
-                             size_t threads,
-                             const ReadOptions& options = {});
 
 }  // namespace bullion

@@ -24,10 +24,16 @@
 //     Train(batch.columns);                          // bounded memory
 //   }
 //
-// The legacy materializing front doors (exec::ScanBuilder,
-// dataset::DatasetScanBuilder) are thin wrappers that drain this
-// stream at row-group granularity — byte-identical to their historical
-// output at any thread count.
+// When the whole result fits in memory, Collect() drains the same
+// stream into a ScanResult instead (exec/batch_stream.h). Without
+// filters or BatchRows it holds one entry per row group, byte-identical
+// to the serial TableReader path at any thread count:
+//
+//   auto scan = bullion::Scan(reader.get())
+//                   .Columns({"uid", "clk_seq"})
+//                   .Threads(8)
+//                   .Collect();
+//   auto uid = scan->ConcatColumn(0);               // across row groups
 
 #pragma once
 
@@ -178,6 +184,15 @@ class ScanStreamBuilder {
       return OpenScanStream(file_, spec_);
     }
     return OpenScanStream(dataset_, spec_, cache_);
+  }
+
+  /// Opens the stream and drains it into memory: one ScanResult entry
+  /// per emitted batch. Fails with the stream's first error.
+  Result<ScanResult> Collect() const {
+    BULLION_ASSIGN_OR_RETURN(std::unique_ptr<BatchStream> stream, Stream());
+    ScanResult result;
+    BULLION_RETURN_NOT_OK(result.DrainStream(stream.get()));
+    return result;
   }
 
  private:

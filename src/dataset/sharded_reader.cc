@@ -152,16 +152,7 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
     return Status::InvalidArgument("row-group range begin past end");
   }
 
-  BatchStreamOptions options;
-  options.late_materialize = spec.late_materialize;
-  options.batch_rows = spec.batch_rows;
-  options.threads = spec.threads;
-  options.prefetch_depth = spec.prefetch_depth;
-  options.read_options = spec.read_options;
-  options.pool = spec.pool;
-  options.stats = spec.stats;
-  options.report = spec.report;
-  options.aio = spec.aio;
+  BatchStreamOptions options = StreamOptionsFor(spec);
 
   if (dataset->num_shards() == 0) {
     if (!spec.columns.empty()) {
@@ -295,8 +286,7 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
     };
     if (cache != nullptr) {
       // Freshly decoded chunks are published from the worker threads
-      // while the stream is still in flight, exactly like the
-      // materializing path always did.
+      // while the stream is still in flight.
       unit.publish = [cache, s, local, gen, del, fd, vc](
                          const std::vector<uint32_t>& missing,
                          const CoalescedRead& read,
@@ -312,27 +302,6 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
   }
   options.fetch_columns = std::move(plan.fetch_columns);
   return BatchStream::Create(std::move(units), std::move(options));
-}
-
-Result<DatasetScanResult> ShardedTableReader::Scan(
-    const DatasetScanSpec& spec, ThreadPool* external_pool,
-    DecodedChunkCache* cache) const {
-  ScanStreamSpec sspec;
-  sspec.column_names = spec.column_names;
-  sspec.columns = spec.columns;
-  sspec.group_begin = spec.group_begin;
-  sspec.group_end = spec.group_end;
-  sspec.threads = spec.threads;
-  sspec.prefetch_depth = spec.prefetch_depth;
-  sspec.read_options = spec.read_options;
-  sspec.pool = external_pool;
-  // No filters and batch_rows == 0: one batch per global row group,
-  // byte-identical to the historical materializing dataset scan.
-  BULLION_ASSIGN_OR_RETURN(std::unique_ptr<BatchStream> stream,
-                           OpenScanStream(this, sspec, cache));
-  DatasetScanResult result;
-  BULLION_RETURN_NOT_OK(result.DrainStream(stream.get()));
-  return result;
 }
 
 }  // namespace bullion

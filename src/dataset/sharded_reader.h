@@ -1,5 +1,5 @@
-// ShardedTableReader / DatasetScanBuilder: read a logical table that
-// spans many Bullion shard files as if it were one file.
+// ShardedTableReader: read a logical table that spans many Bullion
+// shard files as if it were one file.
 //
 // Open() validates each shard against the manifest (row counts, group
 // counts) and that every shard's schema is a prefix of the newest
@@ -8,31 +8,27 @@
 // The dataset is then exposed through *global* row-group coordinates:
 // groups number 0..total_row_groups() across shards in manifest order.
 //
-// DatasetScanBuilder is the front door. It fans the coalesced reads of
+// bullion::Scan(dataset) (core/scan.h) is the front door; the dataset
+// OpenScanStream() below is its engine. It fans the coalesced reads of
 // every selected row group — across ALL shards — through one shared
 // exec::ThreadPool with one in-flight window, so an 8-shard scan at 8
 // threads keeps 8 reads in flight total, not 8 per shard. Output is
-// byte-identical to concatenating per-shard serial scans at any
+// byte-identical to concatenating per-shard serial reads at any
 // thread/shard count.
 //
 // Plug in a DecodedChunkCache and repeated epochs skip both fetch and
-// decode: before planning any I/O the scanner probes the cache per
+// decode: before planning any I/O the stream probes the cache per
 // (shard, group, column); fully-cached groups issue zero preads
 // (watch IoStats.read_ops / cache_hits), and freshly decoded chunks
 // are published to the cache from the worker threads as the scan runs.
 //
-// Since the streaming redesign both entry points sit on one engine:
-// OpenScanStream() (below) builds the pull-based BatchStream — with
-// manifest/footer zone-map pruning and cache integration — and
-// DatasetScanBuilder::Scan() drains it at row-group granularity.
-//
 //   auto ds = ShardedTableReader::Open(manifest, open_fn);
 //   DecodedChunkCache cache(256 << 20, &fs.stats());
-//   auto scan = DatasetScanBuilder(ds->get())
+//   auto scan = bullion::Scan(ds->get())
 //                   .Columns({"uid", "clk_seq"})
 //                   .Threads(8)
 //                   .Cache(&cache)
-//                   .Scan();
+//                   .Collect();
 //   auto uid = scan->ConcatColumn(0);   // across every shard
 
 #pragma once
@@ -47,35 +43,11 @@
 #include "common/status.h"
 #include "dataset/chunk_cache.h"
 #include "dataset/shard_manifest.h"
-#include "exec/scanner.h"
-#include "exec/thread_pool.h"
-#include "format/column_vector.h"
+#include "exec/batch_stream.h"
 #include "format/reader.h"
 #include "io/file.h"
 
 namespace bullion {
-
-/// \brief Everything a dataset scan needs; filled in by
-/// DatasetScanBuilder. Mirrors ScanSpec with global group coordinates
-/// plus the cache hook.
-struct DatasetScanSpec {
-  std::vector<std::string> column_names;
-  std::vector<uint32_t> columns;
-  /// Global row-group range [group_begin, group_end); end clamps to the
-  /// dataset's total group count.
-  uint32_t group_begin = 0;
-  uint32_t group_end = UINT32_MAX;
-  size_t threads = 1;
-  size_t prefetch_depth = 2;
-  ReadOptions read_options;
-};
-
-/// \brief Decoded output of a dataset scan: one vector of ColumnVectors
-/// per selected global row group, columns in projection order —
-/// identical content to concatenating per-shard serial scans in shard
-/// order (shape shared with the single-file ScanResult, see
-/// exec/scanner.h).
-struct DatasetScanResult : MaterializedScanResult {};
 
 /// \brief Read handle over a sharded logical table.
 class ShardedTableReader {
@@ -112,14 +84,6 @@ class ShardedTableReader {
   Result<std::vector<uint32_t>> ResolveColumns(
       const std::vector<std::string>& names) const;
 
-  /// Executes a materializing dataset scan; used by
-  /// DatasetScanBuilder::Scan(). Since the streaming redesign this
-  /// drains an OpenScanStream at row-group batch granularity —
-  /// byte-identical to the historical behavior at any thread count.
-  Result<DatasetScanResult> Scan(const DatasetScanSpec& spec,
-                                 ThreadPool* pool,
-                                 DecodedChunkCache* cache) const;
-
  private:
   ShardedTableReader() = default;
 
@@ -134,9 +98,9 @@ class ShardedTableReader {
 /// aggregation when the manifest predates stats), then row groups
 /// against footer chunk stats, before any pread. A shard that predates
 /// a filtered column is pruned outright — its rows are all null there.
-/// With `cache`, preset slots come from (and fresh decodes are
-/// published to) the DecodedChunkCache exactly like the materializing
-/// path. The dataset (and cache) must outlive the stream.
+/// With `cache`, preset slots come from the DecodedChunkCache and fresh
+/// decodes are published to it. The dataset (and cache) must outlive
+/// the stream.
 Result<std::unique_ptr<BatchStream>> OpenScanStream(
     const ShardedTableReader* dataset, const ScanStreamSpec& spec,
     DecodedChunkCache* cache = nullptr);
@@ -145,63 +109,5 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
 /// ShardedTableWriter records in the manifest and scans fall back to
 /// when the manifest carries no stats. Only valid columns are listed.
 std::vector<ShardColumnStats> AggregateShardStats(const FooterView& footer);
-
-/// \brief Fluent builder for scans over a sharded dataset.
-class DatasetScanBuilder {
- public:
-  explicit DatasetScanBuilder(const ShardedTableReader* reader)
-      : reader_(reader) {}
-
-  DatasetScanBuilder& Columns(std::vector<std::string> names) {
-    spec_.column_names = std::move(names);
-    return *this;
-  }
-  DatasetScanBuilder& ColumnIndices(std::vector<uint32_t> columns) {
-    spec_.columns = std::move(columns);
-    return *this;
-  }
-  /// Restrict to global row groups [begin, end).
-  DatasetScanBuilder& RowGroups(uint32_t begin, uint32_t end) {
-    spec_.group_begin = begin;
-    spec_.group_end = end;
-    return *this;
-  }
-  /// Worker threads (<= 1 scans serially on the calling thread).
-  DatasetScanBuilder& Threads(size_t n) {
-    spec_.threads = n;
-    return *this;
-  }
-  /// Extra coalesced reads in flight per thread.
-  DatasetScanBuilder& PrefetchDepth(size_t depth) {
-    spec_.prefetch_depth = depth;
-    return *this;
-  }
-  DatasetScanBuilder& Options(const ReadOptions& options) {
-    spec_.read_options = options;
-    return *this;
-  }
-  /// Run on a shared pool instead of a scan-private one.
-  DatasetScanBuilder& Pool(ThreadPool* pool) {
-    pool_ = pool;
-    return *this;
-  }
-  /// Consult/populate this decoded-chunk cache around every row group.
-  DatasetScanBuilder& Cache(DecodedChunkCache* cache) {
-    cache_ = cache;
-    return *this;
-  }
-
-  const DatasetScanSpec& spec() const { return spec_; }
-
-  Result<DatasetScanResult> Scan() const {
-    return reader_->Scan(spec_, pool_, cache_);
-  }
-
- private:
-  const ShardedTableReader* reader_;
-  DatasetScanSpec spec_;
-  ThreadPool* pool_ = nullptr;
-  DecodedChunkCache* cache_ = nullptr;
-};
 
 }  // namespace bullion

@@ -173,7 +173,7 @@ class ShardedTableWriter {
 };
 
 /// \brief Fluent builder for (parallel) sharded writes — the write-side
-/// twin of DatasetScanBuilder.
+/// twin of bullion::Scan over a dataset.
 class ShardedWriteBuilder {
  public:
   ShardedWriteBuilder(Schema schema, ShardedTableWriter::FileOpener opener)

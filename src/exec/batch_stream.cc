@@ -202,7 +202,7 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
     units.push_back(std::move(unit));
   }
 
-  BatchStreamOptions options;
+  BatchStreamOptions options = StreamOptionsFor(spec);
   options.fetch_columns = std::move(plan.fetch_columns);
   options.num_projected = plan.num_projected;
   options.fetch_records.reserve(options.fetch_columns.size());
@@ -210,17 +210,59 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
     options.fetch_records.push_back(f.column_record(c));
   }
   options.residual = std::move(plan.residual);
+  options.group_begin = group_begin;
+  return BatchStream::Create(std::move(units), std::move(options));
+}
+
+BatchStreamOptions StreamOptionsFor(const ScanStreamSpec& spec) {
+  BatchStreamOptions options;
   options.late_materialize = spec.late_materialize;
   options.batch_rows = spec.batch_rows;
   options.threads = spec.threads;
   options.prefetch_depth = spec.prefetch_depth;
-  options.group_begin = group_begin;
   options.read_options = spec.read_options;
   options.pool = spec.pool;
   options.stats = spec.stats;
   options.report = spec.report;
   options.aio = spec.aio;
-  return BatchStream::Create(std::move(units), std::move(options));
+  return options;
+}
+
+// ------------------------------------------------------- materializing
+
+uint64_t ScanResult::num_rows() const {
+  uint64_t rows = 0;
+  for (const auto& group : groups) {
+    if (!group.empty()) rows += group[0].num_rows();
+  }
+  return rows;
+}
+
+Result<ColumnVector> ScanResult::ConcatColumn(size_t slot) const {
+  if (slot >= columns.size()) {
+    return Status::InvalidArgument("projection slot out of range");
+  }
+  ColumnVector out(static_cast<PhysicalType>(column_records[slot].physical),
+                   column_records[slot].list_depth);
+  for (const auto& group : groups) {
+    out.AppendAllFrom(group[slot]);
+  }
+  return out;
+}
+
+Status ScanResult::DrainStream(BatchStream* stream) {
+  columns = stream->columns();
+  column_records = stream->column_records();
+  group_begin = stream->group_begin();
+  groups.clear();
+  groups.reserve(stream->num_units());
+  RowBatch batch;
+  for (;;) {
+    BULLION_ASSIGN_OR_RETURN(bool more, stream->Next(&batch));
+    if (!more) break;
+    groups.push_back(std::move(batch.columns));
+  }
+  return Status::OK();
 }
 
 // ------------------------------------------------------------- the stream
@@ -686,11 +728,11 @@ Status BatchStream::EmitBatches(InFlight* fl) {
 
   if (options_.batch_rows == 0 || out_rows <= options_.batch_rows) {
     // One batch covers the group (batch_rows == 0 is the one-batch-
-    // per-row-group contract the materializing wrappers reconstruct
-    // their group arrays from, emitted even at zero rows; a bounded
+    // per-row-group contract, emitted even at zero rows, so an
+    // unfiltered Collect() holds one entry per row group; a bounded
     // batch that fits is the same thing): hand the columns over
     // without re-copying. Exception: bounded streams drop empty
-    // groups — only the unbounded wrapper contract needs them.
+    // groups — only the unbounded contract needs them.
     if (options_.batch_rows != 0 && out_rows == 0) return Status::OK();
     RowBatch batch;
     batch.group = fl->unit->global_group;

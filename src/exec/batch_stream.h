@@ -23,10 +23,10 @@
 //            zone maps are absent (version-1 footers) or imprecise.
 //
 // With no filters and batch_rows == 0 the stream emits exactly one
-// batch per row group, each the untouched decode of that group — the
-// legacy materializing front doors (exec::ScanBuilder,
-// dataset::DatasetScanBuilder) drain exactly that stream and are
-// byte-identical to their pre-streaming behavior at any thread count.
+// batch per row group, each the untouched decode of that group, and is
+// byte-identical to the serial TableReader path at any thread count.
+// ScanResult (below) is the one materializing form: it drains any
+// stream into memory, which is what bullion::Scan(...).Collect() does.
 
 #pragma once
 
@@ -129,8 +129,8 @@ struct BatchStreamOptions {
   /// groups with no in-place deletes (positional page addressing);
   /// other groups silently take the full-fetch path.
   bool late_materialize = false;
-  /// Max rows per emitted batch; 0 = one batch per row group (the
-  /// materializing wrappers rely on this 1:1 mapping).
+  /// Max rows per emitted batch; 0 = one batch per row group, emitted
+  /// even when no row survives the residual.
   uint64_t batch_rows = 0;
   /// Worker threads when no external pool is given (<= 1 streams
   /// serially on the consumer thread).
@@ -260,8 +260,33 @@ class BatchStream {
   std::unique_ptr<TaskGroup> tasks_;
 };
 
-/// \brief Spec for a streaming scan — the superset of the legacy
-/// ScanSpec / DatasetScanSpec shapes plus filters and batch sizing.
+/// \brief Fully-materialized output of a stream: every emitted batch
+/// kept in memory, columns in projection order.
+struct ScanResult {
+  /// Resolved leaf indices, in projection order.
+  std::vector<uint32_t> columns;
+  /// First selected global row group (after range clamping).
+  uint32_t group_begin = 0;
+  /// groups[i][slot] is column `slot` of the i-th emitted batch. That
+  /// batch is row group `group_begin + i` only when no filter prunes
+  /// and batch_rows is 0 (one batch per row group).
+  std::vector<std::vector<ColumnVector>> groups;
+  /// Leaf type of each projection slot (valid even with zero batches).
+  std::vector<ColumnRecord> column_records;
+
+  size_t num_groups() const { return groups.size(); }
+  uint64_t num_rows() const;
+
+  /// Concatenates column `slot` across all batches, in emission order.
+  /// A scan with no batches yields an empty column of the slot's type.
+  Result<ColumnVector> ConcatColumn(size_t slot) const;
+
+  /// Drains `stream` into this result, one `groups` entry per batch.
+  Status DrainStream(BatchStream* stream);
+};
+
+/// \brief Spec for a streaming scan: projection, filters, row-group
+/// range, batch sizing, and the execution hooks.
 struct ScanStreamSpec {
   /// Leaf columns to project, by name (resolved against the footer) or
   /// by index (takes precedence). Both empty = every leaf.
@@ -292,6 +317,11 @@ struct ScanStreamSpec {
   /// Async I/O engine (see BatchStreamOptions::aio).
   AsyncIoService* aio = nullptr;
 };
+
+/// The execution settings every OpenScanStream copies from the spec
+/// (everything but the fetch set, residual, and group range, which the
+/// source-specific planner fills in).
+BatchStreamOptions StreamOptionsFor(const ScanStreamSpec& spec);
 
 /// Resolves a projection spec against a footer: explicit indices win,
 /// then names (clear NotFound for unknown ones), then all leaves.

@@ -1,6 +1,6 @@
 // ParallelTableWriter / WriteBuilder: the parallel write execution
 // layer over TableWriter's stage → encode → commit split — the
-// write-side twin of exec/scanner.h.
+// write-side twin of the streaming scan (exec/batch_stream.h).
 //
 // Each appended row group is staged on the calling thread (pure
 // metadata + quality-sort work), then its page-encode tasks fan out

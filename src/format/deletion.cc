@@ -1,7 +1,10 @@
 #include "format/deletion.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <string>
+#include <utility>
 
 #include "common/bit_util.h"
 #include "common/varint.h"
@@ -28,32 +31,96 @@ Status ParseHeaderAt(const std::vector<uint8_t>& bytes, size_t pos,
   return Status::OK();
 }
 
-/// Zeros the low 7 bits of every byte of the `idx`-th varint starting
-/// at `pos`, preserving continuation MSBs (§2.1 Varint masking).
-Status MaskVarintAt(std::vector<uint8_t>* bytes, size_t payload_pos,
-                    const std::vector<uint32_t>& sorted_indices) {
+/// Element ranges [begin, end) of a values block, one per masked row.
+using ElementRanges = std::vector<std::pair<uint64_t, uint64_t>>;
+
+/// Maps page-relative `rows` through the page's list offsets to the
+/// element ranges of its values block (`count` values), sorted. Every
+/// offset level must start at 0, be monotone, and stay within the level
+/// below it, and every row must be one the offsets describe.
+Result<ElementRanges> RowElementRanges(
+    const std::vector<std::vector<int64_t>>& offsets,
+    std::span<const uint32_t> rows, uint64_t count) {
+  uint64_t upper = count;
+  for (size_t level = offsets.size(); level-- > 0;) {
+    const std::vector<int64_t>& offs = offsets[level];
+    if (offs.empty() || offs.front() != 0) {
+      return Status::Corruption("list offsets must start at 0");
+    }
+    for (size_t i = 1; i < offs.size(); ++i) {
+      if (offs[i] < offs[i - 1]) {
+        return Status::Corruption("list offsets not monotone");
+      }
+    }
+    if (static_cast<uint64_t>(offs.back()) > upper) {
+      return Status::Corruption("list offsets exceed the page's values");
+    }
+    upper = offs.size() - 1;
+  }
+  // `upper` is now the number of rows the page describes.
+  ElementRanges ranges;
+  ranges.reserve(rows.size());
+  for (uint32_t r : rows) {
+    if (r >= upper) return Status::Corruption("masked row past the page");
+    uint64_t begin = r, end = r + 1;
+    for (const std::vector<int64_t>& offs : offsets) {
+      begin = static_cast<uint64_t>(offs[begin]);
+      end = static_cast<uint64_t>(offs[end]);
+    }
+    ranges.emplace_back(begin, end);
+  }
+  std::sort(ranges.begin(), ranges.end());
+  return ranges;
+}
+
+/// Zeros the packed slots of `ranges` in a [width u8][packed bits]
+/// payload starting at `width_pos` (slot value 0 is the FOR-delta
+/// frame base and the dictionary's reserved mask entry).
+Status ZeroPackedSlots(std::vector<uint8_t>* bytes, size_t width_pos,
+                       const ElementRanges& ranges) {
+  if (width_pos >= bytes->size()) {
+    return Status::Corruption("packed width oob");
+  }
+  const int width = (*bytes)[width_pos];
+  if (width > 64) return Status::Corruption("packed bit width above 64");
+  if (width == 0) return Status::OK();  // every slot already decodes to 0
+  const uint64_t slots = (bytes->size() - width_pos - 1) * 8 / width;
+  uint8_t* packed = bytes->data() + width_pos + 1;
+  for (const auto& [begin, end] : ranges) {
+    if (end > slots) return Status::Corruption("packed value past the page");
+    for (uint64_t e = begin; e < end; ++e) {
+      bit_util::SetPacked(packed, e, width, 0);
+    }
+  }
+  return Status::OK();
+}
+
+/// Zeros the low 7 bits of every byte of each varint in `ranges`,
+/// preserving continuation MSBs (§2.1 Varint masking).
+Status MaskVarints(std::vector<uint8_t>* bytes, size_t payload_pos,
+                   const ElementRanges& ranges) {
   size_t p = payload_pos;
-  size_t value_idx = 0;
-  size_t target = 0;
-  for (uint32_t want : sorted_indices) {
-    while (value_idx < want) {
-      // Skip one varint.
-      while (p < bytes->size() && ((*bytes)[p] & 0x80)) ++p;
-      if (p >= bytes->size()) return Status::Corruption("varint walk oob");
-      ++p;
-      ++value_idx;
+  uint64_t value_idx = 0;
+  for (const auto& [begin, end] : ranges) {
+    for (uint64_t want = begin; want < end; ++want) {
+      while (value_idx < want) {
+        // Skip one varint.
+        while (p < bytes->size() && ((*bytes)[p] & 0x80)) ++p;
+        if (p >= bytes->size()) return Status::Corruption("varint walk oob");
+        ++p;
+        ++value_idx;
+      }
+      // Mask this varint: zero payload bits, keep MSBs. `p` stays — the
+      // masked varint has the same byte length, so the walk continues
+      // from it for the next target.
+      size_t q = p;
+      while (q < bytes->size() && ((*bytes)[q] & 0x80)) {
+        (*bytes)[q] = 0x80;
+        ++q;
+      }
+      if (q >= bytes->size()) return Status::Corruption("varint mask oob");
+      (*bytes)[q] = 0x00;
     }
-    // Mask this varint: zero payload bits, keep MSBs.
-    size_t q = p;
-    while (q < bytes->size() && ((*bytes)[q] & 0x80)) {
-      (*bytes)[q] = 0x80;
-      ++q;
-    }
-    if (q >= bytes->size()) return Status::Corruption("varint mask oob");
-    (*bytes)[q] = 0x00;
-    // Note: p stays — the masked varint has the same byte length, so
-    // the walk continues from it for the next target.
-    (void)target;
   }
   return Status::OK();
 }
@@ -73,6 +140,7 @@ Status MaskPageRows(std::vector<uint8_t>* page_bytes,
         "in-place deletion requires generic page format");
   }
   int depth = in.Read<uint8_t>();
+  if (depth > 2) return Status::Corruption("page list depth above 2");
 
   std::vector<std::vector<int64_t>> offsets(static_cast<size_t>(depth));
   for (int level = 0; level < depth; ++level) {
@@ -80,107 +148,78 @@ Status MaskPageRows(std::vector<uint8_t>* page_bytes,
   }
   size_t values_pos = in.position();
 
-  // Element indices to mask, per the list nesting.
-  std::vector<uint32_t> elems;
-  for (uint32_t r : rows) {
-    if (depth == 0) {
-      elems.push_back(r);
-    } else if (depth == 1) {
-      for (int64_t e = offsets[0][r]; e < offsets[0][r + 1]; ++e) {
-        elems.push_back(static_cast<uint32_t>(e));
-      }
-    } else {
-      for (int64_t j = offsets[0][r]; j < offsets[0][r + 1]; ++j) {
-        for (int64_t e = offsets[1][static_cast<size_t>(j)];
-             e < offsets[1][static_cast<size_t>(j) + 1]; ++e) {
-          elems.push_back(static_cast<uint32_t>(e));
-        }
-      }
-    }
-  }
-  std::sort(elems.begin(), elems.end());
-
   EncodingType type;
   uint64_t count;
   size_t payload;
   BULLION_RETURN_NOT_OK(
       ParseHeaderAt(*page_bytes, values_pos, &type, &count, &payload));
+  // Element ranges to mask, per the list nesting (RLE pages drop rows
+  // instead, below).
+  ElementRanges ranges;
+  if (type != EncodingType::kRle) {
+    BULLION_ASSIGN_OR_RETURN(ranges, RowElementRanges(offsets, rows, count));
+  }
 
   switch (type) {
     case EncodingType::kTrivial: {
-      for (uint32_t e : elems) {
-        if (payload + 8ull * e + 8 > page_bytes->size()) {
-          return Status::Corruption("trivial mask oob");
-        }
-        std::memset(page_bytes->data() + payload + 8ull * e, 0, 8);
+      const uint64_t slots = (page_bytes->size() - payload) / 8;
+      for (const auto& [begin, end] : ranges) {
+        if (end > slots) return Status::Corruption("trivial mask oob");
+        std::memset(page_bytes->data() + payload + 8 * begin, 0,
+                    8 * (end - begin));
       }
       return Status::OK();
     }
-    case EncodingType::kFixedBitWidth: {
-      int width = (*page_bytes)[payload];
-      uint8_t* packed = page_bytes->data() + payload + 1;
-      for (uint32_t e : elems) {
-        bit_util::SetPacked(packed, e, width, 0);
-      }
-      return Status::OK();
-    }
+    case EncodingType::kFixedBitWidth:
+      return ZeroPackedSlots(page_bytes, payload, ranges);
     case EncodingType::kForDelta: {
       // Payload: [base zigzag varint][width u8][packed offsets].
-      Slice s(page_bytes->data(), page_bytes->size());
       size_t p = payload;
       uint64_t zz;
-      if (!varint::GetVarint64(s, &p, &zz)) {
+      if (!varint::GetVarint64(page, &p, &zz)) {
         return Status::Corruption("for-delta base oob");
       }
-      int width = (*page_bytes)[p];
-      uint8_t* packed = page_bytes->data() + p + 1;
-      for (uint32_t e : elems) {
-        bit_util::SetPacked(packed, e, width, 0);
-      }
-      return Status::OK();
+      return ZeroPackedSlots(page_bytes, p, ranges);
     }
-    case EncodingType::kVarint: {
-      return MaskVarintAt(page_bytes, payload, elems);
-    }
+    case EncodingType::kVarint:
+      return MaskVarints(page_bytes, payload, ranges);
     case EncodingType::kDictionary: {
       // [has_mask u8][n_entries varint][entries block][codes block].
-      Slice s(page_bytes->data(), page_bytes->size());
       size_t p = payload;
+      if (p >= page_bytes->size()) return Status::Corruption("dict oob");
       uint8_t has_mask = (*page_bytes)[p++];
       if (!has_mask) {
         return Status::InvalidArgument(
             "dictionary page lacks the reserved mask entry");
       }
       uint64_t n_entries;
-      if (!varint::GetVarint64(s, &p, &n_entries)) {
+      if (!varint::GetVarint64(page, &p, &n_entries)) {
         return Status::Corruption("dict n_entries oob");
       }
       // Skip the entries block by decoding it.
-      SliceReader skip(s);
+      SliceReader skip(page);
       skip.Seek(p);
       std::vector<int64_t> scratch;
       BULLION_RETURN_NOT_OK(DecodeIntBlock(&skip, &scratch));
-      size_t codes_pos = skip.position();
       EncodingType codes_type;
       uint64_t codes_count;
       size_t codes_payload;
-      BULLION_RETURN_NOT_OK(ParseHeaderAt(*page_bytes, codes_pos, &codes_type,
-                                          &codes_count, &codes_payload));
+      BULLION_RETURN_NOT_OK(ParseHeaderAt(*page_bytes, skip.position(),
+                                          &codes_type, &codes_count,
+                                          &codes_payload));
       if (codes_type != EncodingType::kFixedBitWidth) {
         return Status::InvalidArgument(
             "deletable dictionary codes must be fixed-bit-width");
       }
-      int width = (*page_bytes)[codes_payload];
-      uint8_t* packed = page_bytes->data() + codes_payload + 1;
-      for (uint32_t e : elems) {
-        bit_util::SetPacked(packed, e, width, 0);  // mask entry
+      if (!ranges.empty() && ranges.back().second > codes_count) {
+        return Status::Corruption("dictionary code past the codes block");
       }
-      return Status::OK();
+      return ZeroPackedSlots(page_bytes, codes_payload, ranges);
     }
     case EncodingType::kRle: {
       // Scalar pages only (writer guarantees). Decode surviving values,
       // drop the newly deleted rows' values, re-encode, pad.
-      SliceReader rle_in(Slice(page_bytes->data(), page_bytes->size()));
+      SliceReader rle_in(page);
       rle_in.Seek(values_pos);
       std::vector<int64_t> values;
       BULLION_RETURN_NOT_OK(DecodeIntBlock(&rle_in, &values));
@@ -189,9 +228,13 @@ Status MaskPageRows(std::vector<uint8_t>* page_bytes,
       std::vector<uint8_t> drop(values.size(), 0);
       {
         size_t pos = 0;
-        size_t next_row = 0;
         std::vector<uint8_t> is_target(previously_removed.size(), 0);
-        for (uint32_t r : rows) is_target[r] = 1;
+        for (uint32_t r : rows) {
+          if (r >= is_target.size()) {
+            return Status::Corruption("masked row past the page");
+          }
+          is_target[r] = 1;
+        }
         for (size_t r = 0; r < previously_removed.size(); ++r) {
           if (previously_removed[r]) continue;  // not present in stream
           if (pos >= values.size()) {
@@ -199,7 +242,6 @@ Status MaskPageRows(std::vector<uint8_t>* page_bytes,
           }
           if (is_target[r]) drop[pos] = 1;
           ++pos;
-          ++next_row;
         }
         if (pos != values.size()) {
           return Status::Corruption("rle survivor count mismatch");
@@ -297,9 +339,17 @@ Result<DeleteReport> DeleteExecutor::DeleteRows(
     report.rows_deleted += rows.size();
   }
 
-  // Level 2: physically mask every affected page of every column,
-  // before flipping DV bits (the RLE path needs the pre-delete DV to
-  // locate surviving values).
+  // Level 2: physically mask every affected page of every column. All
+  // pages are read, checked against their live Merkle leaves, and
+  // masked in memory before the first write (the RLE path also needs
+  // the pre-delete DV to locate surviving values), so a page that is
+  // damaged on disk or cannot be masked refuses the whole delete with
+  // the file, the tree and the deletion vectors untouched.
+  struct MaskedPage {
+    uint32_t index = 0;
+    std::vector<uint8_t> bytes;
+  };
+  std::vector<MaskedPage> masked;
   if (level == ComplianceLevel::kLevel2) {
     uint32_t rpp = f.rows_per_page();
     for (const auto& [g, rows] : rows_per_group) {
@@ -320,11 +370,16 @@ Result<DeleteReport> DeleteExecutor::DeleteRows(
           rows_per_page_map[page].push_back(r % rpp);
         }
         for (const auto& [p, page_rows] : rows_per_page_map) {
-          uint64_t off = f.page_offset(p);
           uint64_t slot = f.page_slot_size(p);
           Buffer buf;
-          BULLION_RETURN_NOT_OK(read_->Read(off, slot, &buf));
+          BULLION_RETURN_NOT_OK(read_->Read(f.page_offset(p), slot, &buf));
           report.page_bytes_read += slot;
+          // The caller's footer goes stale after the first delete; the
+          // live tree holds the hash each page must still match.
+          if (HashPage(buf.AsSlice()) != merkle_.page_hash(p)) {
+            return Status::Corruption("page " + std::to_string(p) +
+                                      " fails its checksum; not masking it");
+          }
           std::vector<uint8_t> bytes(buf.data(), buf.data() + buf.size());
 
           uint32_t page_first_row = (p - first_page) * rpp;
@@ -335,22 +390,28 @@ Result<DeleteReport> DeleteExecutor::DeleteRows(
           }
           BULLION_RETURN_NOT_OK(
               MaskPageRows(&bytes, page_rows, previously_removed));
-          BULLION_RETURN_NOT_OK(
-              update_->WriteAt(off, Slice(bytes.data(), bytes.size())));
-          report.page_bytes_written += bytes.size();
-          ++report.pages_rewritten;
-
-          // Incremental Merkle path update (page -> group -> root).
-          uint64_t new_hash = HashPage(Slice(bytes.data(), bytes.size()));
-          report.merkle_folds += merkle_.UpdatePage(p, new_hash);
-          BufferBuilder h;
-          h.Append<uint64_t>(new_hash);
-          BULLION_RETURN_NOT_OK(
-              update_->WriteAt(f.file_offset_of_page_hash(p), h.AsSlice()));
-          report.footer_bytes_written += 8;
+          masked.push_back(MaskedPage{p, std::move(bytes)});
         }
       }
     }
+  }
+
+  // Every page masked: write them back with their Merkle leaves
+  // (incremental path update: page -> group -> root).
+  for (const MaskedPage& page : masked) {
+    const Slice bytes(page.bytes.data(), page.bytes.size());
+    BULLION_RETURN_NOT_OK(update_->WriteAt(f.page_offset(page.index), bytes));
+    report.page_bytes_written += bytes.size();
+    ++report.pages_rewritten;
+    uint64_t new_hash = HashPage(bytes);
+    report.merkle_folds += merkle_.UpdatePage(page.index, new_hash);
+    BufferBuilder h;
+    h.Append<uint64_t>(new_hash);
+    BULLION_RETURN_NOT_OK(update_->WriteAt(
+        f.file_offset_of_page_hash(page.index), h.AsSlice()));
+    report.footer_bytes_written += 8;
+  }
+  if (level == ComplianceLevel::kLevel2) {
     // Write back the updated interior hashes once per touched group +
     // the root.
     for (const auto& [g, rows] : rows_per_group) {

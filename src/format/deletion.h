@@ -17,7 +17,9 @@
 //   Dictionary     repoint the row's code to the reserved mask entry 0
 //
 // After page updates, the Merkle checksum path (page -> group -> root)
-// is updated in the footer, also in place (Fig. 2).
+// is updated in the footer, also in place (Fig. 2). A level-2 delete is
+// all or nothing: every affected page is read, checked against its
+// Merkle leaf, and masked in memory before the first byte is written.
 
 #pragma once
 
@@ -50,7 +52,9 @@ struct DeleteReport {
 /// Masks page-relative `rows` inside an encoded page buffer, in place.
 /// `previously_removed[r]` marks rows whose values an earlier RLE
 /// deletion already removed physically (needed to locate surviving
-/// positions). The buffer size never changes (size consistency).
+/// positions). The buffer size never changes (size consistency), and
+/// no byte outside it is touched: offsets, bit widths, and packed slots
+/// that do not fit the page are Corruption.
 Status MaskPageRows(std::vector<uint8_t>* page_bytes,
                     std::span<const uint32_t> rows,
                     std::span<const uint8_t> previously_removed);
@@ -65,7 +69,9 @@ class DeleteExecutor {
 
   /// Deletes the given global row ids at the given compliance level.
   /// Level 0 is rejected: plain columnar files require a full rewrite
-  /// (see baseline/parquet_like for that cost).
+  /// (see baseline/parquet_like for that cost). At level 2 a page that
+  /// fails its checksum (Corruption) or cannot be masked refuses the
+  /// whole delete before anything is written.
   Result<DeleteReport> DeleteRows(std::span<const uint64_t> row_ids,
                                   ComplianceLevel level);
 

@@ -11,9 +11,9 @@
 //   decode ExecuteCoalescedRead() decodes every chunk the read covers
 //          into its projection slot.
 // ReadProjection() runs the three stages serially; the exec/ layer
-// (ParallelTableScanner) drives the same stages with coalesced reads
-// fanned out across a thread pool. All reader methods are const and
-// safe to call from multiple threads concurrently.
+// (BatchStream, behind bullion::Scan) drives the same stages with
+// coalesced reads fanned out across a thread pool. All reader methods
+// are const and safe to call from multiple threads concurrently.
 
 #pragma once
 

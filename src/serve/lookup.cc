@@ -20,18 +20,6 @@ uint64_t NowNs() {
           .count());
 }
 
-// Dotted leaf names of the default (all-leaves) projection, from the
-// footer that governs column resolution: the file's own, or the newest
-// shard's for a dataset (earlier shards are validated prefixes of it).
-std::vector<std::string> DefaultProjectionNames(const FooterView& footer) {
-  std::vector<std::string> names;
-  names.reserve(footer.num_columns());
-  for (uint32_t c = 0; c < footer.num_columns(); ++c) {
-    names.emplace_back(footer.column_name(c));
-  }
-  return names;
-}
-
 }  // namespace
 
 Result<LookupResult> LookupBuilder::Run() const {
@@ -55,36 +43,27 @@ Result<LookupResult> LookupBuilder::Run() const {
   requests->Increment();
   keys->Increment(num_keys_);
 
+  BULLION_ASSIGN_OR_RETURN(ScanResult scan, builder_.Collect());
+  // A miss (every extent pruned, or no row survives the residual)
+  // yields one empty column per projected column.
   LookupResult result;
-  if (!builder_.spec().column_names.empty()) {
-    result.column_names = builder_.spec().column_names;
-  } else if (file_ != nullptr) {
-    result.column_names = DefaultProjectionNames(file_->footer());
-  } else if (dataset_->num_shards() > 0) {
-    result.column_names = DefaultProjectionNames(
-        dataset_->shard_reader(dataset_->num_shards() - 1)->footer());
+  result.columns.reserve(scan.columns.size());
+  for (size_t slot = 0; slot < scan.columns.size(); ++slot) {
+    BULLION_ASSIGN_OR_RETURN(ColumnVector column, scan.ConcatColumn(slot));
+    result.columns.push_back(std::move(column));
   }
-
-  BULLION_ASSIGN_OR_RETURN(auto stream, builder_.Stream());
-  RowBatch batch;
-  bool first = true;
-  for (;;) {
-    BULLION_ASSIGN_OR_RETURN(bool more, stream->Next(&batch));
-    if (!more) break;
-    if (first) {
-      result.columns = std::move(batch.columns);
-      first = false;
-      continue;
-    }
-    for (size_t c = 0; c < result.columns.size(); ++c) {
-      const ColumnVector& src = batch.columns[c];
-      for (size_t r = 0; r < src.num_rows(); ++r) {
-        result.columns[c].AppendRowFrom(src, static_cast<int64_t>(r));
-      }
+  // Names come from the footer that resolved the projection: the
+  // file's own, or the newest shard's for a dataset (earlier shards are
+  // validated prefixes of it). A zero-shard dataset projects nothing.
+  const TableReader* resolver = file_;
+  if (resolver == nullptr && dataset_->num_shards() > 0) {
+    resolver = dataset_->shard_reader(dataset_->num_shards() - 1);
+  }
+  if (resolver != nullptr) {
+    for (uint32_t c : scan.columns) {
+      result.column_names.emplace_back(resolver->footer().column_name(c));
     }
   }
-  // A miss (every extent pruned) emits no batches; `columns` stays
-  // empty and num_rows() == 0 — callers test rows, not column count.
 
   rows->Increment(result.num_rows());
   if (result.num_rows() == 0) misses->Increment();

@@ -56,7 +56,8 @@ struct LookupResult {
   std::vector<std::string> column_names;
   /// One ColumnVector per projected column, all rows concatenated in
   /// scan order (shard order, then row-group order, then row order —
-  /// the same order the equivalent filtered Scan emits).
+  /// the same order the equivalent filtered Scan emits). A miss holds
+  /// one empty column per projected column.
   std::vector<ColumnVector> columns;
 
   size_t num_rows() const {
@@ -68,8 +69,8 @@ struct LookupResult {
 ///
 /// Thin specialization of ScanStreamBuilder: Key()/Keys() install the
 /// equality predicate, late materialization defaults ON, and Run()
-/// drains the stream into a LookupResult while recording the
-/// bullion.lookup.* metrics.
+/// collects the scan and concatenates each projected column into a
+/// LookupResult while recording the bullion.lookup.* metrics.
 class LookupBuilder {
  public:
   explicit LookupBuilder(const TableReader* reader)

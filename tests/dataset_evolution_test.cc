@@ -146,7 +146,7 @@ TEST(DatasetAppender, AppendsShardsAndBumpsGeneration) {
   auto ds = OpenDataset(&fs, *updated);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   for (size_t threads : {1, 4}) {
-    auto scan = DatasetScanBuilder(ds->get()).Threads(threads).Scan();
+    auto scan = Scan(ds->get()).Threads(threads).Collect();
     ASSERT_TRUE(scan.ok());
     EXPECT_EQ(scan->num_rows(), 800u);
     for (size_t c = 0; c < first.size(); ++c) {
@@ -246,11 +246,11 @@ TEST(SchemaEvolution, OldShardsBackfillNullsForAppendedColumn) {
   std::vector<std::vector<ColumnVector>> first_groups;
   bool have_first = false;
   for (size_t threads : {1, 2, 4, 8}) {
-    auto scan = DatasetScanBuilder(ds->get())
+    auto scan = Scan(ds->get())
                     .Columns({"uid", "label"})
                     .Threads(threads)
                     .Cache(&cache)
-                    .Scan();
+                    .Collect();
     ASSERT_TRUE(scan.ok()) << scan.status().ToString();
     auto label = scan->ConcatColumn(1);
     ASSERT_TRUE(label.ok());
@@ -331,7 +331,7 @@ struct DeletedFixture {
   std::vector<ColumnVector> SurvivorTruth() {
     auto ds = OpenDataset(&fs, manifest);
     EXPECT_TRUE(ds.ok());
-    auto scan = DatasetScanBuilder(ds->get()).Scan();
+    auto scan = Scan(ds->get()).Collect();
     EXPECT_TRUE(scan.ok());
     std::vector<ColumnVector> cols;
     for (size_t c = 0; c < scan->columns.size(); ++c) {
@@ -384,7 +384,7 @@ TEST(DatasetCompactor, CompactionDropsDeletedRowsAtEveryThreadCount) {
     // Scan of the compacted dataset == the surviving rows.
     auto ds = OpenDataset(&fx.fs, report->manifest);
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-    auto scan = DatasetScanBuilder(ds->get()).Threads(4).Scan();
+    auto scan = Scan(ds->get()).Threads(4).Collect();
     ASSERT_TRUE(scan.ok());
     EXPECT_EQ(scan->num_rows(), survivors);
     for (size_t c = 0; c < truth.size(); ++c) {
@@ -473,7 +473,7 @@ TEST(DatasetCompactor, AllRowsDeletedLeavesEmptyShard) {
   EXPECT_EQ(report->manifest.shard(0).num_row_groups, 0u);
   auto ds = OpenDataset(&fs, report->manifest);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  auto scan = DatasetScanBuilder(ds->get()).Scan();
+  auto scan = Scan(ds->get()).Collect();
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->num_rows(), 0u);
   // No remover configured: the replaced file is reported, not deleted.
@@ -491,7 +491,7 @@ TEST(DatasetCompactor, WarmCacheNeverServesPreCompactionChunks) {
   // Warm the cache on the PRE-compaction dataset.
   auto pre = OpenDataset(&fx.fs, fx.manifest);
   ASSERT_TRUE(pre.ok());
-  auto warm = DatasetScanBuilder(pre->get()).Threads(4).Cache(&cache).Scan();
+  auto warm = Scan(pre->get()).Threads(4).Cache(&cache).Collect();
   ASSERT_TRUE(warm.ok());
   ASSERT_GT(cache.num_entries(), 0u);
 
@@ -514,7 +514,7 @@ TEST(DatasetCompactor, WarmCacheNeverServesPreCompactionChunks) {
   ASSERT_TRUE(post.ok());
   for (int epoch = 0; epoch < 2; ++epoch) {
     auto scan =
-        DatasetScanBuilder(post->get()).Threads(4).Cache(&cache).Scan();
+        Scan(post->get()).Threads(4).Cache(&cache).Collect();
     ASSERT_TRUE(scan.ok());
     for (size_t c = 0; c < truth.size(); ++c) {
       EXPECT_EQ(*scan->ConcatColumn(c), truth[c])
@@ -536,7 +536,7 @@ TEST(DecodedChunkCache, WarmCacheNeverServesPreDeleteChunks) {
 
   auto before = OpenDataset(&fs, manifest);
   ASSERT_TRUE(before.ok());
-  auto warm = DatasetScanBuilder(before->get()).Cache(&cache).Scan();
+  auto warm = Scan(before->get()).Cache(&cache).Collect();
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->num_rows(), 200u);
 
@@ -547,10 +547,10 @@ TEST(DecodedChunkCache, WarmCacheNeverServesPreDeleteChunks) {
   // Re-open (fresh footer) and rescan through the SAME warm cache.
   auto after = OpenDataset(&fs, manifest);
   ASSERT_TRUE(after.ok());
-  auto scan = DatasetScanBuilder(after->get()).Cache(&cache).Scan();
+  auto scan = Scan(after->get()).Cache(&cache).Collect();
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->num_rows(), 100u);  // deleted rows must NOT reappear
-  auto uncached = DatasetScanBuilder(after->get()).Scan();
+  auto uncached = Scan(after->get()).Collect();
   ASSERT_TRUE(uncached.ok());
   EXPECT_EQ(scan->groups, uncached->groups);
 }
@@ -610,10 +610,10 @@ TEST(DatasetEvolution, ConcurrentScansCompactionAndSharedCache) {
   for (int t = 0; t < 3; ++t) {
     workers.emplace_back([&] {
       for (int epoch = 0; epoch < 3; ++epoch) {
-        auto scan = DatasetScanBuilder(pre->get())
+        auto scan = Scan(pre->get())
                         .Pool(&pool)
                         .Cache(&cache)
-                        .Scan();
+                        .Collect();
         if (!scan.ok()) failures.fetch_add(1);
       }
     });
@@ -635,7 +635,7 @@ TEST(DatasetEvolution, ConcurrentScansCompactionAndSharedCache) {
 
   auto post = OpenDataset(&fx.fs, report->manifest);
   ASSERT_TRUE(post.ok());
-  auto scan = DatasetScanBuilder(post->get()).Pool(&pool).Cache(&cache).Scan();
+  auto scan = Scan(post->get()).Pool(&pool).Cache(&cache).Collect();
   ASSERT_TRUE(scan.ok());
   for (size_t c = 0; c < truth.size(); ++c) {
     EXPECT_EQ(*scan->ConcatColumn(c), truth[c]) << "column " << c;
@@ -676,7 +676,7 @@ TEST(DatasetEvolution, WriteAppendDeleteCompactScanLifecycle) {
   }
   auto pre = OpenDataset(&fs, manifest);
   ASSERT_TRUE(pre.ok());
-  auto truth_scan = DatasetScanBuilder(pre->get()).Scan();
+  auto truth_scan = Scan(pre->get()).Collect();
   ASSERT_TRUE(truth_scan.ok());
   uint64_t survivors = truth_scan->num_rows();
   EXPECT_EQ(survivors, 360u);
@@ -697,10 +697,10 @@ TEST(DatasetEvolution, WriteAppendDeleteCompactScanLifecycle) {
   // unchanged by compaction).
   auto post = OpenDataset(&fs, report->manifest);
   ASSERT_TRUE(post.ok());
-  auto scan = DatasetScanBuilder(post->get())
+  auto scan = Scan(post->get())
                   .Columns({"uid", "label"})
                   .Threads(4)
-                  .Scan();
+                  .Collect();
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   auto uid = scan->ConcatColumn(0);
   auto label = scan->ConcatColumn(1);
@@ -710,9 +710,9 @@ TEST(DatasetEvolution, WriteAppendDeleteCompactScanLifecycle) {
   // 240 surviving pre-evolution rows are null; 120 appended survive.
   EXPECT_EQ(label->null_count(), 240u);
   // Row content matches the tombstone-filtered pre-compaction scan.
-  auto pre_proj = DatasetScanBuilder(pre->get())
+  auto pre_proj = Scan(pre->get())
                       .Columns({"uid", "label"})
-                      .Scan();
+                      .Collect();
   ASSERT_TRUE(pre_proj.ok());
   EXPECT_EQ(*uid, *pre_proj->ConcatColumn(0));
   EXPECT_EQ(*label, *pre_proj->ConcatColumn(1));

@@ -302,17 +302,19 @@ struct DatasetFixture {
     reader = std::move(*ds);
   }
 
-  /// Ground truth: per-shard serial scans, concatenated in shard order.
+  /// Ground truth: per-group serial ReadProjection (plan → fetch →
+  /// decode on the calling thread), concatenated in shard order.
   std::vector<std::vector<ColumnVector>> SerialConcat(
       const std::vector<uint32_t>& projection) const {
     std::vector<std::vector<ColumnVector>> out;
     for (size_t s = 0; s < reader->num_shards(); ++s) {
-      auto scan = ScanBuilder(reader->shard_reader(s))
-                      .ColumnIndices(projection)
-                      .Threads(1)
-                      .Scan();
-      EXPECT_TRUE(scan.ok());
-      for (auto& g : scan->groups) out.push_back(std::move(g));
+      const TableReader* shard = reader->shard_reader(s);
+      for (uint32_t g = 0; g < shard->num_row_groups(); ++g) {
+        std::vector<ColumnVector> group;
+        EXPECT_TRUE(
+            shard->ReadProjection(g, projection, ReadOptions{}, &group).ok());
+        out.push_back(std::move(group));
+      }
     }
     return out;
   }
@@ -343,10 +345,10 @@ TEST(ShardedReader, ScanIsByteIdenticalToPerShardSerialConcat) {
   ASSERT_EQ(truth.size(), fx.reader->num_row_groups());
 
   for (size_t threads : {1, 2, 4, 8}) {
-    auto scan = DatasetScanBuilder(fx.reader.get())
+    auto scan = Scan(fx.reader.get())
                     .ColumnIndices(projection)
                     .Threads(threads)
-                    .Scan();
+                    .Collect();
     ASSERT_TRUE(scan.ok()) << scan.status().ToString();
     ASSERT_EQ(scan->groups.size(), truth.size());
     for (size_t g = 0; g < truth.size(); ++g) {
@@ -362,10 +364,10 @@ TEST(ShardedReader, ConcatColumnMatchesSingleFileRead) {
   for (const char* name : {"uid", "score", "tag", "clk_seq"}) {
     auto expect = ReadFullColumn(single.get(), name);
     ASSERT_TRUE(expect.ok());
-    auto scan = DatasetScanBuilder(fx.reader.get())
+    auto scan = Scan(fx.reader.get())
                     .Columns({name})
                     .Threads(4)
-                    .Scan();
+                    .Collect();
     ASSERT_TRUE(scan.ok());
     auto got = scan->ConcatColumn(0);
     ASSERT_TRUE(got.ok());
@@ -378,11 +380,11 @@ TEST(ShardedReader, GlobalRowGroupRangeSpansShardEdges) {
   ASSERT_GE(fx.reader->num_shards(), 2u);
   // [1, 4) crosses the shard-0/shard-1 boundary at global group 2.
   auto truth = fx.SerialConcat({1, 3});
-  auto scan = DatasetScanBuilder(fx.reader.get())
+  auto scan = Scan(fx.reader.get())
                   .ColumnIndices({1, 3})
                   .RowGroups(1, 4)
                   .Threads(3)
-                  .Scan();
+                  .Collect();
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->group_begin, 1u);
   ASSERT_EQ(scan->num_groups(), 3u);
@@ -390,11 +392,11 @@ TEST(ShardedReader, GlobalRowGroupRangeSpansShardEdges) {
     EXPECT_EQ(scan->groups[g], truth[g + 1]) << "global group " << g + 1;
   }
   // A well-formed range past the end is an empty scan, not an error.
-  auto past = DatasetScanBuilder(fx.reader.get()).RowGroups(99, 99).Scan();
+  auto past = Scan(fx.reader.get()).RowGroups(99, 99).Collect();
   ASSERT_TRUE(past.ok());
   EXPECT_EQ(past->num_groups(), 0u);
   EXPECT_FALSE(
-      DatasetScanBuilder(fx.reader.get()).RowGroups(4, 1).Scan().ok());
+      Scan(fx.reader.get()).RowGroups(4, 1).Collect().ok());
 }
 
 TEST(ShardedReader, EmptyShardInTheMiddleContributesNoGroups) {
@@ -421,7 +423,7 @@ TEST(ShardedReader, EmptyShardInTheMiddleContributesNoGroups) {
   EXPECT_EQ((*ds)->num_rows(), 120u);
   EXPECT_EQ((*ds)->num_row_groups(), 2u);
 
-  auto scan = DatasetScanBuilder(ds->get()).Threads(2).Scan();
+  auto scan = Scan(ds->get()).Threads(2).Collect();
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->num_rows(), 120u);
   ColumnVector expect(PhysicalType::kInt64, 0);
@@ -451,7 +453,7 @@ TEST(ShardedReader, SingleRowShards) {
     return fs.NewReadableFile(n);
   });
   ASSERT_TRUE(ds.ok());
-  auto scan = DatasetScanBuilder(ds->get()).Threads(4).Scan();
+  auto scan = Scan(ds->get()).Threads(4).Collect();
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->num_rows(), 5u);
   for (size_t c = 0; c < data.size(); ++c) {
@@ -484,19 +486,19 @@ TEST(DecodedChunkCache, WarmEpochIsByteIdenticalAndIssuesZeroPreads) {
   DatasetFixture fx(800, 50, 200);
   DecodedChunkCache cache(64 << 20, &fx.fs.stats());
 
-  auto cold = DatasetScanBuilder(fx.reader.get())
+  auto cold = Scan(fx.reader.get())
                   .Threads(4)
                   .Cache(&cache)
-                  .Scan();
+                  .Collect();
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_GT(cache.misses(), 0u);
 
   fx.fs.ResetStats();
-  auto warm = DatasetScanBuilder(fx.reader.get())
+  auto warm = Scan(fx.reader.get())
                   .Threads(4)
                   .Cache(&cache)
-                  .Scan();
+                  .Collect();
   ASSERT_TRUE(warm.ok());
   // Every chunk was cached: the warm epoch does zero I/O...
   EXPECT_EQ(fx.fs.stats().read_ops.load(), 0u);
@@ -506,7 +508,7 @@ TEST(DecodedChunkCache, WarmEpochIsByteIdenticalAndIssuesZeroPreads) {
   // ...and the output is still byte-identical.
   EXPECT_EQ(warm->groups, cold->groups);
 
-  auto uncached = DatasetScanBuilder(fx.reader.get()).Threads(1).Scan();
+  auto uncached = Scan(fx.reader.get()).Threads(1).Collect();
   ASSERT_TRUE(uncached.ok());
   EXPECT_EQ(warm->groups, uncached->groups);
 }
@@ -517,18 +519,18 @@ TEST(DecodedChunkCache, PartiallyCachedGroupsMergeCacheAndFreshReads) {
 
   // Warm only column 1, then scan {0, 1, 3}: every group is "mixed" —
   // one slot from the cache, two freshly read.
-  auto prime = DatasetScanBuilder(fx.reader.get())
+  auto prime = Scan(fx.reader.get())
                    .ColumnIndices({1})
                    .Cache(&cache)
-                   .Scan();
+                   .Collect();
   ASSERT_TRUE(prime.ok());
   uint64_t misses_after_prime = cache.misses();
 
-  auto mixed = DatasetScanBuilder(fx.reader.get())
+  auto mixed = Scan(fx.reader.get())
                    .ColumnIndices({0, 1, 3})
                    .Threads(4)
                    .Cache(&cache)
-                   .Scan();
+                   .Collect();
   ASSERT_TRUE(mixed.ok());
   EXPECT_EQ(cache.hits(), fx.reader->num_row_groups());
   EXPECT_EQ(cache.misses(), misses_after_prime +
@@ -545,19 +547,19 @@ TEST(DecodedChunkCache, EvictsUnderTinyByteBudgetAndStaysCorrect) {
   DatasetFixture fx(800, 50, 200);
   // Budget ~2 chunks: constant churn, most probes miss, and the cache
   // must never hold more than its budget.
-  auto probe = DatasetScanBuilder(fx.reader.get()).ColumnIndices({3}).Scan();
+  auto probe = Scan(fx.reader.get()).ColumnIndices({3}).Collect();
   ASSERT_TRUE(probe.ok());
   size_t one_chunk = ApproxColumnVectorBytes(probe->groups[0][0]);
   ASSERT_GT(one_chunk, 0u);
   DecodedChunkCache cache(2 * one_chunk + one_chunk / 2);
 
-  auto uncached = DatasetScanBuilder(fx.reader.get()).Scan();
+  auto uncached = Scan(fx.reader.get()).Collect();
   ASSERT_TRUE(uncached.ok());
   for (int epoch = 0; epoch < 3; ++epoch) {
-    auto scan = DatasetScanBuilder(fx.reader.get())
+    auto scan = Scan(fx.reader.get())
                     .Threads(4)
                     .Cache(&cache)
-                    .Scan();
+                    .Collect();
     ASSERT_TRUE(scan.ok());
     EXPECT_EQ(scan->groups, uncached->groups) << "epoch " << epoch;
     EXPECT_LE(cache.size_bytes(), cache.capacity_bytes());
@@ -615,10 +617,10 @@ TEST(ShardedReader, ConcurrentScansShareOnePoolAndCache) {
   ThreadPool pool(4);
   DecodedChunkCache cache(64 << 20, &fx.fs.stats());
   auto run = [&] {
-    return DatasetScanBuilder(fx.reader.get())
+    return Scan(fx.reader.get())
         .Pool(&pool)
         .Cache(&cache)
-        .Scan();
+        .Collect();
   };
   auto first = run();
   ASSERT_TRUE(first.ok());

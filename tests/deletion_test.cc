@@ -82,6 +82,14 @@ struct Fixture {
   }
 };
 
+std::vector<uint8_t> FileBytes(InMemoryFileSystem* fs, const std::string& name) {
+  auto file = fs->NewReadableFile(name);
+  EXPECT_TRUE(file.ok());
+  Buffer buf;
+  EXPECT_TRUE((*file)->Read(0, *(*file)->Size(), &buf).ok());
+  return std::vector<uint8_t>(buf.data(), buf.data() + buf.size());
+}
+
 class DeletionByKind : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DeletionByKind, Level2MasksAndFilters) {
@@ -268,6 +276,97 @@ TEST(Deletion, MultiGroupDeletes) {
   EXPECT_EQ(total, 2997u);
 }
 
+TEST(Deletion, RefusedLevel2DeleteLeavesFileUntouched) {
+  // Deletable float columns get Chimp pages and deletable binary
+  // columns Chunked pages, and neither can be masked in place. The
+  // delete must be refused before the int column beside it (column 0,
+  // masked first) is rewritten: all or nothing.
+  for (PhysicalType second : {PhysicalType::kFloat64, PhysicalType::kBinary}) {
+    InMemoryFileSystem fs;
+    Schema schema({
+        Field{"v", DataType::Primitive(PhysicalType::kInt64),
+              LogicalType::kPlain, true},
+        Field{"w", DataType::Primitive(second), LogicalType::kPlain, true},
+    });
+    Random rng(11);
+    ColumnVector v(PhysicalType::kInt64, 0);
+    ColumnVector w(second, 0);
+    for (int r = 0; r < 1000; ++r) {
+      v.AppendInt(rng.UniformRange(0, 1 << 20));
+      if (second == PhysicalType::kFloat64) {
+        w.AppendReal(rng.NextDouble());
+      } else {
+        w.AppendBinary("user-" + std::to_string(rng.Next()));
+      }
+    }
+    WriterOptions wopts;
+    wopts.rows_per_page = 256;
+    {
+      auto f = fs.NewWritableFile("t");
+      TableWriter writer(schema, f->get(), wopts);
+      ASSERT_TRUE(writer.WriteRowGroup({v, w}).ok());
+      ASSERT_TRUE(writer.Finish().ok());
+    }
+    const std::vector<uint8_t> before = FileBytes(&fs, "t");
+
+    auto reader = *TableReader::Open(*fs.NewReadableFile("t"));
+    auto rf = fs.NewReadableFile("t");
+    auto uf = fs.OpenForUpdate("t");
+    DeleteExecutor exec(rf->get(), uf->get(), reader->footer());
+    std::vector<uint64_t> rows = {3, 700};
+    auto report = exec.DeleteRows(rows, ComplianceLevel::kLevel2);
+    ASSERT_FALSE(report.ok()) << "second column " << static_cast<int>(second);
+    EXPECT_EQ(FileBytes(&fs, "t"), before)
+        << "a refused delete rewrote part of the file";
+    auto reopened = *TableReader::Open(*fs.NewReadableFile("t"));
+    Status verify = reopened->VerifyChecksums();
+    EXPECT_TRUE(verify.ok()) << verify.ToString();
+    EXPECT_EQ(reopened->footer().DeletedCount(0), 0u);
+
+    // The refusal left the executor's live state clean: a level-1
+    // delete through it still hides the rows and keeps the file valid.
+    ASSERT_TRUE(exec.DeleteRows(rows, ComplianceLevel::kLevel1).ok());
+    reopened = *TableReader::Open(*fs.NewReadableFile("t"));
+    EXPECT_TRUE(reopened->VerifyChecksums().ok());
+    EXPECT_EQ(reopened->footer().DeletedCount(0), 2u);
+  }
+}
+
+TEST(Deletion, Level2RefusesPageThatFailsItsChecksum) {
+  Fixture fx("wide");
+  ASSERT_TRUE(fx.Write().ok());
+  uint64_t at = 0;
+  {
+    auto reader = *fx.OpenReader();
+    const FooterView& f = reader->footer();
+    const uint32_t page = f.chunk_pages(0, 0).first + 700 / f.rows_per_page();
+    at = f.page_offset(page) + f.page_slot_size(page) / 2;
+  }
+  // Damage one byte of a surviving value in the page that holds row 700.
+  {
+    Buffer old_byte;
+    ASSERT_TRUE((*fx.fs.NewReadableFile("t"))->Read(at, 1, &old_byte).ok());
+    const uint8_t flipped = old_byte.data()[0] ^ 0xFF;
+    auto uf = *fx.fs.OpenForUpdate("t");
+    ASSERT_TRUE(uf->WriteAt(at, Slice(&flipped, 1)).ok());
+    ASSERT_TRUE(uf->Flush().ok());
+  }
+
+  auto report = fx.Delete({700}, ComplianceLevel::kLevel2);
+  ASSERT_FALSE(report.ok()) << "masked a page that fails its checksum";
+  EXPECT_TRUE(report.status().IsCorruption()) << report.status().ToString();
+
+  // No fresh hash was written over the damage, so it stays detectable,
+  // and the row was not deleted.
+  auto reader = *fx.OpenReader();
+  EXPECT_FALSE(reader->VerifyChecksums().ok());
+  ReadOptions verified;
+  verified.verify_checksums = true;
+  ColumnVector v;
+  EXPECT_FALSE(reader->ReadColumnChunk(0, 0, verified, &v).ok());
+  EXPECT_EQ(reader->footer().DeletedCount(0), 0u);
+}
+
 TEST(MaskPageRows, EveryDeletableEncodingMasks) {
   // Encode pages forcing each maskable path and verify MaskPageRows
   // keeps size and erases content.
@@ -336,6 +435,54 @@ TEST(MaskPageRows, EveryDeletableEncodingMasks) {
         if (std::find(rows.begin(), rows.end(), r) != rows.end()) continue;
         EXPECT_EQ(decoded.int_values()[di++], c.values[r])
             << c.name << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(MaskPageRows, CorruptPageYieldsStatusNeverFault) {
+  // Each deletable page kind with every byte flipped in turn: masking
+  // must return a Status (OK or not) without touching memory outside
+  // the page. The sanitizer builds turn any stray access into a fault.
+  Random rng(21);
+  const int64_t dict[4] = {1234567890123, 987654321987, 5555555555555, 42};
+  std::vector<ColumnVector> pages(7, ColumnVector(PhysicalType::kInt64, 0));
+  for (int i = 0; i < 512; ++i) {
+    pages[0].AppendInt(rng.UniformRange(0, 5));              // bit-packed
+    pages[1].AppendInt(i / 64);                              // RLE
+    pages[2].AppendInt(static_cast<int64_t>(rng.Next()));    // trivial
+    pages[3].AppendInt(rng.UniformRange(0, 100000));         // bit-packed
+    pages[4].AppendInt(dict[rng.Uniform(4)]);                // dictionary
+    pages[5].AppendInt(1000000000 + rng.UniformRange(0, 100000));  // FOR
+    pages[6].AppendInt(rng.Bernoulli(0.95)                   // varint
+                           ? rng.UniformRange(0, 100)
+                           : rng.UniformRange(0, int64_t{1} << 40));
+  }
+  ColumnVector lists(PhysicalType::kInt64, 1);
+  for (int i = 0; i < 512; ++i) {
+    std::vector<int64_t> list(3 + rng.Uniform(3));
+    for (auto& x : list) x = rng.UniformRange(0, 500);
+    lists.AppendIntList(list);
+  }
+  pages.push_back(std::move(lists));
+
+  const std::vector<uint32_t> rows = {7, 8, 100};
+  const std::vector<uint8_t> none(512, 0);
+  for (size_t k = 0; k < pages.size(); ++k) {
+    PageEncodeOptions popts;
+    popts.deletable = true;
+    auto page = EncodePage(pages[k], 0, 512, popts);
+    ASSERT_TRUE(page.ok()) << "page " << k;
+    const std::vector<uint8_t> bytes(page->data.data(),
+                                     page->data.data() + page->data.size());
+    std::vector<uint8_t> masked = bytes;
+    ASSERT_TRUE(MaskPageRows(&masked, rows, none).ok()) << "page " << k;
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      for (uint8_t flip : {0x01, 0x80, 0xFF}) {
+        std::vector<uint8_t> corrupt = bytes;
+        corrupt[i] ^= flip;
+        MaskPageRows(&corrupt, rows, none).IgnoreError();
+        ASSERT_EQ(corrupt.size(), bytes.size());
       }
     }
   }

@@ -1,6 +1,6 @@
-// Exec-layer tests: thread pool / task group semantics, ScanBuilder
-// behavior, and the headline determinism claim — a parallel scan is
-// byte-identical to the serial TableReader path.
+// Exec-layer tests: thread pool / task group semantics, Scan(...)
+// .Collect() behavior, and the headline determinism claim — a parallel
+// scan is byte-identical to the serial TableReader path.
 
 #include <gtest/gtest.h>
 
@@ -145,10 +145,10 @@ TEST(Scanner, ParallelScanIsByteIdenticalToSerialReader) {
   }
 
   for (size_t threads : {1, 2, 4, 8}) {
-    auto scan = ScanBuilder(fx.reader.get())
+    auto scan = Scan(fx.reader.get())
                     .ColumnIndices(projection)
                     .Threads(threads)
-                    .Scan();
+                    .Collect();
     ASSERT_TRUE(scan.ok()) << scan.status().ToString();
     ASSERT_EQ(scan->groups.size(), serial.size());
     for (size_t g = 0; g < serial.size(); ++g) {
@@ -169,8 +169,8 @@ TEST(Scanner, TinyCoalesceWindowStillDeterministic) {
   tight.coalesce_gap_bytes = 0;
   tight.max_coalesced_bytes = 1;
 
-  auto serial = ScanBuilder(fx.reader.get()).Options(tight).Threads(1).Scan();
-  auto parallel = ScanBuilder(fx.reader.get()).Options(tight).Threads(4).Scan();
+  auto serial = Scan(fx.reader.get()).Options(tight).Threads(1).Collect();
+  auto parallel = Scan(fx.reader.get()).Options(tight).Threads(4).Collect();
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(parallel->groups, serial->groups);
@@ -178,10 +178,10 @@ TEST(Scanner, TinyCoalesceWindowStillDeterministic) {
 
 TEST(Scanner, ColumnNamesResolveInProjectionOrder) {
   ScanFixture fx(2);
-  auto scan = ScanBuilder(fx.reader.get())
+  auto scan = Scan(fx.reader.get())
                   .Columns({"score", "uid"})
                   .Threads(2)
-                  .Scan();
+                  .Collect();
   ASSERT_TRUE(scan.ok());
   ASSERT_EQ(scan->columns.size(), 2u);
   EXPECT_EQ(fx.reader->footer().column_name(scan->columns[0]), "score");
@@ -191,7 +191,7 @@ TEST(Scanner, ColumnNamesResolveInProjectionOrder) {
 
 TEST(Scanner, DefaultProjectionIsAllLeaves) {
   ScanFixture fx(2);
-  auto scan = ScanBuilder(fx.reader.get()).Threads(2).Scan();
+  auto scan = Scan(fx.reader.get()).Threads(2).Collect();
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->columns.size(), fx.schema.num_leaves());
   EXPECT_EQ(scan->num_rows(), 800u);
@@ -199,11 +199,11 @@ TEST(Scanner, DefaultProjectionIsAllLeaves) {
 
 TEST(Scanner, RowGroupRangeSelectsSubset) {
   ScanFixture fx(5);
-  auto scan = ScanBuilder(fx.reader.get())
+  auto scan = Scan(fx.reader.get())
                   .ColumnIndices({1})
                   .RowGroups(1, 3)
                   .Threads(3)
-                  .Scan();
+                  .Collect();
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->num_groups(), 2u);
   EXPECT_EQ(scan->group_begin, 1u);
@@ -268,7 +268,7 @@ TEST(ColumnVector, BulkAppendAllFromMatchesPerRowAppend) {
 
 TEST(Scanner, WellFormedEmptyRowGroupRangePastEndSucceeds) {
   ScanFixture fx(3);
-  auto scan = ScanBuilder(fx.reader.get()).RowGroups(5, 5).Scan();
+  auto scan = Scan(fx.reader.get()).RowGroups(5, 5).Collect();
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   EXPECT_EQ(scan->num_groups(), 0u);
   EXPECT_EQ(scan->num_rows(), 0u);
@@ -294,7 +294,7 @@ TEST(Scanner, SingleColumnProjectionIsOneRead) {
   EXPECT_EQ(plan->reads[0].chunks.size(), 1u);
 
   auto scan =
-      ScanBuilder(fx.reader.get()).ColumnIndices({3}).Threads(2).Scan();
+      Scan(fx.reader.get()).ColumnIndices({3}).Threads(2).Collect();
   ASSERT_TRUE(scan.ok());
   std::vector<ColumnVector> expect;
   ASSERT_TRUE(fx.reader->ReadProjection(0, {3}, ropts, &expect).ok());
@@ -304,17 +304,17 @@ TEST(Scanner, SingleColumnProjectionIsOneRead) {
 TEST(Scanner, InvalidColumnOrRangeFails) {
   ScanFixture fx(2);
   EXPECT_FALSE(
-      ScanBuilder(fx.reader.get()).ColumnIndices({999}).Scan().ok());
+      Scan(fx.reader.get()).ColumnIndices({999}).Collect().ok());
   EXPECT_FALSE(
-      ScanBuilder(fx.reader.get()).Columns({"nope"}).Scan().ok());
-  EXPECT_FALSE(ScanBuilder(fx.reader.get()).RowGroups(3, 1).Scan().ok());
+      Scan(fx.reader.get()).Columns({"nope"}).Collect().ok());
+  EXPECT_FALSE(Scan(fx.reader.get()).RowGroups(3, 1).Collect().ok());
 }
 
 TEST(Scanner, SharedPoolAcrossScans) {
   ScanFixture fx(3);
   ThreadPool pool(3);
-  auto a = ScanBuilder(fx.reader.get()).Pool(&pool).Scan();
-  auto b = ScanBuilder(fx.reader.get()).Pool(&pool).Scan();
+  auto a = Scan(fx.reader.get()).Pool(&pool).Collect();
+  auto b = Scan(fx.reader.get()).Pool(&pool).Collect();
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->groups, b->groups);
@@ -323,13 +323,13 @@ TEST(Scanner, SharedPoolAcrossScans) {
 TEST(Scanner, ParallelScanKeepsIoAccountingConsistent) {
   ScanFixture fx(4);
   fx.fs.ResetStats();
-  auto serial = ScanBuilder(fx.reader.get()).Threads(1).Scan();
+  auto serial = Scan(fx.reader.get()).Threads(1).Collect();
   ASSERT_TRUE(serial.ok());
   uint64_t serial_ops = fx.fs.stats().read_ops;
   uint64_t serial_bytes = fx.fs.stats().bytes_read;
 
   fx.fs.ResetStats();
-  auto parallel = ScanBuilder(fx.reader.get()).Threads(4).Scan();
+  auto parallel = Scan(fx.reader.get()).Threads(4).Collect();
   ASSERT_TRUE(parallel.ok());
   // Same plan executes either way: op and byte counts must match
   // exactly even though the interleaving differs.

@@ -437,7 +437,7 @@ TEST(ShardedWrite, ManyShardsEncodeConcurrentlyOnOnePool) {
     return par_fs.NewReadableFile(n);
   });
   ASSERT_TRUE(ds.ok());
-  auto scan = DatasetScanBuilder(ds->get()).Threads(4).Scan();
+  auto scan = Scan(ds->get()).Threads(4).Collect();
   ASSERT_TRUE(scan.ok());
   for (size_t c = 0; c < all.size(); ++c) {
     EXPECT_EQ(*scan->ConcatColumn(c), all[c]) << "column " << c;

@@ -112,24 +112,15 @@ struct DatasetFixture {
   }
 };
 
-/// Drains a filtered scan into per-column concatenations — the ground
-/// truth a Lookup must match byte for byte.
-std::vector<ColumnVector> DrainConcat(BatchStream* stream) {
+/// Collects a filtered scan into per-column concatenations — the
+/// ground truth a Lookup must match byte for byte.
+std::vector<ColumnVector> CollectConcat(const ScanStreamBuilder& scan) {
+  auto collected = scan.Collect();
+  EXPECT_TRUE(collected.ok()) << collected.status().ToString();
   std::vector<ColumnVector> concat;
-  RowBatch batch;
-  for (;;) {
-    auto more = stream->Next(&batch);
-    EXPECT_TRUE(more.ok()) << more.status().ToString();
-    if (!more.ok() || !*more) break;
-    if (concat.empty()) {
-      concat = std::move(batch.columns);
-      continue;
-    }
-    for (size_t c = 0; c < concat.size(); ++c) {
-      for (size_t r = 0; r < batch.columns[c].num_rows(); ++r) {
-        concat[c].AppendRowFrom(batch.columns[c], static_cast<int64_t>(r));
-      }
-    }
+  if (!collected.ok()) return concat;
+  for (size_t c = 0; c < collected->columns.size(); ++c) {
+    concat.push_back(*collected->ConcatColumn(c));
   }
   return concat;
 }
@@ -300,13 +291,13 @@ TEST(PointLookup, ManifestWithoutBloomsDegradesToChunkFilters) {
 TEST(PointLookup, LookupMatchesFilteredScanAtEveryThreadCount) {
   DatasetFixture fx(600, 50, 200);
   for (int64_t key : {0, 299, 555, 999999}) {
-    auto truth_stream = Scan(fx.reader.get())
-                            .Columns({"uid", "score", "tag"})
-                            .Filter("uid", CompareOp::kEq, key)
-                            .Threads(1)
-                            .Stream();
-    ASSERT_TRUE(truth_stream.ok()) << truth_stream.status().ToString();
-    std::vector<ColumnVector> truth = DrainConcat(truth_stream->get());
+    std::vector<ColumnVector> truth =
+        CollectConcat(Scan(fx.reader.get())
+                          .Columns({"uid", "score", "tag"})
+                          .Filter("uid", CompareOp::kEq, key)
+                          .Threads(1));
+    ASSERT_EQ(truth.size(), 3u);
+    EXPECT_EQ(truth[0].num_rows(), key < 600 ? 1u : 0u) << "key=" << key;
     for (size_t threads : {1, 2, 4, 8}) {
       auto hit = Lookup(fx.reader.get())
                      .Key("uid", key)
@@ -314,10 +305,7 @@ TEST(PointLookup, LookupMatchesFilteredScanAtEveryThreadCount) {
                      .Threads(threads)
                      .Run();
       ASSERT_TRUE(hit.ok()) << hit.status().ToString();
-      if (truth.empty()) {
-        EXPECT_EQ(hit->num_rows(), 0u) << "key=" << key;
-        continue;
-      }
+      // A miss is one empty column per projected column, like the scan.
       ASSERT_EQ(hit->columns.size(), truth.size())
           << "key=" << key << " threads=" << threads;
       for (size_t c = 0; c < truth.size(); ++c) {
@@ -348,13 +336,11 @@ TEST(PointLookup, LateMaterializationOnAndOffAreIdentical) {
 
 TEST(PointLookup, BinaryKeyLookup) {
   DatasetFixture fx(350, 50, 175);
-  auto truth_stream = Scan(fx.reader.get())
-                          .Columns({"uid", "tag"})
-                          .Filter("tag", CompareOp::kEq, "tag3")
-                          .Threads(1)
-                          .Stream();
-  ASSERT_TRUE(truth_stream.ok()) << truth_stream.status().ToString();
-  std::vector<ColumnVector> truth = DrainConcat(truth_stream->get());
+  std::vector<ColumnVector> truth =
+      CollectConcat(Scan(fx.reader.get())
+                        .Columns({"uid", "tag"})
+                        .Filter("tag", CompareOp::kEq, "tag3")
+                        .Threads(1));
   ASSERT_FALSE(truth.empty());
   ASSERT_GT(truth[0].num_rows(), 0u);
   auto hit = Lookup(fx.reader.get())
@@ -376,13 +362,10 @@ TEST(PointLookup, BinaryKeyLookup) {
 TEST(PointLookup, BatchKeysMatchInScan) {
   DatasetFixture fx(600, 50, 200);
   std::vector<FilterValue> keys = {5, 250, 555, 100000};
-  auto truth_stream = Scan(fx.reader.get())
-                          .Columns({"uid", "score"})
-                          .FilterIn("uid", keys)
-                          .Threads(1)
-                          .Stream();
-  ASSERT_TRUE(truth_stream.ok()) << truth_stream.status().ToString();
-  std::vector<ColumnVector> truth = DrainConcat(truth_stream->get());
+  std::vector<ColumnVector> truth = CollectConcat(Scan(fx.reader.get())
+                                                      .Columns({"uid", "score"})
+                                                      .FilterIn("uid", keys)
+                                                      .Threads(1));
   ASSERT_FALSE(truth.empty());
   EXPECT_EQ(truth[0].num_rows(), 3u);  // 100000 is absent
   auto hits = Lookup(fx.reader.get())
@@ -557,14 +540,11 @@ TEST(PointLookup, CrossColumnOrClauseMatchesManualUnion) {
   clause.any_of.push_back(Filter{"uid", CompareOp::kLt, 5});
   clause.any_of.push_back(Filter{"uid", CompareOp::kGe, 595});
   IoStats stats;
-  auto stream = Scan(fx.reader.get())
-                    .Columns({"uid"})
-                    .FilterAnyOf(clause)
-                    .Stats(&stats)
-                    .Threads(2)
-                    .Stream();
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  std::vector<ColumnVector> got = DrainConcat(stream->get());
+  std::vector<ColumnVector> got = CollectConcat(Scan(fx.reader.get())
+                                                    .Columns({"uid"})
+                                                    .FilterAnyOf(clause)
+                                                    .Stats(&stats)
+                                                    .Threads(2));
   ASSERT_EQ(got.size(), 1u);
   ASSERT_EQ(got[0].num_rows(), 10u);
   std::set<int64_t> uids(got[0].int_values().begin(),
@@ -583,10 +563,8 @@ TEST(PointLookup, OrClauseOnlyPrunesWhenEveryArmIsDisproven) {
   FilterClause clause;
   clause.any_of.push_back(Filter{"uid", CompareOp::kEq, 100000});
   clause.any_of.push_back(Filter{"uid", CompareOp::kEq, 300});
-  auto stream =
-      Scan(fx.reader.get()).Columns({"uid"}).FilterAnyOf(clause).Stream();
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  std::vector<ColumnVector> got = DrainConcat(stream->get());
+  std::vector<ColumnVector> got = CollectConcat(
+      Scan(fx.reader.get()).Columns({"uid"}).FilterAnyOf(clause));
   ASSERT_EQ(got.size(), 1u);
   ASSERT_EQ(got[0].num_rows(), 1u);
   EXPECT_EQ(got[0].int_values()[0], 300);

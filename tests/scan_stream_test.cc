@@ -1,7 +1,7 @@
 // Unified streaming scan tests: the bullion::Scan front door over both
 // source kinds, zone-map predicate pushdown, and the redesign's two
 // headline claims — (1) draining the stream is byte-identical to the
-// legacy materializing scans at any thread count, and (2) a selective
+// serial per-group TableReader reads at any thread count, and (2) a selective
 // predicate provably skips preads (groups_pruned / shards_pruned > 0
 // with read_ops below the unfiltered scan) while residual evaluation
 // keeps results exact, including on version-1 footers with no stats.
@@ -116,6 +116,30 @@ std::vector<RowBatch> Drain(BatchStream* stream) {
   return batches;
 }
 
+/// Independent reference: the serial plan → fetch → decode path, one
+/// ReadProjection of every leaf per row group.
+std::vector<std::vector<ColumnVector>> SerialGroups(const TableReader* reader) {
+  std::vector<uint32_t> all(reader->footer().num_columns());
+  for (uint32_t c = 0; c < all.size(); ++c) all[c] = c;
+  std::vector<std::vector<ColumnVector>> groups(reader->num_row_groups());
+  for (uint32_t g = 0; g < groups.size(); ++g) {
+    EXPECT_TRUE(reader->ReadProjection(g, all, ReadOptions{}, &groups[g]).ok());
+  }
+  return groups;
+}
+
+/// The same reference for a dataset, concatenated shard by shard.
+std::vector<std::vector<ColumnVector>> SerialGroups(
+    const ShardedTableReader* dataset) {
+  std::vector<std::vector<ColumnVector>> groups;
+  for (size_t s = 0; s < dataset->num_shards(); ++s) {
+    for (auto& g : SerialGroups(dataset->shard_reader(s))) {
+      groups.push_back(std::move(g));
+    }
+  }
+  return groups;
+}
+
 uint64_t TotalRows(const std::vector<RowBatch>& batches) {
   uint64_t rows = 0;
   for (const RowBatch& b : batches) rows += b.num_rows();
@@ -124,38 +148,43 @@ uint64_t TotalRows(const std::vector<RowBatch>& batches) {
 
 // ------------------------------------------------- byte-identity claims
 
-TEST(ScanStream, SingleFileStreamMatchesLegacyScanAtAnyThreadCount) {
+TEST(ScanStream, SingleFileStreamMatchesSerialReadsAtAnyThreadCount) {
   FileFixture fx(600, 50);
-  auto truth = ScanBuilder(fx.reader.get()).Threads(1).Scan();
-  ASSERT_TRUE(truth.ok());
+  std::vector<std::vector<ColumnVector>> truth = SerialGroups(fx.reader.get());
   for (size_t threads : {1, 2, 4, 8}) {
     auto stream = Scan(fx.reader.get()).Threads(threads).Stream();
     ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-    EXPECT_EQ((*stream)->columns(), truth->columns);
+    EXPECT_EQ((*stream)->columns(), (std::vector<uint32_t>{0, 1, 2, 3}));
     std::vector<RowBatch> batches = Drain(stream->get());
-    ASSERT_EQ(batches.size(), truth->groups.size()) << threads;
+    ASSERT_EQ(batches.size(), truth.size()) << threads;
     for (size_t g = 0; g < batches.size(); ++g) {
-      EXPECT_EQ(batches[g].group, truth->group_begin + g);
-      EXPECT_EQ(batches[g].columns, truth->groups[g])
+      EXPECT_EQ(batches[g].group, g);
+      EXPECT_EQ(batches[g].columns, truth[g])
           << "threads=" << threads << " group " << g;
     }
+    // Collect() drains the same stream: one entry per row group.
+    auto collected = Scan(fx.reader.get()).Threads(threads).Collect();
+    ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+    EXPECT_EQ(collected->groups, truth) << "threads=" << threads;
   }
 }
 
-TEST(ScanStream, DatasetStreamMatchesLegacyScanAtAnyThreadCount) {
+TEST(ScanStream, DatasetStreamMatchesSerialReadsAtAnyThreadCount) {
   DatasetFixture fx(600, 50, 200);
   ASSERT_GT(fx.manifest.num_shards(), 1u);
-  auto truth = DatasetScanBuilder(fx.reader.get()).Threads(1).Scan();
-  ASSERT_TRUE(truth.ok());
+  std::vector<std::vector<ColumnVector>> truth = SerialGroups(fx.reader.get());
   for (size_t threads : {1, 2, 4, 8}) {
     auto stream = Scan(fx.reader.get()).Threads(threads).Stream();
     ASSERT_TRUE(stream.ok()) << stream.status().ToString();
     std::vector<RowBatch> batches = Drain(stream->get());
-    ASSERT_EQ(batches.size(), truth->groups.size()) << threads;
+    ASSERT_EQ(batches.size(), truth.size()) << threads;
     for (size_t g = 0; g < batches.size(); ++g) {
-      EXPECT_EQ(batches[g].columns, truth->groups[g])
+      EXPECT_EQ(batches[g].columns, truth[g])
           << "threads=" << threads << " group " << g;
     }
+    auto collected = Scan(fx.reader.get()).Threads(threads).Collect();
+    ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+    EXPECT_EQ(collected->groups, truth) << "threads=" << threads;
   }
 }
 
@@ -294,10 +323,10 @@ TEST(ScanStream, FooterWithoutStatsPrunesNothingButStaysExact) {
   for (const RowBatch& b : batches) {
     for (int64_t uid : b.columns[0].int_values()) EXPECT_GE(uid, 550);
   }
-  // And the legacy materializing scan over a v1 footer still works.
-  auto legacy = ScanBuilder(fx.reader.get()).Threads(2).Scan();
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->num_rows(), 600u);
+  // And a materializing scan over a v1 footer still works.
+  auto collected = Scan(fx.reader.get()).Threads(2).Collect();
+  ASSERT_TRUE(collected.ok());
+  EXPECT_EQ(collected->num_rows(), 600u);
 }
 
 TEST(ScanStream, PruningNeverLosesRowsAcrossSelectivities) {
@@ -356,22 +385,22 @@ TEST(ScanStream, PredicateOnUnsupportedColumnTypeIsRejected) {
   }
 }
 
-TEST(ScanStream, ProjectionValidationMatchesLegacyFrontDoors) {
+TEST(ScanStream, ProjectionValidationMatchesAcrossStreamAndCollect) {
   FileFixture fx(100, 50);
   DatasetFixture ds(100, 50, 100);
-  // Unknown names: clear NotFound from every front door.
+  // Unknown names: clear NotFound from every source and terminal call.
   EXPECT_TRUE(Scan(fx.reader.get()).Columns({"nope"}).Stream().status()
                   .IsNotFound());
-  EXPECT_TRUE(ScanBuilder(fx.reader.get()).Columns({"nope"}).Scan().status()
+  EXPECT_TRUE(Scan(fx.reader.get()).Columns({"nope"}).Collect().status()
                   .IsNotFound());
-  EXPECT_TRUE(DatasetScanBuilder(ds.reader.get()).Columns({"nope"}).Scan()
+  EXPECT_TRUE(Scan(ds.reader.get()).Columns({"nope"}).Collect()
                   .status().IsNotFound());
   // Out-of-range indices: clear InvalidArgument everywhere.
   EXPECT_TRUE(Scan(fx.reader.get()).ColumnIndices({99}).Stream().status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(ScanBuilder(fx.reader.get()).ColumnIndices({99}).Scan().status()
+  EXPECT_TRUE(Scan(fx.reader.get()).ColumnIndices({99}).Collect().status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(DatasetScanBuilder(ds.reader.get()).ColumnIndices({99}).Scan()
+  EXPECT_TRUE(Scan(ds.reader.get()).ColumnIndices({99}).Collect()
                   .status().IsInvalidArgument());
   // Inverted row-group ranges.
   EXPECT_TRUE(Scan(fx.reader.get()).RowGroups(2, 1).Stream().status()
@@ -435,8 +464,7 @@ TEST(ScanStream, ConcurrentStreamsShareOnePoolAndCache) {
   DatasetFixture fx(600, 50, 200);
   DecodedChunkCache cache(64 << 20, &fx.fs.stats());
   ThreadPool pool(4);
-  auto truth = DatasetScanBuilder(fx.reader.get()).Threads(1).Scan();
-  ASSERT_TRUE(truth.ok());
+  std::vector<std::vector<ColumnVector>> truth = SerialGroups(fx.reader.get());
   std::vector<std::thread> consumers;
   for (int t = 0; t < 4; ++t) {
     consumers.emplace_back([&] {
@@ -454,9 +482,9 @@ TEST(ScanStream, ConcurrentStreamsShareOnePoolAndCache) {
         if (!*more) break;
         batches.push_back(std::move(batch));
       }
-      ASSERT_EQ(batches.size(), truth->groups.size());
+      ASSERT_EQ(batches.size(), truth.size());
       for (size_t g = 0; g < batches.size(); ++g) {
-        EXPECT_EQ(batches[g].columns, truth->groups[g]);
+        EXPECT_EQ(batches[g].columns, truth[g]);
       }
     });
   }
