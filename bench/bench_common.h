@@ -61,22 +61,9 @@ inline void PrintHeader(const std::string& title) {
 /// Reset()-ing stats other scans may share.
 inline void PrintIoStats(const std::string& label, const IoStatsSnapshot& s) {
   const std::pair<const char*, uint64_t> rows[] = {
-      {"read_ops", s.read_ops},
-      {"bytes_read", s.bytes_read},
-      {"write_ops", s.write_ops},
-      {"write_calls", s.write_calls},
-      {"bytes_written", s.bytes_written},
-      {"seeks", s.seeks},
-      {"pages_encoded", s.pages_encoded},
-      {"flush_calls", s.flush_calls},
-      {"cache_hits", s.cache_hits},
-      {"cache_misses", s.cache_misses},
-      {"cache_evictions", s.cache_evictions},
-      {"cache_rejects", s.cache_rejects},
-      {"cache_invalidations", s.cache_invalidations},
-      {"groups_pruned", s.groups_pruned},
-      {"shards_pruned", s.shards_pruned},
-      {"batches_emitted", s.batches_emitted},
+#define BULLION_X(name) {#name, s.name},
+      BULLION_IO_COUNTERS(BULLION_X)
+#undef BULLION_X
   };
   std::printf("io [%s]:", label.c_str());
   bool any = false;
@@ -91,23 +78,15 @@ inline void PrintIoStats(const std::string& label, const IoStatsSnapshot& s) {
 /// JSON object form of the same counters (all fields, zeros included,
 /// so committed artifacts diff cleanly run-over-run).
 inline std::string IoStatsJson(const IoStatsSnapshot& s) {
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"read_ops\": %" PRIu64 ", \"bytes_read\": %" PRIu64
-      ", \"write_ops\": %" PRIu64 ", \"write_calls\": %" PRIu64
-      ", \"bytes_written\": %" PRIu64
-      ", \"seeks\": %" PRIu64 ", \"pages_encoded\": %" PRIu64
-      ", \"flush_calls\": %" PRIu64 ", \"cache_hits\": %" PRIu64
-      ", \"cache_misses\": %" PRIu64 ", \"cache_evictions\": %" PRIu64
-      ", \"cache_rejects\": %" PRIu64 ", \"cache_invalidations\": %" PRIu64
-      ", \"groups_pruned\": %" PRIu64 ", \"shards_pruned\": %" PRIu64
-      ", \"batches_emitted\": %" PRIu64 "}",
-      s.read_ops, s.bytes_read, s.write_ops, s.write_calls, s.bytes_written,
-      s.seeks, s.pages_encoded, s.flush_calls, s.cache_hits, s.cache_misses,
-      s.cache_evictions, s.cache_rejects, s.cache_invalidations,
-      s.groups_pruned, s.shards_pruned, s.batches_emitted);
-  return std::string(buf);
+  std::string out;
+  const char* sep = "{";
+#define BULLION_X(name)                              \
+  out += sep;                                        \
+  out += "\"" #name "\": " + std::to_string(s.name); \
+  sep = ", ";
+  BULLION_IO_COUNTERS(BULLION_X)
+#undef BULLION_X
+  return out + "}";
 }
 
 /// Accumulates named sections of pre-serialized JSON and writes one

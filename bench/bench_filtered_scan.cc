@@ -4,13 +4,13 @@
 //       is range-partitioned across shards/groups (the ads-table
 //       "scan a slice of a huge table" shape). Each cell streams
 //       `Scan(ds).Filter(uid < cut)` and reports wall time next to
-//       the pushdown counters: groups_pruned / shards_pruned /
-//       batches_emitted alongside the existing pread (read_ops /
-//       bytes_read) and cache counters. Every cell asserts the
-//       filtered stream returns EXACTLY the rows a full scan +
-//       row-level filter would, and that any selective cut issues
-//       fewer preads than the full scan (pruned groups cost zero
-//       I/O).
+//       the cell's first scan: its PipelineReport (groups_pruned /
+//       shards_pruned / batches) and its preads (read_ops /
+//       bytes_read). Every cell asserts the filtered stream returns
+//       EXACTLY the rows a full scan + row-level filter would, that
+//       any selective cut issues fewer preads than the full scan
+//       (pruned groups cost zero I/O), and that those per-scan counts
+//       are the same at every thread count.
 // E15b: bounded-batch streaming — the batch-size sweep shows the
 //       stream's memory knob; total rows are asserted invariant.
 
@@ -75,6 +75,17 @@ struct OrderedCorpus {
   }
 };
 
+/// One scan's pruning, batch and pread counts (an E15a cell).
+struct ScanCounts {
+  uint64_t groups_pruned = 0;
+  uint64_t shards_pruned = 0;
+  uint64_t batches = 0;
+  uint64_t read_ops = 0;
+  uint64_t bytes_read = 0;
+
+  bool operator==(const ScanCounts&) const = default;
+};
+
 uint64_t DrainRows(BatchStream* stream) {
   uint64_t rows = 0;
   RowBatch batch;
@@ -119,49 +130,54 @@ void PrintFilteredScanReport() {
   for (double keep : {1.0, 0.5, 0.125, 1.0 / kShards / 4, 0.0}) {
     const int64_t cut = static_cast<int64_t>(keep * kRows);
     const uint64_t want_rows = static_cast<uint64_t>(cut);
+    ScanCounts row_counts;
     for (size_t threads : {1, 2, 4, 8}) {
       std::unique_ptr<ThreadPool> pool;
       if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-      IoStats scan_stats;
-      IoStatsSnapshot cell_before = corpus.fs.stats().Snapshot();
-      auto scan_once = [&] {
+      auto scan_once = [&](obs::PipelineReport* report) {
         auto stream = Scan(corpus.reader.get())
                           .Columns({"uid", "score"})
                           .Filter("uid", CompareOp::kLt, cut)
                           .Threads(threads)
                           .Pool(pool.get())
-                          .Stats(&scan_stats)
+                          .Report(report)
                           .Stream();
         BULLION_CHECK(stream.ok());
         return DrainRows(stream->get());
       };
-      uint64_t rows_out = scan_once();
+      obs::PipelineReport report;
+      IoStatsSnapshot before = corpus.fs.stats().Snapshot();
+      uint64_t rows_out = scan_once(&report);
+      const IoStatsSnapshot first_io =
+          IoStatsDelta(before, corpus.fs.stats().Snapshot());
       BULLION_CHECK(rows_out == want_rows);  // exactness, every cell
+      const ScanCounts counts{report.groups_pruned.load(),
+                              report.shards_pruned.load(),
+                              report.batches.load(), first_io.read_ops,
+                              first_io.bytes_read};
       // Selective cuts must skip preads, not just filter rows.
-      IoStatsSnapshot first_io =
-          IoStatsDelta(cell_before, corpus.fs.stats().Snapshot());
       if (keep < 1.0) {
-        BULLION_CHECK(first_io.read_ops < full_reads);
-        BULLION_CHECK(scan_stats.groups_pruned.load() +
-                          scan_stats.shards_pruned.load() >
-                      0);
+        BULLION_CHECK(counts.read_ops < full_reads);
+        BULLION_CHECK(counts.groups_pruned + counts.shards_pruned > 0);
       }
-      double ms = bench::TimeUsAveraged([&] { scan_once(); }) / 1000.0;
-      IoStatsSnapshot cell_io =
-          IoStatsDelta(cell_before, corpus.fs.stats().Snapshot());
+      // Pruning and read planning do not depend on the thread count.
+      if (threads == 1) row_counts = counts;
+      BULLION_CHECK(counts == row_counts);
+      double ms = bench::TimeUsAveraged([&] { scan_once(nullptr); }) / 1000.0;
       std::printf(
           "%10.4f %8zu %10.3f %10llu %8llu %8llu %8llu %10llu %10.2f %8s\n",
           keep, threads, ms, (unsigned long long)rows_out,
-          (unsigned long long)scan_stats.groups_pruned.load(),
-          (unsigned long long)scan_stats.shards_pruned.load(),
-          (unsigned long long)scan_stats.batches_emitted.load(),
-          (unsigned long long)cell_io.read_ops,
-          cell_io.bytes_read / 1048576.0, "yes");
+          (unsigned long long)counts.groups_pruned,
+          (unsigned long long)counts.shards_pruned,
+          (unsigned long long)counts.batches,
+          (unsigned long long)counts.read_ops,
+          counts.bytes_read / 1048576.0, "yes");
     }
   }
   std::printf(
       "(grp_prn/shd_prn = row groups / whole shards skipped before any "
-      "pread; counters accumulate across the cell's timing iterations)\n");
+      "pread; every count is the cell's first scan, equal at every thread "
+      "count)\n");
 }
 
 void PrintBatchSizeReport() {
@@ -170,21 +186,21 @@ void PrintBatchSizeReport() {
   std::printf("%12s %10s %10s %10s\n", "batch_rows", "scan_ms", "batches",
               "rows_out");
   for (uint64_t batch_rows : {0ull, 512ull, 4096ull, 65536ull}) {
-    IoStats scan_stats;
-    auto scan_once = [&] {
+    auto scan_once = [&](obs::PipelineReport* report) {
       auto stream = Scan(corpus.reader.get())
                         .Columns({"uid", "score"})
                         .BatchRows(batch_rows)
                         .Threads(2)
-                        .Stats(&scan_stats)
+                        .Report(report)
                         .Stream();
       BULLION_CHECK(stream.ok());
       return DrainRows(stream->get());
     };
-    uint64_t rows = scan_once();
+    obs::PipelineReport report;
+    uint64_t rows = scan_once(&report);
     BULLION_CHECK(rows == corpus.total_rows);
-    uint64_t batches = scan_stats.batches_emitted.load();
-    double ms = bench::TimeUsAveraged([&] { scan_once(); }) / 1000.0;
+    uint64_t batches = report.batches.load();
+    double ms = bench::TimeUsAveraged([&] { scan_once(nullptr); }) / 1000.0;
     std::printf("%12llu %10.3f %10llu %10llu\n",
                 (unsigned long long)batch_rows, ms,
                 (unsigned long long)batches, (unsigned long long)rows);

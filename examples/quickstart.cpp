@@ -107,13 +107,13 @@ int main(int argc, char** argv) {
               (*reader)->num_columns(), (*reader)->num_row_groups());
 
   {
-    IoStats scan_stats;
+    obs::PipelineReport scan_report;
     auto stream = Scan(reader->get())
                       .Columns({"uid", "score"})
                       .Filter("uid", CompareOp::kGe, 2000)  // skips groups
                       .Threads(2)
                       .BatchRows(1024)  // bounded memory
-                      .Stats(&scan_stats)
+                      .Report(&scan_report)
                       .Stream();
     if (!stream.ok()) {
       std::fprintf(stderr, "stream failed: %s\n",
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
         "%llu row groups pruned by zone maps before any pread\n",
         static_cast<unsigned long long>(rows),
         static_cast<unsigned long long>(batches),
-        static_cast<unsigned long long>(scan_stats.groups_pruned.load()));
+        static_cast<unsigned long long>(scan_report.groups_pruned.load()));
   }
 
   // 4b. Collect() drains the same stream into memory (no filters, one
@@ -237,13 +237,13 @@ int main(int argc, char** argv) {
       //     they are touched, and surviving groups stream through the
       //     shared cache.
       {
-        IoStats scan_stats;
+        obs::PipelineReport scan_report;
         auto stream = Scan(ds->get())
                           .Columns({"uid", "score"})
                           .Filter("uid", CompareOp::kLt, 1000)
                           .Threads(2)
                           .Cache(&cache)
-                          .Stats(&scan_stats)
+                          .Report(&scan_report)
                           .Stream();
         if (!stream.ok()) {
           std::fprintf(stderr, "dataset stream failed: %s\n",
@@ -266,8 +266,8 @@ int main(int argc, char** argv) {
             "streamed dataset uid < 1000: %llu rows, %llu shard(s) + "
             "%llu group(s) pruned before any pread\n",
             static_cast<unsigned long long>(rows),
-            static_cast<unsigned long long>(scan_stats.shards_pruned.load()),
-            static_cast<unsigned long long>(scan_stats.groups_pruned.load()));
+            static_cast<unsigned long long>(scan_report.shards_pruned.load()),
+            static_cast<unsigned long long>(scan_report.groups_pruned.load()));
       }
 
       // 5a'. Point lookups through the serving tier: the writer

@@ -85,11 +85,11 @@
 // coalesced reads through ONE shared ThreadPool. An optional
 // DecodedChunkCache (byte-budgeted LRU of decoded chunks) lets
 // repeated training epochs skip fetch + decode — fully cached row
-// groups issue zero preads (see IoStats.cache_hits). The same
+// groups issue zero preads (see DecodedChunkCache::hits()). The same
 // bullion::Scan front door reads a dataset:
 //
 //   auto ds = ShardedTableReader::Open(manifest, open_fn);
-//   DecodedChunkCache cache(256 << 20, &fs.stats());
+//   DecodedChunkCache cache(256 << 20);
 //   auto scan = Scan(ds->get())
 //                   .Columns({"uid", "clk_seq"})
 //                   .Threads(8)                 // one pool, all shards

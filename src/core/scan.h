@@ -15,7 +15,7 @@
 //                     .Threads(8)
 //                     .BatchRows(65536)
 //                     .Cache(&cache)                 // dataset sources
-//                     .Stats(&fs.stats())            // pruning counters
+//                     .Report(&report)               // pruning counts
 //                     .Stream();
 //   RowBatch batch;
 //   for (;;) {
@@ -143,12 +143,8 @@ class ScanStreamBuilder {
     spec_.pool = pool;
     return *this;
   }
-  /// Report groups_pruned / shards_pruned / batches_emitted here.
-  ScanStreamBuilder& Stats(IoStats* stats) {
-    spec_.stats = stats;
-    return *this;
-  }
-  /// Record per-stage timing, throughput, and the per-unit fetch+decode
+  /// Record per-stage timing, throughput, pruning counts
+  /// (groups_pruned / shards_pruned), and the per-unit fetch+decode
   /// latency distribution into `report` (obs/pipeline_report.h). Must
   /// outlive the stream; accumulates across runs until Reset().
   ScanStreamBuilder& Report(obs::PipelineReport* report) {

@@ -62,16 +62,10 @@ bool DecodedChunkCache::Lookup(const ChunkCacheKey& key, ColumnVector* out) {
   // across a metrics update would serialize concurrent probes.
   if (hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    if (stats_ != nullptr) {
-      stats_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-    }
     Metrics().hit_ns->Record(obs::NowNs() - probe_start);
     return true;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (stats_ != nullptr) {
-    stats_->cache_misses.fetch_add(1, std::memory_order_relaxed);
-  }
   Metrics().miss_ns->Record(obs::NowNs() - probe_start);
   return false;
 }
@@ -93,9 +87,6 @@ void DecodedChunkCache::Insert(const ChunkCacheKey& key,
     // Oversized chunk: caching it would immediately evict everything
     // else and then itself — refuse, visibly.
     rejects_.fetch_add(1, std::memory_order_relaxed);
-    if (stats_ != nullptr) {
-      stats_->cache_rejects.fetch_add(1, std::memory_order_relaxed);
-    }
     PublishOccupancyLocked(bytes_before, entries_before);
     Metrics().insert_ns->Record(obs::NowNs() - insert_start);
     return;
@@ -128,9 +119,6 @@ void DecodedChunkCache::EvictToFitLocked() {
     index_.erase(cold.key);
     lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (stats_ != nullptr) {
-      stats_->cache_evictions.fetch_add(1, std::memory_order_relaxed);
-    }
   }
 }
 
@@ -151,9 +139,6 @@ size_t DecodedChunkCache::InvalidateShard(uint32_t shard,
     }
   }
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-  if (stats_ != nullptr && dropped > 0) {
-    stats_->cache_invalidations.fetch_add(dropped, std::memory_order_relaxed);
-  }
   PublishOccupancyLocked(bytes_before, entries_before);
   return dropped;
 }

@@ -22,12 +22,13 @@
 // guards the map + LRU list. Lookups copy the cached vector out under
 // the lock (decoded chunks are modest — row_group_rows × value width —
 // and copying keeps the entry lifetime trivially correct while worker
-// threads race with evictions). Hit/miss/eviction counts go to the
-// cache's own atomics and, when wired, to an IoStats (cache_hits /
-// cache_misses / cache_evictions).
+// threads race with evictions). Cache traffic is counted once, in the
+// cache's own atomics: hits() / misses() / evictions() / rejects() /
+// invalidations().
 
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -36,7 +37,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "format/column_vector.h"
-#include "io/io_stats.h"
 
 namespace bullion {
 
@@ -93,11 +93,9 @@ size_t ApproxColumnVectorBytes(const ColumnVector& v);
 class DecodedChunkCache {
  public:
   /// `capacity_bytes` bounds the sum of ApproxColumnVectorBytes over
-  /// resident entries. `stats` (optional) additionally receives
-  /// hit/miss/eviction counts — pass the filesystem's IoStats to see
-  /// cache behavior next to pread counts in one report.
-  explicit DecodedChunkCache(size_t capacity_bytes, IoStats* stats = nullptr)
-      : capacity_bytes_(capacity_bytes), stats_(stats) {}
+  /// resident entries.
+  explicit DecodedChunkCache(size_t capacity_bytes)
+      : capacity_bytes_(capacity_bytes) {}
 
   /// Returns this cache's residual occupancy to the process-wide
   /// registry gauges (bullion.cache.bytes_used / bullion.cache.entries).
@@ -112,7 +110,7 @@ class DecodedChunkCache {
 
   /// Inserts (or replaces) the chunk, evicting cold entries until the
   /// budget holds. A chunk larger than the whole budget is not cached;
-  /// the refusal is counted (rejects() / IoStats.cache_rejects).
+  /// the refusal is counted in rejects().
   void Insert(const ChunkCacheKey& key, const ColumnVector& value);
 
   /// Drops every resident entry of shard `shard` whose generation is
@@ -120,7 +118,7 @@ class DecodedChunkCache {
   /// invalidation (the generation in the key already guarantees stale
   /// entries can't be served; this frees their budget immediately).
   /// Returns the number of entries dropped (also counted in
-  /// invalidations() / IoStats.cache_invalidations).
+  /// invalidations()).
   size_t InvalidateShard(uint32_t shard, uint32_t live_generation);
 
   /// Drops every entry (no eviction counts — this is a reset, not
@@ -130,11 +128,6 @@ class DecodedChunkCache {
   size_t capacity_bytes() const { return capacity_bytes_; }
   size_t size_bytes() const;
   size_t num_entries() const;
-  /// Registry-conventional aliases for size_bytes()/num_entries() —
-  /// the same occupancy the bullion.cache.bytes_used and
-  /// bullion.cache.entries gauges aggregate across live caches.
-  size_t bytes_used() const { return size_bytes(); }
-  size_t entry_count() const { return num_entries(); }
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -165,7 +158,6 @@ class DecodedChunkCache {
       REQUIRES(mu_);
 
   const size_t capacity_bytes_;
-  IoStats* stats_;
 
   mutable Mutex mu_;
   LruList lru_ GUARDED_BY(mu_);  // front = hottest

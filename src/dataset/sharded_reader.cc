@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "serve/bloom.h"
 
 namespace bullion {
@@ -111,37 +110,6 @@ ZoneMap ShardZone(const ShardInfo& info, const FooterView& footer,
   return footer.column_zone_map(column);
 }
 
-/// True if the shard's published aggregate Bloom filter proves none of
-/// `filter`'s equality constants (kEq / kIn) appear in the column.
-/// Mirrors the chunk-level probe in exec/batch_stream.cc: anything
-/// malformed or type-mismatched answers false (cannot prune).
-bool ShardBloomProvesAbsent(const std::string& bits, ColumnRecord rec,
-                            const Filter& filter) {
-  if (filter.op != CompareOp::kEq && filter.op != CompareOp::kIn) {
-    return false;
-  }
-  Result<BloomFilterView> view = BloomFilterView::Wrap(Slice(bits));
-  if (!view.ok()) return false;
-  static obs::Counter* probes =
-      obs::MetricsRegistry::Global().GetCounter("bullion.bloom.probes");
-  static obs::Counter* negatives =
-      obs::MetricsRegistry::Global().GetCounter("bullion.bloom.negatives");
-  const auto physical = static_cast<PhysicalType>(rec.physical);
-  auto provably_absent = [&](const FilterValue& v) {
-    uint64_t h = 0;
-    if (!BloomHashFilterValue(physical, v, &h)) return false;
-    probes->Increment();
-    if (view->MayContain(h)) return false;
-    negatives->Increment();
-    return true;
-  };
-  if (filter.op == CompareOp::kEq) return provably_absent(filter.value);
-  for (const FilterValue& v : filter.values) {
-    if (!provably_absent(v)) return false;
-  }
-  return !filter.values.empty();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<BatchStream>> OpenScanStream(
@@ -222,8 +190,10 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
             const std::string* bloom =
                 manifest.shard(s).column_bloom(col);
             if (bloom != nullptr) {
-              term_empty = ShardBloomProvesAbsent(
-                  *bloom, sf.column_record(col), f.filter);
+              term_empty = BloomProvesAbsent(
+                  Slice(*bloom),
+                  static_cast<PhysicalType>(sf.column_record(col).physical),
+                  f.filter);
             }
           }
           if (!term_empty) {
@@ -237,13 +207,17 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
         }
       }
       shard_pruned[s] = pruned ? 1 : 0;
-      if (pruned && spec.stats != nullptr) spec.stats->shards_pruned += 1;
+      if (pruned && spec.report != nullptr) {
+        spec.report->shards_pruned.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     if (shard_pruned[s] == 1) continue;
 
     if (!plan.residual.empty() &&
         GroupProvablyEmpty(sf, gref.local_group, plan, spec.read_options)) {
-      if (spec.stats != nullptr) spec.stats->groups_pruned += 1;
+      if (spec.report != nullptr) {
+        spec.report->groups_pruned.fetch_add(1, std::memory_order_relaxed);
+      }
       continue;
     }
 

@@ -19,11 +19,12 @@
 // Plug in a DecodedChunkCache and repeated epochs skip both fetch and
 // decode: before planning any I/O the stream probes the cache per
 // (shard, group, column); fully-cached groups issue zero preads
-// (watch IoStats.read_ops / cache_hits), and freshly decoded chunks
-// are published to the cache from the worker threads as the scan runs.
+// (watch IoStats.read_ops and DecodedChunkCache::hits()), and freshly
+// decoded chunks are published to the cache from the worker threads as
+// the scan runs.
 //
 //   auto ds = ShardedTableReader::Open(manifest, open_fn);
-//   DecodedChunkCache cache(256 << 20, &fs.stats());
+//   DecodedChunkCache cache(256 << 20);
 //   auto scan = bullion::Scan(ds->get())
 //                   .Columns({"uid", "clk_seq"})
 //                   .Threads(8)

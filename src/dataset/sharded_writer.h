@@ -223,11 +223,6 @@ class ShardedWriteBuilder {
     pool_ = pool;
     return *this;
   }
-  /// Count committed pages into `stats` (shorthand for Options).
-  ShardedWriteBuilder& Stats(IoStats* stats) {
-    options_.writer.stats = stats;
-    return *this;
-  }
 
   /// Validates the options and constructs the writer.
   Result<std::unique_ptr<ShardedTableWriter>> Build() const {

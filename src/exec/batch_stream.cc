@@ -109,47 +109,6 @@ Result<StreamColumnPlan> PlanStreamColumns(const FooterView& footer,
   return plan;
 }
 
-namespace {
-
-/// True if chunk (local_group, col)'s Bloom filter proves the chunk
-/// holds none of the equality constants `filter` probes for. Only
-/// kEq / kIn can be disproven by membership; anything malformed,
-/// missing, or type-mismatched answers false (cannot prune).
-bool BloomProvesAbsent(const FooterView& footer, uint32_t local_group,
-                       uint32_t col, const Filter& filter) {
-  if (filter.op != CompareOp::kEq && filter.op != CompareOp::kIn) {
-    return false;
-  }
-  if (!footer.has_chunk_blooms()) return false;
-  Slice bits = footer.chunk_bloom(local_group, col);
-  if (bits.empty()) return false;  // ineligible column: no filter recorded
-  Result<BloomFilterView> view = BloomFilterView::Wrap(bits);
-  if (!view.ok()) return false;
-  static obs::Counter* probes =
-      obs::MetricsRegistry::Global().GetCounter("bullion.bloom.probes");
-  static obs::Counter* negatives =
-      obs::MetricsRegistry::Global().GetCounter("bullion.bloom.negatives");
-  const auto physical =
-      static_cast<PhysicalType>(footer.column_record(col).physical);
-  auto provably_absent = [&](const FilterValue& v) {
-    uint64_t h = 0;
-    if (!BloomHashFilterValue(physical, v, &h)) return false;
-    probes->Increment();
-    if (view->MayContain(h)) return false;
-    negatives->Increment();
-    return true;
-  };
-  if (filter.op == CompareOp::kEq) return provably_absent(filter.value);
-  // kIn: every member must be provably absent (the empty list is
-  // already pruned by the zone-map overload).
-  for (const FilterValue& v : filter.values) {
-    if (!provably_absent(v)) return false;
-  }
-  return !filter.values.empty();
-}
-
-}  // namespace
-
 bool GroupProvablyEmpty(const FooterView& footer, uint32_t local_group,
                         const StreamColumnPlan& plan,
                         const ReadOptions& read_options) {
@@ -165,8 +124,15 @@ bool GroupProvablyEmpty(const FooterView& footer, uint32_t local_group,
       // decided by the shard-level pass, not per group.
       if (col >= footer.num_columns()) continue;
       ZoneMap zone = footer.chunk_zone_map(local_group, col);
-      if (ZoneMapMayMatch(zone, f.filter) &&
-          !BloomProvesAbsent(footer, local_group, col, f.filter)) {
+      if (!ZoneMapMayMatch(zone, f.filter)) continue;
+      // No filter recorded (pre-Bloom footer, ineligible column): the
+      // chunk may hold any key.
+      Slice bloom = footer.has_chunk_blooms()
+                        ? footer.chunk_bloom(local_group, col)
+                        : Slice();
+      const auto physical =
+          static_cast<PhysicalType>(footer.column_record(col).physical);
+      if (bloom.empty() || !BloomProvesAbsent(bloom, physical, f.filter)) {
         all_terms_empty = false;
         break;
       }
@@ -192,7 +158,9 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
   for (uint32_t g = group_begin; g < group_end; ++g) {
     if (!plan.residual.empty() &&
         GroupProvablyEmpty(f, g, plan, spec.read_options)) {
-      if (spec.stats != nullptr) spec.stats->groups_pruned += 1;
+      if (spec.report != nullptr) {
+        spec.report->groups_pruned.fetch_add(1, std::memory_order_relaxed);
+      }
       continue;
     }
     StreamUnit unit;
@@ -222,7 +190,6 @@ BatchStreamOptions StreamOptionsFor(const ScanStreamSpec& spec) {
   options.prefetch_depth = spec.prefetch_depth;
   options.read_options = spec.read_options;
   options.pool = spec.pool;
-  options.stats = spec.stats;
   options.report = spec.report;
   options.aio = spec.aio;
   return options;
@@ -763,7 +730,6 @@ Result<bool> BatchStream::Next(RowBatch* out) {
     if (!ready_.empty()) {
       *out = std::move(ready_.front());
       ready_.pop_front();
-      if (options_.stats != nullptr) options_.stats->batches_emitted += 1;
       if (options_.report != nullptr) {
         options_.report->batches.fetch_add(1, std::memory_order_relaxed);
       }

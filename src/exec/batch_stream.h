@@ -17,7 +17,7 @@
 //            row group's footer zone maps (and each shard's aggregated
 //            manifest stats) against the filters; groups that provably
 //            match nothing are skipped before any pread
-//            (IoStats.groups_pruned / shards_pruned).
+//            (PipelineReport::groups_pruned / shards_pruned).
 //   residual surviving groups are decoded and filtered row-by-row
 //            (format/column_vector.h), so results are exact even when
 //            zone maps are absent (version-1 footers) or imprecise.
@@ -45,7 +45,6 @@
 #include "format/column_vector.h"
 #include "format/reader.h"
 #include "io/aio.h"
-#include "io/io_stats.h"
 #include "io/predicate.h"
 #include "obs/pipeline_report.h"
 
@@ -143,12 +142,10 @@ struct BatchStreamOptions {
   /// External pool to share; null spins up `threads` private workers
   /// for the stream's lifetime.
   ThreadPool* pool = nullptr;
-  /// Receives batches_emitted (pruning counters are bumped by the scan
-  /// planner that builds the units).
-  IoStats* stats = nullptr;
   /// Optional per-scan stage accounting: prepare/work/emit/stall time,
-  /// rows/bytes throughput, per-unit fetch+decode latency. Must outlive
-  /// the stream; the caller owns Reset() between runs.
+  /// rows/bytes/batches, per-unit fetch+decode latency (the scan
+  /// planner that builds the units adds its pruning counts). Must
+  /// outlive the stream; the caller owns Reset() between runs.
   obs::PipelineReport* report = nullptr;
   /// Async I/O engine executing the coalesced preads (null =
   /// AsyncIoService::Default()). Every tier yields byte-identical
@@ -310,9 +307,8 @@ struct ScanStreamSpec {
   ReadOptions read_options;
   /// Shared pool (overrides `threads`); null = private workers.
   ThreadPool* pool = nullptr;
-  /// Receives groups_pruned / shards_pruned / batches_emitted.
-  IoStats* stats = nullptr;
-  /// Optional per-scan stage accounting (see BatchStreamOptions).
+  /// Optional per-scan accounting, including groups_pruned /
+  /// shards_pruned (see BatchStreamOptions).
   obs::PipelineReport* report = nullptr;
   /// Async I/O engine (see BatchStreamOptions::aio).
   AsyncIoService* aio = nullptr;

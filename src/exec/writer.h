@@ -167,11 +167,6 @@ class WriteBuilder {
     pool_ = pool;
     return *this;
   }
-  /// Count committed pages into `stats` (shorthand for Options).
-  WriteBuilder& Stats(IoStats* stats) {
-    options_.stats = stats;
-    return *this;
-  }
   /// Record stage timing, throughput, and the per-page encode latency
   /// distribution into `report` (obs/pipeline_report.h). Must outlive
   /// the writer; accumulates across runs until Reset().

@@ -9,11 +9,10 @@
 // consistent, not a cross-counter atomic snapshot — fine for the
 // reporting these feed.
 //
-// IoStats is the flat compatibility view of pipeline observability:
-// latency distributions, per-stage timing, and gauges live in the
-// src/obs registry (obs/metrics.h) and per-scan PipelineReports
-// (obs/pipeline_report.h); these counters stay as the stable,
-// cheap-to-diff surface every existing test and bench asserts on.
+// IoStats counts only what file handles and writers do. Decoded-chunk
+// cache traffic is counted by the cache itself
+// (DecodedChunkCache::hits() and friends), and per-scan pruning and
+// batch counts live in the scan's obs::PipelineReport.
 //
 // Phase accounting: prefer Snapshot() + IoStatsDelta(before, after)
 // over Reset() between phases. Reset() on a SHARED stats object (e.g.
@@ -30,26 +29,41 @@
 
 namespace bullion {
 
+/// The one list of I/O counters; every per-counter operation below
+/// (and the bench reporters) expands it. In list order:
+///  - read_ops, bytes_read: preads issued and bytes they returned.
+///  - write_ops: logical write requests (one per Append/WriteAt a
+///    caller issued, including appends an aggregation buffer
+///    absorbed). A committed page is one write_op no matter how many
+///    pages share a physical block.
+///  - write_calls: physical write syscalls that hit the device (one
+///    per block an AggregatedWriteBuffer flushed, or per direct
+///    write). write_ops / write_calls is the write-batching factor;
+///    modeled device time charges per-op cost against this counter.
+///  - bytes_written: bytes those write requests carried.
+///  - seeks: reads/writes not contiguous with the previous operation
+///    (proxy for seeks on spinning/flash media).
+///  - pages_encoded: pages encoded + committed by a TableWriter
+///    (WriterOptions::stats). A parallel write shows pages_encoded /
+///    write_ops / bytes_written identical to the serial writer.
+///  - flush_calls: Flush() calls on a WritableFile.
+#define BULLION_IO_COUNTERS(X) \
+  X(read_ops)                  \
+  X(bytes_read)                \
+  X(write_ops)                 \
+  X(write_calls)               \
+  X(bytes_written)             \
+  X(seeks)                     \
+  X(pages_encoded)             \
+  X(flush_calls)
+
 /// \brief Plain-value copy of every IoStats counter at one moment —
 /// per-counter consistent under concurrent updates. Cheap to hold,
 /// diff, and serialize; the unit bench phase accounting works in.
 struct IoStatsSnapshot {
-  uint64_t read_ops = 0;
-  uint64_t bytes_read = 0;
-  uint64_t write_ops = 0;
-  uint64_t write_calls = 0;
-  uint64_t bytes_written = 0;
-  uint64_t seeks = 0;
-  uint64_t pages_encoded = 0;
-  uint64_t flush_calls = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_rejects = 0;
-  uint64_t cache_invalidations = 0;
-  uint64_t groups_pruned = 0;
-  uint64_t shards_pruned = 0;
-  uint64_t batches_emitted = 0;
+#define BULLION_X(name) uint64_t name = 0;
+  BULLION_IO_COUNTERS(BULLION_X)
+#undef BULLION_X
 };
 
 /// Per-counter `after - before`: what happened between two snapshots
@@ -58,110 +72,25 @@ struct IoStatsSnapshot {
 inline IoStatsSnapshot IoStatsDelta(const IoStatsSnapshot& before,
                                     const IoStatsSnapshot& after) {
   IoStatsSnapshot d;
-  d.read_ops = after.read_ops - before.read_ops;
-  d.bytes_read = after.bytes_read - before.bytes_read;
-  d.write_ops = after.write_ops - before.write_ops;
-  d.write_calls = after.write_calls - before.write_calls;
-  d.bytes_written = after.bytes_written - before.bytes_written;
-  d.seeks = after.seeks - before.seeks;
-  d.pages_encoded = after.pages_encoded - before.pages_encoded;
-  d.flush_calls = after.flush_calls - before.flush_calls;
-  d.cache_hits = after.cache_hits - before.cache_hits;
-  d.cache_misses = after.cache_misses - before.cache_misses;
-  d.cache_evictions = after.cache_evictions - before.cache_evictions;
-  d.cache_rejects = after.cache_rejects - before.cache_rejects;
-  d.cache_invalidations = after.cache_invalidations - before.cache_invalidations;
-  d.groups_pruned = after.groups_pruned - before.groups_pruned;
-  d.shards_pruned = after.shards_pruned - before.shards_pruned;
-  d.batches_emitted = after.batches_emitted - before.batches_emitted;
+#define BULLION_X(name) d.name = after.name - before.name;
+  BULLION_IO_COUNTERS(BULLION_X)
+#undef BULLION_X
   return d;
 }
 
 /// \brief Counters describing the I/O a reader/writer performed.
 struct IoStats {
-  std::atomic<uint64_t> read_ops{0};
-  std::atomic<uint64_t> bytes_read{0};
-  /// Logical write requests (one per Append/WriteAt a caller issued,
-  /// including appends an aggregation buffer absorbed). Stable across
-  /// the aggregated-write rework: a committed page is one write_op no
-  /// matter how many pages share a physical block.
-  std::atomic<uint64_t> write_ops{0};
-  /// Physical write syscalls that actually hit the device (one per
-  /// block an AggregatedWriteBuffer flushed, or per direct write).
-  /// write_ops / write_calls is the write-batching factor; modeled
-  /// device time charges per-op cost against THIS counter.
-  std::atomic<uint64_t> write_calls{0};
-  std::atomic<uint64_t> bytes_written{0};
-  /// Number of reads/writes that were not contiguous with the previous
-  /// operation (proxy for seeks on spinning/flash media).
-  std::atomic<uint64_t> seeks{0};
-  /// Write-side twins of the read counters: pages encoded + committed
-  /// by a TableWriter (WriterOptions::stats), and Flush() calls on a
-  /// WritableFile. A parallel write shows pages_encoded / write_ops /
-  /// bytes_written identical to the serial writer — the encode stage
-  /// fans out, but every byte still lands exactly once.
-  std::atomic<uint64_t> pages_encoded{0};
-  std::atomic<uint64_t> flush_calls{0};
-  /// Decoded-chunk cache traffic (src/dataset/chunk_cache.h): one hit
-  /// or miss per (shard, row group, column) probe, one eviction per
-  /// entry dropped under byte-budget pressure. A warm epoch shows
-  /// cache_hits rising while read_ops stays flat — the cached groups
-  /// issued no preads.
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> cache_evictions{0};
-  /// Inserts the cache refused because one chunk exceeded the whole
-  /// byte budget, and entries dropped because shard compaction made
-  /// their generation stale (DecodedChunkCache::InvalidateShard).
-  std::atomic<uint64_t> cache_rejects{0};
-  std::atomic<uint64_t> cache_invalidations{0};
-  /// Predicate-pushdown accounting (exec/batch_stream.h): row groups
-  /// and whole shards a scan skipped because zone maps proved no row
-  /// could match, and RowBatches handed to the consumer. A selective
-  /// scan shows groups_pruned rising while read_ops stays below the
-  /// unfiltered scan's count — the pruned groups issued no preads.
-  /// Shard-level skips count once in shards_pruned; their groups are
-  /// not additionally counted in groups_pruned.
-  std::atomic<uint64_t> groups_pruned{0};
-  std::atomic<uint64_t> shards_pruned{0};
-  std::atomic<uint64_t> batches_emitted{0};
+#define BULLION_X(name) std::atomic<uint64_t> name{0};
+  BULLION_IO_COUNTERS(BULLION_X)
+#undef BULLION_X
 
   IoStats() = default;
   IoStats(const IoStats& o) { *this = o; }
   IoStats& operator=(const IoStats& o) {
-    read_ops.store(o.read_ops.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    bytes_read.store(o.bytes_read.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    write_ops.store(o.write_ops.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    write_calls.store(o.write_calls.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    bytes_written.store(o.bytes_written.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    seeks.store(o.seeks.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    pages_encoded.store(o.pages_encoded.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    flush_calls.store(o.flush_calls.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    cache_hits.store(o.cache_hits.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    cache_misses.store(o.cache_misses.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    cache_evictions.store(o.cache_evictions.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    cache_rejects.store(o.cache_rejects.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    cache_invalidations.store(
-        o.cache_invalidations.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    groups_pruned.store(o.groups_pruned.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    shards_pruned.store(o.shards_pruned.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    batches_emitted.store(o.batches_emitted.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
+#define BULLION_X(name) \
+  name.store(o.name.load(std::memory_order_relaxed), std::memory_order_relaxed);
+    BULLION_IO_COUNTERS(BULLION_X)
+#undef BULLION_X
     return *this;
   }
 
@@ -170,23 +99,9 @@ struct IoStats {
   /// the set is not a cross-counter atomic cut.
   IoStatsSnapshot Snapshot() const {
     IoStatsSnapshot s;
-    s.read_ops = read_ops.load(std::memory_order_relaxed);
-    s.bytes_read = bytes_read.load(std::memory_order_relaxed);
-    s.write_ops = write_ops.load(std::memory_order_relaxed);
-    s.write_calls = write_calls.load(std::memory_order_relaxed);
-    s.bytes_written = bytes_written.load(std::memory_order_relaxed);
-    s.seeks = seeks.load(std::memory_order_relaxed);
-    s.pages_encoded = pages_encoded.load(std::memory_order_relaxed);
-    s.flush_calls = flush_calls.load(std::memory_order_relaxed);
-    s.cache_hits = cache_hits.load(std::memory_order_relaxed);
-    s.cache_misses = cache_misses.load(std::memory_order_relaxed);
-    s.cache_evictions = cache_evictions.load(std::memory_order_relaxed);
-    s.cache_rejects = cache_rejects.load(std::memory_order_relaxed);
-    s.cache_invalidations =
-        cache_invalidations.load(std::memory_order_relaxed);
-    s.groups_pruned = groups_pruned.load(std::memory_order_relaxed);
-    s.shards_pruned = shards_pruned.load(std::memory_order_relaxed);
-    s.batches_emitted = batches_emitted.load(std::memory_order_relaxed);
+#define BULLION_X(name) s.name = name.load(std::memory_order_relaxed);
+    BULLION_IO_COUNTERS(BULLION_X)
+#undef BULLION_X
     return s;
   }
 
@@ -195,25 +110,16 @@ struct IoStats {
   /// concurrent scan each counter independently lands at "ops since
   /// the zeroing swept past it"; prefer Snapshot() + IoStatsDelta for
   /// phase boundaries on shared stats.
-  void Reset() { *this = IoStats{}; }
+  void Reset() {
+#define BULLION_X(name) name.store(0, std::memory_order_relaxed);
+    BULLION_IO_COUNTERS(BULLION_X)
+#undef BULLION_X
+  }
 
   IoStats& operator+=(const IoStats& o) {
-    read_ops += o.read_ops.load(std::memory_order_relaxed);
-    bytes_read += o.bytes_read.load(std::memory_order_relaxed);
-    write_ops += o.write_ops.load(std::memory_order_relaxed);
-    write_calls += o.write_calls.load(std::memory_order_relaxed);
-    bytes_written += o.bytes_written.load(std::memory_order_relaxed);
-    seeks += o.seeks.load(std::memory_order_relaxed);
-    pages_encoded += o.pages_encoded.load(std::memory_order_relaxed);
-    flush_calls += o.flush_calls.load(std::memory_order_relaxed);
-    cache_hits += o.cache_hits.load(std::memory_order_relaxed);
-    cache_misses += o.cache_misses.load(std::memory_order_relaxed);
-    cache_evictions += o.cache_evictions.load(std::memory_order_relaxed);
-    cache_rejects += o.cache_rejects.load(std::memory_order_relaxed);
-    cache_invalidations += o.cache_invalidations.load(std::memory_order_relaxed);
-    groups_pruned += o.groups_pruned.load(std::memory_order_relaxed);
-    shards_pruned += o.shards_pruned.load(std::memory_order_relaxed);
-    batches_emitted += o.batches_emitted.load(std::memory_order_relaxed);
+#define BULLION_X(name) name += o.name.load(std::memory_order_relaxed);
+    BULLION_IO_COUNTERS(BULLION_X)
+#undef BULLION_X
     return *this;
   }
 };

@@ -33,7 +33,8 @@ struct DeviceModel {
 };
 
 /// Modeled time in microseconds to execute the I/O recorded in `stats`
-/// on a device described by `model`.
+/// (a Snapshot() or an IoStatsDelta phase) on a device described by
+/// `model`.
 ///
 /// Per-operation cost is charged per SYSCALL, not per logical request:
 /// the write side uses write_calls (physical writes the device saw),
@@ -43,21 +44,6 @@ struct DeviceModel {
 /// page appends, one block write) as if every page were its own
 /// syscall — erasing exactly the batching win the model exists to
 /// show.
-inline double ModeledTimeUs(const IoStats& stats, const DeviceModel& model) {
-  double total_bytes =
-      static_cast<double>(stats.bytes_read + stats.bytes_written);
-  uint64_t write_calls = stats.write_calls.load(std::memory_order_relaxed);
-  if (write_calls == 0) {
-    write_calls = stats.write_ops.load(std::memory_order_relaxed);
-  }
-  double total_ops = static_cast<double>(stats.read_ops + write_calls);
-  return static_cast<double>(stats.seeks) * model.seek_us +
-         total_bytes / model.bandwidth_bytes_per_us +
-         total_ops * model.per_op_us;
-}
-
-/// Snapshot overload: model a phase delta (IoStatsDelta) without
-/// holding live atomics. Same per-syscall charging as above.
 inline double ModeledTimeUs(const IoStatsSnapshot& stats,
                             const DeviceModel& model) {
   double total_bytes =

@@ -1,6 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -33,18 +32,6 @@ double BucketQuantile(const uint64_t (&buckets)[LatencyHistogram::kNumBuckets],
   return static_cast<double>(max);
 }
 
-void AppendF(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf)));
-}
-
 /// Prometheus metric names allow [a-zA-Z0-9_:]; the registry's
 /// dotted names map '.' (and anything else) to '_'.
 std::string PrometheusName(const std::string& name) {
@@ -58,6 +45,23 @@ std::string PrometheusName(const std::string& name) {
 }
 
 }  // namespace
+
+void AppendF(std::string* out, const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list again;
+  va_copy(again, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  if (n > 0) {
+    const size_t old_size = out->size();
+    out->resize(old_size + static_cast<size_t>(n));
+    // Writes n chars plus a terminator onto the string's own one.
+    std::vsnprintf(out->data() + old_size, static_cast<size_t>(n) + 1, fmt,
+                   again);
+  }
+  va_end(again);
+}
 
 HistogramSnapshot LatencyHistogram::Snapshot() const {
   // Read the buckets once into a local array, then derive everything

@@ -52,6 +52,10 @@ inline uint64_t NowNs() {
           .count());
 }
 
+/// Appends printf-style output to `*out`, however long it formats.
+void AppendF(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 /// \brief Monotonically increasing event count.
 class Counter {
  public:

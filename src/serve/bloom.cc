@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "obs/metrics.h"
+
 namespace bullion {
 namespace {
 
@@ -96,6 +98,33 @@ bool BloomFilterView::MayContain(uint64_t h) const {
     if ((word & masks[i]) == 0) return false;
   }
   return true;
+}
+
+bool BloomProvesAbsent(Slice bits, PhysicalType t, const Filter& filter) {
+  if (filter.op != CompareOp::kEq && filter.op != CompareOp::kIn) {
+    return false;
+  }
+  Result<BloomFilterView> view = BloomFilterView::Wrap(bits);
+  if (!view.ok()) return false;
+  static obs::Counter* probes =
+      obs::MetricsRegistry::Global().GetCounter("bullion.bloom.probes");
+  static obs::Counter* negatives =
+      obs::MetricsRegistry::Global().GetCounter("bullion.bloom.negatives");
+  auto provably_absent = [&](const FilterValue& v) {
+    uint64_t h = 0;
+    if (!BloomHashFilterValue(t, v, &h)) return false;
+    probes->Increment();
+    if (view->MayContain(h)) return false;
+    negatives->Increment();
+    return true;
+  };
+  if (filter.op == CompareOp::kEq) return provably_absent(filter.value);
+  // kIn: every member must be provably absent (the empty list is
+  // already pruned by the zone-map test).
+  for (const FilterValue& v : filter.values) {
+    if (!provably_absent(v)) return false;
+  }
+  return !filter.values.empty();
 }
 
 double BloomExpectedFpr(size_t num_keys, size_t num_blocks) {

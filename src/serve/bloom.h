@@ -87,6 +87,15 @@ inline bool BloomHashFilterValue(PhysicalType t, const FilterValue& v,
   return true;
 }
 
+/// True if the serialized filter `bits`, built over a column of
+/// physical type `t`, proves that no row holds any of the equality
+/// constants `filter` probes for. Only kEq / kIn can be disproven by
+/// membership, and kIn needs every member absent; malformed bytes or a
+/// type-mismatched constant answer false (cannot prune). Counts each
+/// hashed probe in bullion.bloom.probes and each proven absence in
+/// bullion.bloom.negatives.
+bool BloomProvesAbsent(Slice bits, PhysicalType t, const Filter& filter);
+
 /// \brief Owning split-block Bloom filter builder (write side).
 class BloomFilter {
  public:

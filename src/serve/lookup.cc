@@ -1,6 +1,5 @@
 #include "serve/lookup.h"
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -11,24 +10,13 @@
 
 namespace bullion {
 
-namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
 Result<LookupResult> LookupBuilder::Run() const {
   if (!has_key_) {
     return Status::InvalidArgument(
         "Lookup requires Key() or Keys(): use bullion::Scan for "
         "unkeyed reads");
   }
-  const uint64_t start_ns = NowNs();
+  const uint64_t start_ns = obs::NowNs();
   static obs::Counter* requests =
       obs::MetricsRegistry::Global().GetCounter("bullion.lookup.requests");
   static obs::Counter* keys =
@@ -67,7 +55,7 @@ Result<LookupResult> LookupBuilder::Run() const {
 
   rows->Increment(result.num_rows());
   if (result.num_rows() == 0) misses->Increment();
-  latency->Record(NowNs() - start_ns);
+  latency->Record(obs::NowNs() - start_ns);
   return result;
 }
 

@@ -115,10 +115,6 @@ class LookupBuilder {
     builder_.Cache(cache);
     return *this;
   }
-  LookupBuilder& Stats(IoStats* stats) {
-    builder_.Stats(stats);
-    return *this;
-  }
   LookupBuilder& Report(obs::PipelineReport* report) {
     builder_.Report(report);
     return *this;

@@ -242,7 +242,7 @@ TEST(SchemaEvolution, OldShardsBackfillNullsForAppendedColumn) {
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   EXPECT_EQ((*ds)->num_columns(), 4u);
 
-  DecodedChunkCache cache(64 << 20, &fs.stats());
+  DecodedChunkCache cache(64 << 20);
   std::vector<std::vector<ColumnVector>> first_groups;
   bool have_first = false;
   for (size_t threads : {1, 2, 4, 8}) {
@@ -486,7 +486,7 @@ TEST(DatasetCompactor, AllRowsDeletedLeavesEmptyShard) {
 TEST(DatasetCompactor, WarmCacheNeverServesPreCompactionChunks) {
   DeletedFixture fx;
   auto truth = fx.SurvivorTruth();
-  DecodedChunkCache cache(64 << 20, &fx.fs.stats());
+  DecodedChunkCache cache(64 << 20);
 
   // Warm the cache on the PRE-compaction dataset.
   auto pre = OpenDataset(&fx.fs, fx.manifest);
@@ -532,7 +532,7 @@ TEST(DecodedChunkCache, WarmCacheNeverServesPreDeleteChunks) {
   Schema schema = MakeBaseSchema();
   auto data = MakeData(schema, 200, 13);
   ShardManifest manifest = WriteDataset(&fs, schema, data, "t", 50, 200);
-  DecodedChunkCache cache(64 << 20, &fs.stats());
+  DecodedChunkCache cache(64 << 20);
 
   auto before = OpenDataset(&fs, manifest);
   ASSERT_TRUE(before.ok());
@@ -601,7 +601,7 @@ TEST(DatasetEvolution, ConcurrentScansCompactionAndSharedCache) {
   DeletedFixture fx;
   auto truth = fx.SurvivorTruth();
   ThreadPool pool(4);
-  DecodedChunkCache cache(64 << 20, &fx.fs.stats());
+  DecodedChunkCache cache(64 << 20);
   auto pre = OpenDataset(&fx.fs, fx.manifest);
   ASSERT_TRUE(pre.ok());
 

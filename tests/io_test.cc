@@ -126,11 +126,11 @@ TEST(PosixFile, MissingFileFails) {
 }
 
 TEST(DeviceModel, SeekVsBandwidthTradeoffs) {
-  IoStats scattered;
+  IoStatsSnapshot scattered;
   scattered.read_ops = 100;
   scattered.bytes_read = 100 * 4096;
   scattered.seeks = 100;
-  IoStats sequential;
+  IoStatsSnapshot sequential;
   sequential.read_ops = 1;
   sequential.bytes_read = 100 * 4096;
   sequential.seeks = 1;
@@ -146,7 +146,7 @@ TEST(DeviceModel, SeekVsBandwidthTradeoffs) {
 }
 
 TEST(DeviceModel, MoreBytesCostMore) {
-  IoStats small, large;
+  IoStatsSnapshot small, large;
   small.read_ops = large.read_ops = 1;
   small.seeks = large.seeks = 1;
   small.bytes_read = 1 << 20;

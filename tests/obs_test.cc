@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <memory>
@@ -377,26 +378,59 @@ TEST(Metrics, GlobalRegistryIsWiredToThePipelines) {
 // ---------------------------------------------------------------------------
 // IoStats snapshot / delta
 
+static_assert(sizeof(IoStatsSnapshot) == 8 * sizeof(uint64_t),
+              "a new IoStats counter needs a line in SetCounters and "
+              "ExpectCounters");
+
+/// Sets counter i (in list order) to (i + 1) * scale. The values are
+/// distinct, so an operation that drops or swaps a counter mismatches.
+void SetCounters(IoStats* s, uint64_t scale) {
+  s->read_ops = 1 * scale;
+  s->bytes_read = 2 * scale;
+  s->write_ops = 3 * scale;
+  s->write_calls = 4 * scale;
+  s->bytes_written = 5 * scale;
+  s->seeks = 6 * scale;
+  s->pages_encoded = 7 * scale;
+  s->flush_calls = 8 * scale;
+}
+
+void ExpectCounters(const IoStatsSnapshot& s, uint64_t scale) {
+  EXPECT_EQ(s.read_ops, 1 * scale);
+  EXPECT_EQ(s.bytes_read, 2 * scale);
+  EXPECT_EQ(s.write_ops, 3 * scale);
+  EXPECT_EQ(s.write_calls, 4 * scale);
+  EXPECT_EQ(s.bytes_written, 5 * scale);
+  EXPECT_EQ(s.seeks, 6 * scale);
+  EXPECT_EQ(s.pages_encoded, 7 * scale);
+  EXPECT_EQ(s.flush_calls, 8 * scale);
+}
+
 TEST(IoStats, SnapshotAndDelta) {
   IoStats stats;
-  stats.read_ops.fetch_add(5);
-  stats.bytes_read.fetch_add(4096);
-  stats.cache_hits.fetch_add(2);
-  IoStatsSnapshot before = stats.Snapshot();
-  EXPECT_EQ(before.read_ops, 5u);
-  EXPECT_EQ(before.bytes_read, 4096u);
+  SetCounters(&stats, 1);
+  const IoStatsSnapshot before = stats.Snapshot();
+  ExpectCounters(before, 1);
 
-  stats.read_ops.fetch_add(3);
-  stats.bytes_read.fetch_add(100);
-  stats.seeks.fetch_add(1);
-  IoStatsSnapshot after = stats.Snapshot();
+  const IoStats copy(stats);
+  ExpectCounters(copy.Snapshot(), 1);
+  IoStats assigned;
+  assigned = stats;
+  ExpectCounters(assigned.Snapshot(), 1);
 
-  IoStatsSnapshot delta = IoStatsDelta(before, after);
-  EXPECT_EQ(delta.read_ops, 3u);
-  EXPECT_EQ(delta.bytes_read, 100u);
-  EXPECT_EQ(delta.seeks, 1u);
-  EXPECT_EQ(delta.cache_hits, 0u);  // unchanged counters subtract to 0
-  EXPECT_EQ(delta.write_ops, 0u);
+  IoStats more;
+  SetCounters(&more, 10);
+  stats += more;
+  const IoStatsSnapshot after = stats.Snapshot();
+  ExpectCounters(after, 11);
+  ExpectCounters(more.Snapshot(), 10);  // the addend is unchanged
+
+  ExpectCounters(IoStatsDelta(before, after), 10);
+  ExpectCounters(IoStatsDelta(after, after), 0);
+
+  stats.Reset();
+  ExpectCounters(stats.Snapshot(), 0);
+  ExpectCounters(copy.Snapshot(), 1);  // copies share no state
 }
 
 // ---------------------------------------------------------------------------
@@ -570,6 +604,36 @@ TEST(PipelineReport, PopulatedByScan) {
   EXPECT_EQ(report.rows.load(), 0u);
   EXPECT_EQ(report.wall_ns.load(), 0u);
   EXPECT_EQ(report.work_hist.Snapshot().count, 0u);
+}
+
+TEST(PipelineReport, JsonStaysValidAtExtremeValues) {
+  // Every counter at its widest (20 digits) and wall_ns = 1 makes the
+  // throughput fields as long as they get: the serializer must not
+  // truncate the object.
+  obs::PipelineReport report;
+  for (std::atomic<uint64_t>* field :
+       {&report.rows, &report.bytes, &report.units, &report.batches,
+        &report.groups_pruned, &report.shards_pruned, &report.prepare_ns,
+        &report.work_ns, &report.emit_ns, &report.stall_ns}) {
+    field->store(UINT64_MAX);
+  }
+  report.wall_ns.store(1);
+  report.work_hist.Record(UINT64_MAX);
+
+  const std::string json = report.ToJson();
+  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_NE(json.find("\"groups_pruned\": 18446744073709551615"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"shards_pruned\": 18446744073709551615"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(report.ToString().find("18446744073709551615 row groups"),
+            std::string::npos);
+
+  report.Reset();
+  EXPECT_EQ(report.groups_pruned.load(), 0u);
+  EXPECT_EQ(report.shards_pruned.load(), 0u);
 }
 
 TEST(PipelineReport, PopulatedByParallelWrite) {

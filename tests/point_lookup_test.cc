@@ -226,17 +226,17 @@ TEST(PointLookup, StatsOffDegradesToV1NoBloomNeverPruneStaysExact) {
   const FooterView& footer = fx.reader->footer();
   EXPECT_FALSE(footer.has_chunk_stats());
   EXPECT_FALSE(footer.has_chunk_blooms());
-  IoStats stats;
+  obs::PipelineReport report;
   auto hit = Lookup(fx.reader.get())
                  .Key("uid", 123)
                  .Columns({"uid", "score"})
-                 .Stats(&stats)
+                 .Report(&report)
                  .Run();
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   ASSERT_EQ(hit->num_rows(), 1u);
   EXPECT_EQ(hit->columns[0].int_values()[0], 123);
   // Nothing can prune without stats — but results stay exact.
-  EXPECT_EQ(stats.groups_pruned.load(), 0u);
+  EXPECT_EQ(report.groups_pruned.load(), 0u);
   auto miss = Lookup(fx.reader.get()).Key("uid", 100000).Run();
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(miss->num_rows(), 0u);
@@ -248,12 +248,12 @@ TEST(PointLookup, BloomDisabledWritesV2ZonesStillPrune) {
   const FooterView& footer = fx.reader->footer();
   EXPECT_TRUE(footer.has_chunk_stats());
   EXPECT_FALSE(footer.has_chunk_blooms());
-  IoStats stats;
+  obs::PipelineReport report;
   auto hit =
-      Lookup(fx.reader.get()).Key("uid", 60).Stats(&stats).Run();
+      Lookup(fx.reader.get()).Key("uid", 60).Report(&report).Run();
   ASSERT_TRUE(hit.ok());
   ASSERT_EQ(hit->num_rows(), 1u);
-  EXPECT_GT(stats.groups_pruned.load(), 0u);  // zones prune other groups
+  EXPECT_GT(report.groups_pruned.load(), 0u);  // zones prune other groups
 }
 
 TEST(PointLookup, ManifestV4CarriesShardBloomsAndRoundTrips) {
@@ -403,48 +403,49 @@ TEST(PointLookup, BloomSkipsPreadsZonesCannotOnInZoneMisses) {
   // them — only the Bloom filters can prove the groups empty.
   FileFixture with_bloom(400, 50, true, 10.0, /*stride=*/2);
   FileFixture no_bloom(400, 50, true, 0.0, /*stride=*/2);
-  auto probe = [](FileFixture& fx, IoStats* stats) {
+  auto probe = [](FileFixture& fx, obs::PipelineReport* report) {
     for (int64_t key = 1; key < 100; key += 14) {  // odd → absent
       auto r = Lookup(fx.reader.get())
                    .Key("uid", key)
                    .Columns({"uid", "score"})
-                   .Stats(stats)
+                   .Report(report)
                    .Run();
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_EQ(r->num_rows(), 0u) << key;
     }
   };
   with_bloom.fs.stats().Reset();
-  IoStats bloom_stats;
-  probe(with_bloom, &bloom_stats);
+  obs::PipelineReport bloom_report;
+  probe(with_bloom, &bloom_report);
   uint64_t bloom_reads = with_bloom.fs.stats().read_ops.load();
 
   no_bloom.fs.stats().Reset();
-  IoStats plain_stats;
-  probe(no_bloom, &plain_stats);
+  obs::PipelineReport plain_report;
+  probe(no_bloom, &plain_report);
   uint64_t plain_reads = no_bloom.fs.stats().read_ops.load();
 
   // The Bloom-filtered file answers every in-zone miss with zero data
   // preads; the zones-only file must fetch and row-filter.
   EXPECT_EQ(bloom_reads, 0u);
   EXPECT_GT(plain_reads, 0u);
-  EXPECT_GT(bloom_stats.groups_pruned.load(), plain_stats.groups_pruned.load());
+  EXPECT_GT(bloom_report.groups_pruned.load(),
+            plain_report.groups_pruned.load());
 }
 
 TEST(PointLookup, ShardBloomsPruneWholeShardsOnInZoneMisses) {
   DatasetFixture fx(600, 50, 200, 10.0, /*stride=*/2);
   ASSERT_GT(fx.manifest.num_shards(), 1u);
-  IoStats stats;
+  obs::PipelineReport report;
   // Key 1 is odd: inside the first shard's zone range [0, 398] yet
   // absent, so only the aggregate Bloom filter can prove that shard
   // empty; the later shards' zones exclude it outright. Every shard is
   // skipped without touching its footer. (The key is fixed: data and
   // hash seed are deterministic, and 1 is a verified Bloom negative —
   // some odd keys are legitimate ~1% false positives.)
-  auto r = Lookup(fx.reader.get()).Key("uid", 1).Stats(&stats).Run();
+  auto r = Lookup(fx.reader.get()).Key("uid", 1).Report(&report).Run();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->num_rows(), 0u);
-  EXPECT_EQ(stats.shards_pruned.load(), fx.manifest.num_shards());
+  EXPECT_EQ(report.shards_pruned.load(), fx.manifest.num_shards());
 }
 
 TEST(PointLookup, LateMaterializationShrinksBytesFetched) {
@@ -539,11 +540,11 @@ TEST(PointLookup, CrossColumnOrClauseMatchesManualUnion) {
   FilterClause clause;
   clause.any_of.push_back(Filter{"uid", CompareOp::kLt, 5});
   clause.any_of.push_back(Filter{"uid", CompareOp::kGe, 595});
-  IoStats stats;
+  obs::PipelineReport report;
   std::vector<ColumnVector> got = CollectConcat(Scan(fx.reader.get())
                                                     .Columns({"uid"})
                                                     .FilterAnyOf(clause)
-                                                    .Stats(&stats)
+                                                    .Report(&report)
                                                     .Threads(2));
   ASSERT_EQ(got.size(), 1u);
   ASSERT_EQ(got[0].num_rows(), 10u);
@@ -553,7 +554,7 @@ TEST(PointLookup, CrossColumnOrClauseMatchesManualUnion) {
     EXPECT_EQ(uids.count(u), 1u) << u;
   }
   // Middle groups satisfy neither arm: the clause prunes them.
-  EXPECT_GT(stats.groups_pruned.load(), 0u);
+  EXPECT_GT(report.groups_pruned.load(), 0u);
 }
 
 TEST(PointLookup, OrClauseOnlyPrunesWhenEveryArmIsDisproven) {

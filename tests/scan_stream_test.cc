@@ -219,18 +219,18 @@ TEST(ScanStream, SelectivePredicateSkipsPreads) {
   ASSERT_GT(unfiltered_reads, 0u);
 
   io.Reset();
-  IoStats scan_stats;
+  obs::PipelineReport scan_report;
   auto stream = Scan(fx.reader.get())
                     .Columns({"uid", "score"})
                     .Filter("uid", CompareOp::kGe, 550)
-                    .Stats(&scan_stats)
+                    .Report(&scan_report)
                     .Stream();
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   std::vector<RowBatch> batches = Drain(stream->get());
 
   // Only the last group (uid 550..599) can match.
-  EXPECT_EQ(scan_stats.groups_pruned.load(), 11u);
-  EXPECT_GT(scan_stats.batches_emitted.load(), 0u);
+  EXPECT_EQ(scan_report.groups_pruned.load(), 11u);
+  EXPECT_GT(scan_report.batches.load(), 0u);
   EXPECT_LT(io.read_ops.load(), unfiltered_reads);
   EXPECT_EQ(TotalRows(batches), 50u);
   for (const RowBatch& b : batches) {
@@ -266,16 +266,16 @@ TEST(ScanStream, DatasetPredicatePrunesWholeShards) {
   EXPECT_FALSE(fx.manifest.shard(0).column_stats.empty());
   EXPECT_TRUE(fx.manifest.shard(0).column_zone(0).valid);
 
-  IoStats scan_stats;
+  obs::PipelineReport scan_report;
   auto stream = Scan(fx.reader.get())
                     .Columns({"uid"})
                     .Filter("uid", CompareOp::kLt, 150)
                     .Threads(2)
-                    .Stats(&scan_stats)
+                    .Report(&scan_report)
                     .Stream();
   ASSERT_TRUE(stream.ok());
   std::vector<RowBatch> batches = Drain(stream->get());
-  EXPECT_EQ(scan_stats.shards_pruned.load(), 2u);  // shards 1 and 2
+  EXPECT_EQ(scan_report.shards_pruned.load(), 2u);  // shards 1 and 2
   EXPECT_EQ(TotalRows(batches), 150u);
   for (const RowBatch& b : batches) {
     for (int64_t uid : b.columns[0].int_values()) EXPECT_LT(uid, 150);
@@ -284,12 +284,12 @@ TEST(ScanStream, DatasetPredicatePrunesWholeShards) {
 
 TEST(ScanStream, ContradictoryPredicatesYieldEmptyStreamWithSchema) {
   FileFixture fx(600, 50);
-  IoStats scan_stats;
+  obs::PipelineReport scan_report;
   auto stream = Scan(fx.reader.get())
                     .Columns({"uid", "score"})
                     .Filter("uid", CompareOp::kGt, 400)
                     .Filter("uid", CompareOp::kLt, 300)
-                    .Stats(&scan_stats)
+                    .Report(&scan_report)
                     .Stream();
   ASSERT_TRUE(stream.ok());
   // The schema is available even though nothing survives.
@@ -300,8 +300,8 @@ TEST(ScanStream, ContradictoryPredicatesYieldEmptyStreamWithSchema) {
   std::vector<RowBatch> batches = Drain(stream->get());
   EXPECT_EQ(TotalRows(batches), 0u);
   // Every group fails one of the two zone checks: all pruned, no I/O.
-  EXPECT_EQ(scan_stats.groups_pruned.load(), 12u);
-  EXPECT_EQ(scan_stats.batches_emitted.load(), 0u);
+  EXPECT_EQ(scan_report.groups_pruned.load(), 12u);
+  EXPECT_EQ(scan_report.batches.load(), 0u);
 }
 
 TEST(ScanStream, FooterWithoutStatsPrunesNothingButStaysExact) {
@@ -310,15 +310,15 @@ TEST(ScanStream, FooterWithoutStatsPrunesNothingButStaysExact) {
   EXPECT_FALSE(fx.reader->footer().has_chunk_stats());
   EXPECT_FALSE(fx.reader->footer().chunk_zone_map(0, 0).valid);
 
-  IoStats scan_stats;
+  obs::PipelineReport scan_report;
   auto stream = Scan(fx.reader.get())
                     .Columns({"uid"})
                     .Filter("uid", CompareOp::kGe, 550)
-                    .Stats(&scan_stats)
+                    .Report(&scan_report)
                     .Stream();
   ASSERT_TRUE(stream.ok());
   std::vector<RowBatch> batches = Drain(stream->get());
-  EXPECT_EQ(scan_stats.groups_pruned.load(), 0u);  // nothing to prune with
+  EXPECT_EQ(scan_report.groups_pruned.load(), 0u);  // nothing to prune with
   EXPECT_EQ(TotalRows(batches), 50u);              // residual keeps it exact
   for (const RowBatch& b : batches) {
     for (int64_t uid : b.columns[0].int_values()) EXPECT_GE(uid, 550);
@@ -423,7 +423,7 @@ TEST(ScanStream, CacheOnSingleFileSourceIsRejected) {
 
 TEST(ScanStream, WarmCacheEpochIssuesZeroPreads) {
   DatasetFixture fx(600, 50, 200);
-  DecodedChunkCache cache(64 << 20, &fx.fs.stats());
+  DecodedChunkCache cache(64 << 20);
   auto epoch = [&] {
     auto stream = Scan(fx.reader.get())
                       .Columns({"uid", "score"})
@@ -443,7 +443,7 @@ TEST(ScanStream, WarmCacheEpochIssuesZeroPreads) {
 
 TEST(ScanStream, FilteredScanSharesCacheWithUnfilteredScan) {
   DatasetFixture fx(600, 50, 200);
-  DecodedChunkCache cache(64 << 20, &fx.fs.stats());
+  DecodedChunkCache cache(64 << 20);
   auto warm = Scan(fx.reader.get()).Columns({"uid"}).Cache(&cache).Stream();
   ASSERT_TRUE(warm.ok());
   Drain(warm->get());
@@ -462,7 +462,7 @@ TEST(ScanStream, FilteredScanSharesCacheWithUnfilteredScan) {
 
 TEST(ScanStream, ConcurrentStreamsShareOnePoolAndCache) {
   DatasetFixture fx(600, 50, 200);
-  DecodedChunkCache cache(64 << 20, &fx.fs.stats());
+  DecodedChunkCache cache(64 << 20);
   ThreadPool pool(4);
   std::vector<std::vector<ColumnVector>> truth = SerialGroups(fx.reader.get());
   std::vector<std::thread> consumers;
@@ -530,17 +530,17 @@ TEST(ScanStream, FilterOnEvolvedColumnPrunesPredatingShards) {
 
   auto ds = ShardedTableReader::Open(*live, read_fn);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  IoStats scan_stats;
+  obs::PipelineReport scan_report;
   auto stream = Scan(ds->get())
                     .Columns({"uid", "label"})
                     .Filter("label", CompareOp::kGe, 7000)
-                    .Stats(&scan_stats)
+                    .Report(&scan_report)
                     .Stream();
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   std::vector<RowBatch> batches = Drain(stream->get());
   // The two pre-evolution shards are all-null for "label": pruned
   // without touching a single byte of them.
-  EXPECT_EQ(scan_stats.shards_pruned.load(), 2u);
+  EXPECT_EQ(scan_report.shards_pruned.load(), 2u);
   EXPECT_EQ(TotalRows(batches), 200u);
   for (const RowBatch& b : batches) {
     for (int64_t v : b.columns[1].int_values()) EXPECT_GE(v, 7000);
