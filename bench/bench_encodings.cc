@@ -198,13 +198,30 @@ double ToBytesPerSec(size_t bytes, double mean_us) {
   return mean_us > 0 ? static_cast<double>(bytes) / (mean_us * 1e-6) : 0;
 }
 
-void RunIntKernelTier(EncodingType type, const std::vector<int64_t>& data,
-                      std::vector<TierRow>* rows) {
+Status EncodeBlockAs(EncodingType type, std::span<const int64_t> values,
+                     CascadeContext* ctx, BufferBuilder* out) {
+  return EncodeIntBlockAs(type, values, ctx, out);
+}
+Status EncodeBlockAs(EncodingType type, std::span<const double> values,
+                     CascadeContext* ctx, BufferBuilder* out) {
+  return EncodeDoubleBlockAs(type, values, ctx, out);
+}
+Status DecodeBlock(SliceReader* in, std::vector<int64_t>* out) {
+  return DecodeIntBlock(in, out);
+}
+Status DecodeBlock(SliceReader* in, std::vector<double>* out) {
+  return DecodeDoubleBlock(in, out);
+}
+
+template <typename T>
+void RunCodecKernelTier(const std::string& name, EncodingType type,
+                        const std::vector<T>& data,
+                        std::vector<TierRow>* rows) {
   auto encode = [&] {
     CascadeOptions opts;
     CascadeContext ctx(opts, 0);
     BufferBuilder out;
-    BULLION_CHECK_OK(EncodeIntBlockAs(type, data, &ctx, &out));
+    BULLION_CHECK_OK(EncodeBlockAs(type, data, &ctx, &out));
     return out.Finish();
   };
 
@@ -217,13 +234,13 @@ void RunIntKernelTier(EncodingType type, const std::vector<int64_t>& data,
   // On-disk bytes must not depend on which kernel tier ran.
   BULLION_CHECK(scalar_block.AsSlice() == active_block.AsSlice());
 
-  std::vector<int64_t> decoded(data.size());
+  std::vector<T> decoded(data.size());
   auto decode = [&] {
     SliceReader reader(active_block.AsSlice());
-    BULLION_CHECK_OK(DecodeIntBlock(&reader, &decoded));
+    BULLION_CHECK_OK(DecodeBlock(&reader, &decoded));
   };
 
-  const size_t bytes = data.size() * sizeof(int64_t);
+  const size_t bytes = data.size() * sizeof(T);
   const simd::SimdTier tiers[2] = {simd::SimdTier::kScalar,
                                    simd::ActiveSimdTier()};
   double dec_us[2] = {0, 0};
@@ -236,14 +253,11 @@ void RunIntKernelTier(EncodingType type, const std::vector<int64_t>& data,
     });
     dec_us[t] = bench::TimeUsAveraged(decode);
     BULLION_CHECK(decoded == data);
-    rows->push_back({std::string(EncodingTypeName(type)), "encode", kernel,
-                     ToBytesPerSec(bytes, enc_us)});
-    rows->push_back({std::string(EncodingTypeName(type)), "decode", kernel,
-                     ToBytesPerSec(bytes, dec_us[t])});
+    rows->push_back({name, "encode", kernel, ToBytesPerSec(bytes, enc_us)});
+    rows->push_back({name, "decode", kernel, ToBytesPerSec(bytes, dec_us[t])});
   }
   std::printf("  %-14s decode %7.2f -> %7.2f GB/s (%5.2fx %s over scalar)\n",
-              std::string(EncodingTypeName(type)).c_str(),
-              ToBytesPerSec(bytes, dec_us[0]) / 1e9,
+              name.c_str(), ToBytesPerSec(bytes, dec_us[0]) / 1e9,
               ToBytesPerSec(bytes, dec_us[1]) / 1e9,
               dec_us[1] > 0 ? dec_us[0] / dec_us[1] : 0,
               std::string(simd::SimdTierName(tiers[1])).c_str());
@@ -305,7 +319,13 @@ void RunKernelTierReport() {
       EncodingType::kFastPFor,    EncodingType::kFastBP128,
       EncodingType::kBitShuffle,  EncodingType::kChunked,
   };
-  for (EncodingType type : kTierCodecs) RunIntKernelTier(type, data, &rows);
+  for (EncodingType type : kTierCodecs) {
+    RunCodecKernelTier(std::string(EncodingTypeName(type)), type, data,
+                       &rows);
+  }
+  // The float columns of the ads table decode through BitShuffle.
+  RunCodecKernelTier("BitShuffle-f64", EncodingType::kBitShuffle,
+                     FloatData(), &rows);
   RunFp16KernelTier(&rows);
 
   std::FILE* f = std::fopen("BENCH_encodings.json", "w");

@@ -34,6 +34,7 @@ constexpr Kernels kScalarKernels = {
     &AddBaseScalar,          &SubBaseScalar,    &ZigZagEncodeScalar,
     &ZigZagDecodeScalar,     &VarintDecodeScalar,
     &F16EncodeScalar,        &F16DecodeScalar,
+    &TransposeBitsScalar,    &UntransposeBitsScalar,
 };
 
 constexpr Kernels kSwarKernels = {
@@ -41,12 +42,15 @@ constexpr Kernels kSwarKernels = {
     &AddBaseScalar,        &SubBaseScalar,  &ZigZagEncodeScalar,
     &ZigZagDecodeScalar,   &VarintDecodeSwar,
     &F16EncodeScalar,      &F16DecodeScalar,
+    &TransposeBitsSwar,    &UntransposeBitsSwar,
 };
 
 #if BULLION_X86_DISPATCH
 // Packing and varint decode stay on the SWAR implementations in the
 // AVX2 tier: encode is bounded by the pack RMW chain and varint by the
 // data-dependent length decode, where AVX2 buys nothing on this layout.
+// The bit-plane transpose stays on SWAR too: BitShuffle decode is
+// bounded by inflate once the transpose is word-at-a-time.
 // F16C kernels are only installed when cpuid reports f16c as well.
 Kernels MakeAvx2Kernels() {
   Kernels k = {
@@ -54,6 +58,7 @@ Kernels MakeAvx2Kernels() {
       &avx2::AddBase,        &avx2::SubBase,    &avx2::ZigZagEncode,
       &avx2::ZigZagDecode,   &VarintDecodeSwar,
       &F16EncodeScalar,      &F16DecodeScalar,
+      &TransposeBitsSwar,    &UntransposeBitsSwar,
   };
   if (simd::GetCpuFeatures().f16c) {
     k.f16_encode = &avx2::F16Encode;

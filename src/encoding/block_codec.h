@@ -74,7 +74,21 @@ struct Kernels {
   /// including the canonical quiet-NaN patterns.
   void (*f16_encode)(const float* in, size_t n, uint16_t* out);
   void (*f16_decode)(const uint16_t* in, size_t n, float* out);
+
+  /// BitShuffle's bit-plane transpose of in[0..n) into the
+  /// BitPlaneBytes(n) bytes at `planes`: bit b of value i is bit i % 8
+  /// of planes[b * ceil(n/8) + i / 8]. Writes every plane byte; the pad
+  /// bits of each plane's last byte are zero.
+  void (*transpose_bits)(const uint64_t* in, size_t n, uint8_t* planes);
+
+  /// Inverse of transpose_bits: reads BitPlaneBytes(n) bytes, ignores
+  /// the pad bits, and writes exactly out[0..n).
+  void (*untranspose_bits)(const uint8_t* planes, size_t n, uint64_t* out);
 };
+
+/// Size of the bit-plane image of n 64-bit values: 64 planes of
+/// ceil(n/8) bytes each.
+constexpr size_t BitPlaneBytes(size_t n) { return 64 * ((n + 7) / 8); }
 
 /// Kernels for the active tier (cpu_dispatch.h). Cheap: one relaxed
 /// atomic load plus a table index; fetch once per block or per column.

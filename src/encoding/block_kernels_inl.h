@@ -125,6 +125,36 @@ inline void F16DecodeScalar(const uint16_t* in, size_t n, float* out) {
   for (size_t i = 0; i < n; ++i) out[i] = Float16::FromBits(in[i]).ToFloat();
 }
 
+// BitShuffle's bit-plane transpose (layout: Kernels::transpose_bits):
+// the codecs' original bit-at-a-time loops.
+
+inline void TransposeBitsScalar(const uint64_t* in, size_t n,
+                                uint8_t* planes) {
+  const size_t plane_bytes = (n + 7) / 8;
+  std::fill_n(planes, plane_bytes * 64, 0);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t x = in[i];
+    for (int b = 0; b < 64; ++b) {
+      if ((x >> b) & 1) {
+        planes[static_cast<size_t>(b) * plane_bytes + (i >> 3)] |=
+            static_cast<uint8_t>(1u << (i & 7));
+      }
+    }
+  }
+}
+
+inline void UntransposeBitsScalar(const uint8_t* planes, size_t n,
+                                  uint64_t* out) {
+  const size_t plane_bytes = (n + 7) / 8;
+  std::fill_n(out, n, 0);
+  for (int b = 0; b < 64; ++b) {
+    const uint8_t* plane = planes + static_cast<size_t>(b) * plane_bytes;
+    for (size_t i = 0; i < n; ++i) {
+      if ((plane[i >> 3] >> (i & 7)) & 1) out[i] |= 1ull << b;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SWAR tier: portable word-at-a-time kernels. The range variants take a
 // first-value index so a vector kernel can hand its unaligned tail off
@@ -221,6 +251,101 @@ inline size_t VarintDecodeSwar(const uint8_t* in, size_t in_bytes, size_t n,
     out[i++] = v;
   }
   return pos;
+}
+
+/// Transposes the 8x8 bit matrix whose row r is byte r of `x`: bit
+/// 8r+c trades places with bit 8c+r (Hacker's Delight §7-3).
+inline uint64_t Transpose8x8Bits(uint64_t x) {
+  uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+  x ^= t ^ (t << 28);
+  return x;
+}
+
+/// Swaps the high `shift`-bit half of every 2*shift-bit unit of `upper`
+/// with the low half of the same unit of `lower`.
+inline void SwapBlockHalves(uint64_t& upper, uint64_t& lower,
+                            unsigned shift, uint64_t low_halves) {
+  const uint64_t t = ((upper >> shift) ^ lower) & low_halves;
+  lower ^= t;
+  upper ^= t << shift;
+}
+
+/// Transposes the 8x8 byte matrix whose row r is w[r]: byte c of w[r]
+/// trades places with byte r of w[c]. Each pass swaps the off-diagonal
+/// blocks of every 2x2, then 4x4, then 8x8 block.
+inline void Transpose8x8Bytes(uint64_t* w) {
+  for (size_t r = 0; r < 8; r += 2) {
+    SwapBlockHalves(w[r], w[r + 1], 8, 0x00FF00FF00FF00FFull);
+  }
+  for (size_t r : {0, 1, 4, 5}) {
+    SwapBlockHalves(w[r], w[r + 2], 16, 0x0000FFFF0000FFFFull);
+  }
+  for (size_t r = 0; r < 4; ++r) {
+    SwapBlockHalves(w[r], w[r + 4], 32, 0x00000000FFFFFFFFull);
+  }
+}
+
+/// One group of up to 8 values (`count`) at group index g: byte B of
+/// every value becomes one 8x8 bit matrix, whose rows after the
+/// transpose are planes 8B..8B+7.
+inline void TransposeBitsGroup(const uint64_t* in, size_t count,
+                               size_t plane_bytes, size_t g,
+                               uint8_t* planes) {
+  uint64_t w[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  std::memcpy(w, in, count * 8);
+  Transpose8x8Bytes(w);  // w[B] byte j = byte B of value j
+  for (size_t byte = 0; byte < 8; ++byte) {
+    const uint64_t rows = Transpose8x8Bits(w[byte]);
+    uint8_t* dst = planes + 8 * byte * plane_bytes + g;
+    for (size_t k = 0; k < 8; ++k) {
+      dst[k * plane_bytes] = static_cast<uint8_t>(rows >> (8 * k));
+    }
+  }
+}
+
+inline void UntransposeBitsGroup(const uint8_t* planes, size_t plane_bytes,
+                                 size_t g, size_t count, uint64_t* out) {
+  uint64_t w[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  for (size_t byte = 0; byte < 8; ++byte) {
+    const uint8_t* src = planes + 8 * byte * plane_bytes + g;
+    uint64_t rows = 0;
+    for (size_t k = 0; k < 8; ++k) {
+      rows |= static_cast<uint64_t>(src[k * plane_bytes]) << (8 * k);
+    }
+    w[byte] = Transpose8x8Bits(rows);
+  }
+  Transpose8x8Bytes(w);  // w[j] = value j
+  std::memcpy(out, w, count * 8);
+}
+
+inline void TransposeBitsSwar(const uint64_t* in, size_t n,
+                              uint8_t* planes) {
+  const size_t plane_bytes = (n + 7) / 8;
+  const size_t full = n / 8;
+  for (size_t g = 0; g < full; ++g) {
+    TransposeBitsGroup(in + 8 * g, 8, plane_bytes, g, planes);
+  }
+  if (full < plane_bytes) {
+    TransposeBitsGroup(in + 8 * full, n - 8 * full, plane_bytes, full,
+                       planes);
+  }
+}
+
+inline void UntransposeBitsSwar(const uint8_t* planes, size_t n,
+                                uint64_t* out) {
+  const size_t plane_bytes = (n + 7) / 8;
+  const size_t full = n / 8;
+  for (size_t g = 0; g < full; ++g) {
+    UntransposeBitsGroup(planes, plane_bytes, g, 8, out + 8 * g);
+  }
+  if (full < plane_bytes) {
+    UntransposeBitsGroup(planes, plane_bytes, full, n - 8 * full,
+                         out + 8 * full);
+  }
 }
 
 }  // namespace detail

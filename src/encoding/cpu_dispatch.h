@@ -9,11 +9,13 @@
 //            Always available, always correct; the other tiers are
 //            cross-checked against it.
 //   kSwar    portable word-at-a-time kernels (64-bit loads, branchless
-//            shift/mask). No intrinsics; available on every substrate.
+//            shift/mask, 8x8 bit-matrix transposes for BitShuffle). No
+//            intrinsics; available on every substrate.
 //   kAvx2    AVX2 gather/variable-shift bit-unpacking, SIMD zigzag and
 //            frame-of-reference transforms, and F16C hardware float16
-//            conversion (encoding/simd_kernels.cc). Selected only when
-//            cpuid reports the features at startup.
+//            conversion (encoding/simd_kernels.cc); bit packing, varint
+//            decode and the BitShuffle transpose reuse the SWAR kernels.
+//            Selected only when cpuid reports the features at startup.
 //
 // Selection happens once (thread-safe function-local static); tests and
 // benches can clamp the active tier with ScopedSimdTierCap or the

@@ -3,12 +3,16 @@
 #include <zlib.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/varint.h"
 
 namespace bullion {
 namespace deflate_util {
 
+namespace {
+
+/// Compresses `input` with deflate at the default level.
 Status Compress(Slice input, std::vector<uint8_t>* out) {
   uLongf bound = compressBound(static_cast<uLong>(input.size()));
   out->resize(bound);
@@ -21,16 +25,18 @@ Status Compress(Slice input, std::vector<uint8_t>* out) {
   return Status::OK();
 }
 
-Status Decompress(Slice input, size_t raw_size, std::vector<uint8_t>* out) {
-  out->resize(raw_size);
+/// Inflates `input` into exactly `raw_size` bytes at `out`.
+Status Decompress(Slice input, size_t raw_size, uint8_t* out) {
   uLongf dest_len = static_cast<uLongf>(raw_size);
-  int rc = uncompress(out->data(), &dest_len, input.data(),
+  int rc = uncompress(out, &dest_len, input.data(),
                       static_cast<uLong>(input.size()));
   if (rc != Z_OK || dest_len != raw_size) {
     return Status::Corruption("inflate failed: " + std::to_string(rc));
   }
   return Status::OK();
 }
+
+}  // namespace
 
 Status CompressChunked(Slice input, BufferBuilder* out) {
   size_t n_chunks = (input.size() + kChunkSize - 1) / kChunkSize;
@@ -47,14 +53,14 @@ Status CompressChunked(Slice input, BufferBuilder* out) {
   return Status::OK();
 }
 
-Status DecompressChunked(SliceReader* in, std::vector<uint8_t>* out) {
-  out->clear();
+Status DecompressChunked(SliceReader* in, size_t raw_size, uint8_t* out) {
   Slice rest = in->ReadBytes(in->remaining());
   size_t pos = 0;
   uint64_t n_chunks;
   if (!varint::GetVarint64(rest, &pos, &n_chunks)) {
     return Status::Corruption("chunked: chunk count truncated");
   }
+  size_t done = 0;
   for (uint64_t c = 0; c < n_chunks; ++c) {
     uint64_t raw_len, comp_len;
     if (!varint::GetVarint64(rest, &pos, &raw_len) ||
@@ -64,14 +70,19 @@ Status DecompressChunked(SliceReader* in, std::vector<uint8_t>* out) {
     if (raw_len > kChunkSize) {
       return Status::Corruption("chunked: raw length exceeds chunk size");
     }
+    if (raw_len > raw_size - done) {
+      return Status::Corruption("chunked: raw lengths exceed block size");
+    }
     if (rest.size() - pos < comp_len) {
       return Status::Corruption("chunked: chunk payload truncated");
     }
-    std::vector<uint8_t> raw;
     BULLION_RETURN_NOT_OK(
-        Decompress(rest.SubSlice(pos, comp_len), raw_len, &raw));
+        Decompress(rest.SubSlice(pos, comp_len), raw_len, out + done));
     pos += comp_len;
-    out->insert(out->end(), raw.begin(), raw.end());
+    done += raw_len;
+  }
+  if (done != raw_size) {
+    return Status::Corruption("chunked: raw lengths short of block size");
   }
   in->Seek(in->position() - rest.size() + pos);
   return Status::OK();

@@ -6,6 +6,7 @@
 
 #include "common/bit_util.h"
 #include "common/varint.h"
+#include "encoding/block_codec.h"
 #include "encoding/cascade.h"
 #include "encoding/deflate_util.h"
 #include "encoding/float_codecs.h"
@@ -77,7 +78,7 @@ Status DecodeTrivial(SliceReader* in, size_t n, std::vector<double>* out) {
   }
   Slice bytes = in->ReadBytes(n * sizeof(double));
   out->resize(n);
-  std::memcpy(out->data(), bytes.data(), bytes.size());
+  if (n > 0) std::memcpy(out->data(), bytes.data(), bytes.size());
   return Status::OK();
 }
 
@@ -213,49 +214,29 @@ Status EncodeChunked(std::span<const double> v, BufferBuilder* out) {
 }
 
 Status DecodeChunked(SliceReader* in, size_t n, std::vector<double>* out) {
-  std::vector<uint8_t> raw;
-  BULLION_RETURN_NOT_OK(deflate_util::DecompressChunked(in, &raw));
-  if (raw.size() != n * sizeof(double)) {
-    return Status::Corruption("chunked double payload size mismatch");
-  }
   out->resize(n);
-  std::memcpy(out->data(), raw.data(), raw.size());
-  return Status::OK();
+  return deflate_util::DecompressChunked(
+      in, n * sizeof(double), reinterpret_cast<uint8_t*>(out->data()));
 }
 
 Status EncodeBitShuffle(std::span<const double> v, BufferBuilder* out) {
-  size_t n = v.size();
-  size_t plane_bytes = (n + 7) / 8;
-  std::vector<uint8_t> planes(plane_bytes * 64, 0);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t x = DoubleBits(v[i]);
-    for (int b = 0; b < 64; ++b) {
-      if ((x >> b) & 1) {
-        planes[static_cast<size_t>(b) * plane_bytes + (i >> 3)] |=
-            static_cast<uint8_t>(1u << (i & 7));
-      }
-    }
-  }
+  const size_t n = v.size();
+  std::vector<uint64_t> bits(n);
+  if (n > 0) std::memcpy(bits.data(), v.data(), n * sizeof(double));
+  std::vector<uint8_t> planes(blockcodec::BitPlaneBytes(n));
+  blockcodec::ActiveKernels().transpose_bits(bits.data(), n, planes.data());
   return deflate_util::CompressChunked(Slice(planes.data(), planes.size()),
                                        out);
 }
 
 Status DecodeBitShuffle(SliceReader* in, size_t n, std::vector<double>* out) {
-  std::vector<uint8_t> planes;
-  BULLION_RETURN_NOT_OK(deflate_util::DecompressChunked(in, &planes));
-  size_t plane_bytes = (n + 7) / 8;
-  if (planes.size() != plane_bytes * 64) {
-    return Status::Corruption("float bitshuffle plane size mismatch");
-  }
-  std::vector<uint64_t> bits(n, 0);
-  for (int b = 0; b < 64; ++b) {
-    const uint8_t* plane = planes.data() + static_cast<size_t>(b) * plane_bytes;
-    for (size_t i = 0; i < n; ++i) {
-      if ((plane[i >> 3] >> (i & 7)) & 1) bits[i] |= 1ull << b;
-    }
-  }
+  std::vector<uint8_t> planes(blockcodec::BitPlaneBytes(n));
+  BULLION_RETURN_NOT_OK(
+      deflate_util::DecompressChunked(in, planes.size(), planes.data()));
+  std::vector<uint64_t> bits(n);
+  blockcodec::ActiveKernels().untranspose_bits(planes.data(), n, bits.data());
   out->resize(n);
-  for (size_t i = 0; i < n; ++i) (*out)[i] = BitsToDouble(bits[i]);
+  if (n > 0) std::memcpy(out->data(), bits.data(), n * sizeof(double));
   return Status::OK();
 }
 

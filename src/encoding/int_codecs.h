@@ -104,9 +104,10 @@ Status DecodeFastPFor(SliceReader* in, size_t n, std::vector<int64_t>* out);
 Status EncodeFastBP128(std::span<const int64_t> v, BufferBuilder* out);
 Status DecodeFastBP128(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
-// kBitShuffle: bit-plane transpose of the 64-bit values, then deflate.
-// [raw_size varint][deflate bytes]. (Bitshuffle is conventionally
-// paired with a byte-level compressor.)
+// kBitShuffle: bit-plane transpose of the 64-bit values
+// (blockcodec::Kernels::transpose_bits), then the planes are deflated in
+// the Chunked framing. (Bitshuffle is conventionally paired with a
+// byte-level compressor.)
 Status EncodeBitShuffle(std::span<const int64_t> v, BufferBuilder* out);
 Status DecodeBitShuffle(SliceReader* in, size_t n, std::vector<int64_t>* out);
 

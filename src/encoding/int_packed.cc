@@ -182,39 +182,18 @@ Status DecodeFastPForInto(SliceReader* in, size_t n, int64_t* out) {
 // holds bit j of every value, then deflate the planes. Low-entropy high
 // bits become long zero runs that deflate collapses.
 Status EncodeBitShuffle(std::span<const int64_t> v, BufferBuilder* out) {
-  size_t n = v.size();
-  size_t plane_bytes = (n + 7) / 8;
-  std::vector<uint8_t> planes(plane_bytes * 64, 0);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t x = static_cast<uint64_t>(v[i]);
-    for (int b = 0; b < 64; ++b) {
-      if ((x >> b) & 1) {
-        planes[static_cast<size_t>(b) * plane_bytes + (i >> 3)] |=
-            static_cast<uint8_t>(1u << (i & 7));
-      }
-    }
-  }
+  std::vector<uint8_t> planes(blockcodec::BitPlaneBytes(v.size()));
+  blockcodec::ActiveKernels().transpose_bits(
+      reinterpret_cast<const uint64_t*>(v.data()), v.size(), planes.data());
   return deflate_util::CompressChunked(
       Slice(planes.data(), planes.size()), out);
 }
 
 Status DecodeBitShuffleInto(SliceReader* in, size_t n, int64_t* out) {
-  std::vector<uint8_t> planes;
-  BULLION_RETURN_NOT_OK(deflate_util::DecompressChunked(in, &planes));
-  size_t plane_bytes = (n + 7) / 8;
-  if (planes.size() != plane_bytes * 64) {
-    return Status::Corruption("bitshuffle plane size mismatch");
-  }
-  std::fill_n(out, n, 0);
-  for (int b = 0; b < 64; ++b) {
-    const uint8_t* plane = planes.data() + static_cast<size_t>(b) * plane_bytes;
-    for (size_t i = 0; i < n; ++i) {
-      if ((plane[i >> 3] >> (i & 7)) & 1) {
-        out[i] = static_cast<int64_t>(static_cast<uint64_t>(out[i]) |
-                                      (1ull << b));
-      }
-    }
-  }
+  std::vector<uint8_t> planes(blockcodec::BitPlaneBytes(n));
+  BULLION_RETURN_NOT_OK(
+      deflate_util::DecompressChunked(in, planes.size(), planes.data()));
+  blockcodec::ActiveKernels().untranspose_bits(planes.data(), n, AsU64(out));
   return Status::OK();
 }
 
@@ -226,13 +205,8 @@ Status EncodeChunked(std::span<const int64_t> v, BufferBuilder* out) {
 }
 
 Status DecodeChunkedInto(SliceReader* in, size_t n, int64_t* out) {
-  std::vector<uint8_t> raw;
-  BULLION_RETURN_NOT_OK(deflate_util::DecompressChunked(in, &raw));
-  if (raw.size() != n * sizeof(int64_t)) {
-    return Status::Corruption("chunked int payload size mismatch");
-  }
-  if (n > 0) std::memcpy(out, raw.data(), raw.size());
-  return Status::OK();
+  return deflate_util::DecompressChunked(in, n * sizeof(int64_t),
+                                         reinterpret_cast<uint8_t*>(out));
 }
 
 // Legacy vector overloads: resize once, forward to the block decoders.

@@ -1,6 +1,7 @@
 #include "encoding/string_codecs.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <unordered_map>
 
@@ -22,6 +23,9 @@ Status DecodeLengths(SliceReader* in, size_t n, std::vector<int64_t>* lengths,
   *total = 0;
   for (int64_t len : *lengths) {
     if (len < 0) return Status::Corruption("negative string length");
+    if (static_cast<uint64_t>(len) > SIZE_MAX - *total) {
+      return Status::Corruption("string lengths overflow");
+    }
     *total += static_cast<size_t>(len);
   }
   return Status::OK();
@@ -349,11 +353,14 @@ Status DecodeChunked(SliceReader* in, size_t n,
   std::vector<int64_t> lengths;
   size_t total = 0;
   BULLION_RETURN_NOT_OK(DecodeLengths(in, n, &lengths, &total));
-  std::vector<uint8_t> raw;
-  BULLION_RETURN_NOT_OK(deflate_util::DecompressChunked(in, &raw));
-  if (raw.size() != total) {
-    return Status::Corruption("chunked string bytes mismatch");
+  // The lengths come from a child block, not the header count, so bound
+  // them by what the payload can inflate to before sizing the output.
+  if (total / deflate_util::kMaxInflateRatio > in->remaining()) {
+    return Status::Corruption("chunked string lengths exceed payload");
   }
+  std::vector<uint8_t> raw(total);
+  BULLION_RETURN_NOT_OK(
+      deflate_util::DecompressChunked(in, raw.size(), raw.data()));
   out->clear();
   out->reserve(n);
   size_t off = 0;

@@ -405,6 +405,22 @@ Result<FooterView> FooterView::Parse(Slice footer,
   return view;
 }
 
+bool FooterView::AnyDeleted(uint32_t g, uint32_t begin, uint32_t end) const {
+  Slice dv = deletion_vector(g);
+  end = static_cast<uint32_t>(std::min<uint64_t>(end, dv.size() * 8ull));
+  uint32_t r = begin;
+  while (r < end) {
+    if ((r & 7) == 0 && end - r >= 8) {  // a whole byte of the range
+      if (dv[r >> 3] != 0) return true;
+      r += 8;
+    } else {
+      if ((dv[r >> 3] >> (r & 7)) & 1) return true;
+      ++r;
+    }
+  }
+  return false;
+}
+
 uint32_t FooterView::DeletedCount(uint32_t g) const {
   Slice dv = deletion_vector(g);
   uint32_t rows = group_row_count(g);

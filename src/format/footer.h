@@ -282,6 +282,9 @@ class FooterView {
     Slice dv = deletion_vector(g);
     return (dv[r >> 3] >> (r & 7)) & 1;
   }
+  /// True if any row in [begin, end) (group-relative) of group g is
+  /// deleted. Rows past the group's deletion-vector slot count as live.
+  bool AnyDeleted(uint32_t g, uint32_t begin, uint32_t end) const;
   /// Number of deleted rows in group g.
   uint32_t DeletedCount(uint32_t g) const;
   /// Number of deleted rows across all groups (the compaction-trigger

@@ -95,9 +95,14 @@ Status TableReader::DecodeChunkFromBufferImpl(uint32_t g, uint32_t c,
     uint32_t expected = f.page_row_count(p);
     size_t got = decoded.num_rows();
     if (got == expected) {
-      for (uint32_t r = 0; r < expected; ++r) {
-        if (options.filter_deleted && f.IsDeleted(g, row0 + r)) continue;
-        out->AppendRowFrom(decoded, static_cast<int64_t>(r));
+      if (!options.filter_deleted ||
+          !f.AnyDeleted(g, row0, row0 + expected)) {
+        out->AppendAllFrom(decoded);
+      } else {
+        for (uint32_t r = 0; r < expected; ++r) {
+          if (f.IsDeleted(g, row0 + r)) continue;
+          out->AppendRowFrom(decoded, static_cast<int64_t>(r));
+        }
       }
     } else if (got < expected) {
       // Rows physically removed by in-place deletion (§2.1 RLE path):
@@ -216,9 +221,7 @@ Status TableReader::DecodePageRun(uint32_t g, uint32_t c, uint32_t page_begin,
       // be wrong.
       return Status::Corruption("page run decode hit a shortened page");
     }
-    for (uint32_t r = 0; r < f.page_row_count(p); ++r) {
-      out->AppendRowFrom(decoded, static_cast<int64_t>(r));
-    }
+    out->AppendAllFrom(decoded);
   }
   return Status::OK();
 }

@@ -1,6 +1,6 @@
 // Randomized round-trip and cross-tier property tests for the block
-// codec rework (src/encoding/block_codec.h): for every int codec, over
-// adversarial value distributions and block sizes,
+// codec rework (src/encoding/block_codec.h): for every int and double
+// codec, over adversarial value distributions and block sizes,
 //   decode(encode(v)) == v
 // under every available kernel tier, the encoded bytes are identical
 // byte-for-byte across tiers (the tier is an implementation detail,
@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -185,6 +187,100 @@ TEST(CodecFuzzTest, DecodeAppendExtendsExistingValues) {
 }
 
 // ---------------------------------------------------------------------------
+// Double domain: the float columns of the ads table decode through
+// BitShuffle, so its bytes and bits get the same cross-tier checks.
+// ---------------------------------------------------------------------------
+
+double FromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+uint64_t ToBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+std::vector<double> GenFuzzDoubles(const std::string& kind, size_t n,
+                                   uint64_t seed) {
+  Random rng(seed);
+  std::vector<double> v(n);
+  if (kind == "uniform01") {
+    for (auto& x : v) x = rng.NextDouble();
+  } else if (kind == "tanh_gaussian") {  // the ads embeddings (§2.4)
+    for (auto& x : v) x = std::tanh(rng.NextGaussian() * 0.5);
+  } else {  // "specials"
+    const double pool[] = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        FromBits(0x7FF8000000000000ull),  // quiet NaN
+        FromBits(0xFFF80000DEADBEEFull),  // negative quiet NaN, payload
+        FromBits(0x7FF0000000000001ull),  // signalling NaN, payload
+        FromBits(0xFFF4000000C0FFEEull),  // negative signalling NaN
+        std::numeric_limits<double>::denorm_min(),
+        -FromBits(0x000FFFFFFFFFFFFFull),  // largest subnormal, negated
+        DBL_MIN,
+        DBL_MAX,
+        -DBL_MAX,
+    };
+    for (auto& x : v) x = pool[rng.Uniform(sizeof(pool) / sizeof(pool[0]))];
+  }
+  return v;
+}
+
+const EncodingType kDoubleCodecs[] = {
+    EncodingType::kTrivial,       EncodingType::kGorilla,
+    EncodingType::kChimp,         EncodingType::kPseudodecimal,
+    EncodingType::kAlp,           EncodingType::kBitShuffle,
+    EncodingType::kChunked,
+};
+
+Buffer EncodeDoublesUnder(EncodingType type, const std::vector<double>& data,
+                          simd::SimdTier tier) {
+  simd::ScopedSimdTierCap cap(tier);
+  CascadeOptions opts;
+  CascadeContext ctx(opts, 0);
+  BufferBuilder out;
+  EXPECT_TRUE(EncodeDoubleBlockAs(type, data, &ctx, &out).ok());
+  return out.Finish();
+}
+
+TEST(CodecFuzzTest, DoubleCodecsAllTiersByteIdenticalAndBitExact) {
+  const std::vector<simd::SimdTier> tiers = AvailableTiers();
+  uint64_t seed = 0xD0B1;
+  for (EncodingType type : kDoubleCodecs) {
+    for (const char* kind : {"uniform01", "tanh_gaussian", "specials"}) {
+      for (size_t n : kSizes) {
+        std::vector<double> data = GenFuzzDoubles(kind, n, seed++);
+        Buffer reference =
+            EncodeDoublesUnder(type, data, simd::SimdTier::kScalar);
+        for (simd::SimdTier tier : tiers) {
+          SCOPED_TRACE(std::string(EncodingTypeName(type)) + "/" + kind +
+                       "/n=" + std::to_string(n) + "/tier=" +
+                       std::string(simd::SimdTierName(tier)));
+          Buffer encoded = EncodeDoublesUnder(type, data, tier);
+          ASSERT_TRUE(reference.AsSlice() == encoded.AsSlice());
+
+          simd::ScopedSimdTierCap cap(tier);
+          std::vector<double> decoded;
+          SliceReader reader(encoded.AsSlice());
+          ASSERT_TRUE(DecodeDoubleBlock(&reader, &decoded).ok());
+          ASSERT_EQ(decoded.size(), n);
+          for (size_t i = 0; i < n; ++i) {
+            // NaN != NaN: compare bit patterns.
+            ASSERT_EQ(ToBits(data[i]), ToBits(decoded[i])) << "index " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Corrupt-input fuzz: decoding must fail cleanly, never crash or read
 // out of bounds, under every tier.
 // ---------------------------------------------------------------------------
@@ -313,6 +409,46 @@ TEST(CodecFuzzTest, PackUnpackInverseAtEveryWidth) {
       std::vector<uint64_t> unpacked(n, ~0ull);
       k.unpack_bits(packed.data(), packed.size(), n, width, unpacked.data());
       ASSERT_EQ(values, unpacked);
+    }
+  }
+}
+
+TEST(CodecFuzzTest, BitTransposeMatchesScalarAtEveryLength) {
+  Random rng(17);
+  const blockcodec::Kernels& scalar =
+      blockcodec::KernelsForTier(simd::SimdTier::kScalar);
+  for (size_t n = 0; n <= 300; ++n) {
+    std::vector<uint64_t> values(n);
+    for (auto& x : values) x = rng.Next();
+    const size_t plane_bytes = (n + 7) / 8;
+    std::vector<uint8_t> ref_planes(blockcodec::BitPlaneBytes(n));
+    scalar.transpose_bits(values.data(), n, ref_planes.data());
+
+    // The same planes with every pad bit set, which decode must ignore.
+    std::vector<uint8_t> padded = ref_planes;
+    if (n % 8 != 0) {
+      const uint8_t pad = static_cast<uint8_t>(0xFF << (n % 8));
+      for (size_t b = 0; b < 64; ++b) {
+        padded[b * plane_bytes + plane_bytes - 1] |= pad;
+      }
+    }
+    std::vector<uint64_t> ref_values(n + 1, 0xA5A5A5A5A5A5A5A5ull);
+    scalar.untranspose_bits(padded.data(), n, ref_values.data());
+
+    for (simd::SimdTier tier : AvailableTiers()) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " tier=" +
+                   std::string(simd::SimdTierName(tier)));
+      const blockcodec::Kernels& k = blockcodec::KernelsForTier(tier);
+      // Pre-filled with ones: the kernel must write every plane byte.
+      std::vector<uint8_t> planes(ref_planes.size(), 0xFF);
+      k.transpose_bits(values.data(), n, planes.data());
+      ASSERT_EQ(ref_planes, planes);
+
+      std::vector<uint64_t> out(n + 1, 0xA5A5A5A5A5A5A5A5ull);
+      k.untranspose_bits(padded.data(), n, out.data());
+      ASSERT_EQ(ref_values, out);
+      ASSERT_TRUE(std::equal(values.begin(), values.end(), out.begin()));
+      ASSERT_EQ(out[n], 0xA5A5A5A5A5A5A5A5ull);  // nothing past out[n)
     }
   }
 }

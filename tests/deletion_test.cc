@@ -53,8 +53,9 @@ struct Fixture {
     data.push_back(std::move(ids));
   }
 
-  Status Write(WriterOptions wopts = {}) {
-    wopts.rows_per_page = 256;
+  Status Write(uint32_t rows_per_page = 256) {
+    WriterOptions wopts;
+    wopts.rows_per_page = rows_per_page;
     auto f = fs.NewWritableFile("t");
     if (!f.ok()) return f.status();
     TableWriter writer(schema, f->get(), wopts);
@@ -197,6 +198,31 @@ TEST(Deletion, RepeatedDeletesAccumulate) {
   ColumnVector v;
   ASSERT_TRUE(reader->ReadColumnChunk(0, 0, filter, &v).ok());
   EXPECT_EQ(v.num_rows(), fx.data[0].num_rows() - 6);
+}
+
+// Pages of 10 rows start and end mid-byte in the deletion vector, so a
+// filtered read must check each page's own bit range.
+TEST(Deletion, FilterAtUnalignedPageEdges) {
+  Fixture fx("wide");
+  ASSERT_TRUE(fx.Write(/*rows_per_page=*/10).ok());
+  const std::vector<uint64_t> to_delete = {0, 9, 10, 19, 25, 1990, 1999};
+  ASSERT_TRUE(fx.Delete(to_delete, ComplianceLevel::kLevel1).ok());
+
+  auto reader = *fx.OpenReader();
+  ReadOptions filter;
+  filter.filter_deleted = true;
+  for (uint32_t c = 0; c < 2; ++c) {
+    ColumnVector got;
+    ASSERT_TRUE(reader->ReadColumnChunk(0, c, filter, &got).ok());
+    ColumnVector want(fx.data[c].physical(), fx.data[c].list_depth());
+    for (size_t r = 0; r < fx.data[c].num_rows(); ++r) {
+      if (std::find(to_delete.begin(), to_delete.end(), r) ==
+          to_delete.end()) {
+        want.AppendRowFrom(fx.data[c], static_cast<int64_t>(r));
+      }
+    }
+    EXPECT_TRUE(got == want) << "column " << c;
+  }
 }
 
 TEST(Deletion, Level0Rejected) {

@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "common/random.h"
+#include "common/varint.h"
 #include "encoding/cascade.h"
+#include "encoding/deflate_util.h"
 #include "encoding/encoding.h"
 #include "encoding/stats.h"
 
@@ -324,6 +327,50 @@ TEST(DoubleEncodings, DecimalDataCompressesWithAlp) {
   EXPECT_LT(out.size(), data.size() * 4);
 }
 
+// Hand-built n = 8 double BitShuffle blocks: the planes are 64 bytes,
+// and the chunk framing must not be trusted past that.
+Status DecodeHandBuiltBitShuffle(BufferBuilder* framing) {
+  BufferBuilder block;
+  WriteBlockHeader(EncodingType::kBitShuffle, 8, &block);
+  Buffer payload = framing->Finish();
+  block.AppendBytes(payload.data(), payload.size());
+  Buffer bytes = block.Finish();
+  std::vector<double> decoded;
+  SliceReader reader(bytes.AsSlice());
+  return DecodeDoubleBlock(&reader, &decoded);
+}
+
+TEST(DoubleEncodings, BitShuffleChunkFramingBoundedByBlockSize) {
+  // Control: one chunk of exactly the 64 plane bytes decodes.
+  BufferBuilder exact;
+  std::vector<uint8_t> zeros(64, 0);
+  ASSERT_TRUE(deflate_util::CompressChunked(
+                  Slice(zeros.data(), zeros.size()), &exact)
+                  .ok());
+  EXPECT_TRUE(DecodeHandBuiltBitShuffle(&exact).ok());
+
+  // One chunk claiming the full 256 KiB, backed by a valid stream of
+  // zeros that really inflates that far.
+  BufferBuilder oversized;
+  std::vector<uint8_t> big(deflate_util::kChunkSize, 0);
+  ASSERT_TRUE(deflate_util::CompressChunked(Slice(big.data(), big.size()),
+                                            &oversized)
+                  .ok());
+  EXPECT_TRUE(DecodeHandBuiltBitShuffle(&oversized).IsCorruption());
+
+  // Two valid 16-byte chunks: 32 bytes, short of 64.
+  BufferBuilder one_chunk;
+  ASSERT_TRUE(
+      deflate_util::CompressChunked(Slice(zeros.data(), 16), &one_chunk).ok());
+  Buffer chunk = one_chunk.Finish();  // [count = 1][raw][comp][bytes]
+  BufferBuilder short_sum;
+  varint::PutVarint64(&short_sum, 2);
+  for (int c = 0; c < 2; ++c) {
+    short_sum.AppendBytes(chunk.data() + 1, chunk.size() - 1);
+  }
+  EXPECT_TRUE(DecodeHandBuiltBitShuffle(&short_sum).IsCorruption());
+}
+
 // ---------------------------------------------------------------------------
 // Strings.
 // ---------------------------------------------------------------------------
@@ -408,6 +455,30 @@ INSTANTIATE_TEST_SUITE_P(Kinds, StringRoundTrip,
                          [](const ::testing::TestParamInfo<std::string>& i) {
                            return i.param;
                          });
+
+// A string Chunked block sizes its output from the lengths child, which
+// a corrupt page controls: lengths that overflow, or that no payload of
+// this size could inflate to, are Corruption before any allocation.
+TEST(StringEncodings, ChunkedRejectsImpossibleLengths) {
+  const std::vector<std::vector<int64_t>> cases = {
+      {std::numeric_limits<int64_t>::max(),
+       std::numeric_limits<int64_t>::max(), 2},  // sums to 2^64 = 0
+      {int64_t{1} << 40},
+  };
+  for (const std::vector<int64_t>& lengths : cases) {
+    BufferBuilder block;
+    WriteBlockHeader(EncodingType::kChunked, lengths.size(), &block);
+    CascadeOptions opts;
+    CascadeContext ctx(opts, 0);
+    ASSERT_TRUE(
+        EncodeIntBlockAs(EncodingType::kTrivial, lengths, &ctx, &block).ok());
+    varint::PutVarint64(&block, 0);  // no chunks
+    Buffer bytes = block.Finish();
+    std::vector<std::string> decoded;
+    SliceReader reader(bytes.AsSlice());
+    EXPECT_TRUE(DecodeStringBlock(&reader, &decoded).IsCorruption());
+  }
+}
 
 TEST(StringEncodings, FsstCompressesUrls) {
   std::vector<std::string> data = GenStringData("urls", 5000, 11);
