@@ -151,13 +151,6 @@ class ScanStreamBuilder {
     spec_.report = report;
     return *this;
   }
-  /// Execute the coalesced preads through this async I/O engine
-  /// instead of AsyncIoService::Default(). Every tier yields
-  /// byte-identical batches; benches and tests pin tiers with this.
-  ScanStreamBuilder& Aio(AsyncIoService* service) {
-    spec_.aio = service;
-    return *this;
-  }
   /// Serve decoded chunks from (and publish fresh ones to) this cache.
   /// Dataset sources only — single files have no shard identity to key
   /// the cache by.

@@ -191,7 +191,6 @@ BatchStreamOptions StreamOptionsFor(const ScanStreamSpec& spec) {
   options.read_options = spec.read_options;
   options.pool = spec.pool;
   options.report = spec.report;
-  options.aio = spec.aio;
   return options;
 }
 
@@ -264,14 +263,16 @@ struct BatchStream::InFlight {
   std::vector<ColumnVector> out;
   std::vector<uint8_t> preset;
   /// Leaf columns actually fetched (missing from the preset) and the
-  /// fetch slots they land in. Shared because read tasks outlive the
-  /// submission frame.
-  std::shared_ptr<const std::vector<uint32_t>> missing_cols;
+  /// fetch slots they land in.
+  std::vector<uint32_t> missing_cols;
   std::vector<size_t> missing_slots;
+  /// The coalesced reads that fetch missing_cols. Decode tasks read it
+  /// until they retire, and the slot outlives every task.
+  ReadPlan plan;
   /// Decode target of the missing columns (user_index coordinates).
   std::vector<ColumnVector> temp;
-  /// Landing pad of each coalesced read, one per plan read; filled by
-  /// the AIO service, consumed by that read's decode task.
+  /// Bytes of each coalesced read, one per plan read; filled by the
+  /// consumer's pread, consumed by that read's decode task.
   std::vector<Buffer> read_bufs;
   /// Late materialization: fetch slots deferred past the residual.
   /// Phase 1 fetched only the filter slots; these are filled at emit
@@ -344,22 +345,12 @@ BatchStream::BatchStream(std::vector<StreamUnit> units,
                       : workers + options_.prefetch_depth;
   tasks_ = std::make_unique<TaskGroup>(
       pool, workers * (1 + options_.prefetch_depth));
-  aio_ = options_.aio != nullptr ? options_.aio : &AsyncIoService::Default();
   start_ns_ = obs::NowNs();
 }
 
-BatchStream::~BatchStream() {
-  // Teardown order matters: first stop new decode spawns and wait out
-  // every AIO completion callback (they dereference this stream), then
-  // tasks_ (declared last, destroyed first) joins the decode tasks, and
-  // only then do the InFlight slots tear down.
-  cancelled_.store(true, std::memory_order_relaxed);
-  {
-    MutexLock lock(&mu_);
-    while (aio_ops_ != 0) cv_.Wait(mu_);
-  }
-  RecordWall();
-}
+// tasks_ (declared last, destroyed first) joins the decode tasks before
+// the InFlight slots they write into tear down.
+BatchStream::~BatchStream() { RecordWall(); }
 
 void BatchStream::RecordWall() {
   if (wall_recorded_ || options_.report == nullptr) return;
@@ -387,7 +378,6 @@ Status BatchStream::SubmitNext() {
   // because phase 2 addresses rows positionally by page.
   const bool late = options_.late_materialize && !options_.residual.empty() &&
                     unit.reader->footer().DeletedCount(unit.local_group) == 0;
-  auto missing = std::make_shared<std::vector<uint32_t>>();
   for (size_t slot = 0; slot < nfetch; ++slot) {
     if (fl->preset[slot]) continue;
     if (late && !residual_slot_[slot]) {
@@ -395,104 +385,79 @@ Status BatchStream::SubmitNext() {
       continue;
     }
     fl->missing_slots.push_back(slot);
-    missing->push_back(options_.fetch_columns[slot]);
+    fl->missing_cols.push_back(options_.fetch_columns[slot]);
   }
-  fl->missing_cols = missing;
-  if (missing->empty()) {
+  if (fl->missing_cols.empty()) {
     // Fully served from cache/back-fill: no I/O at all.
     in_flight_.push_back(std::move(fl));
     return Status::OK();
   }
 
   BULLION_ASSIGN_OR_RETURN(
-      ReadPlan plan, unit.reader->PlanProjection(unit.local_group, *missing,
-                                                 options_.read_options));
-  fl->temp.resize(missing->size());
-  fl->read_bufs.resize(plan.reads.size());
-  auto shared_plan = std::make_shared<const ReadPlan>(std::move(plan));
-  fl->pending = shared_plan->reads.size();
+      fl->plan, unit.reader->PlanProjection(unit.local_group, fl->missing_cols,
+                                            options_.read_options));
+  const size_t n = fl->plan.reads.size();
+  fl->temp.resize(fl->missing_cols.size());
+  fl->read_bufs.resize(n);
+  fl->pending = n;
   InFlight* p = fl.get();
   in_flight_.push_back(std::move(fl));
   prep_timer.reset();
-  const StreamUnit* u = &unit;
 
-  // The whole plan goes to the AIO service as ONE batch: no worker
-  // blocks per pread, and decode tasks spawn from each completion as
-  // its bytes land. Group-window backpressure still bounds how many
-  // plans can be outstanding.
-  const size_t n = shared_plan->reads.size();
-  std::vector<AioRead> batch;
-  batch.reserve(n);
+  // Each read is issued here and its decode task submitted as soon as
+  // its bytes are in, so decode overlaps the reads after it. Submit
+  // blocks while the decode window is full; the group window bounds
+  // how many plans are outstanding.
   for (size_t i = 0; i < n; ++i) {
-    const CoalescedRead& read = shared_plan->reads[i];
-    AioRead r;
-    r.file = u->reader->file();
-    r.offset = read.begin;
-    r.len = read.size();
-    r.out = &p->read_bufs[i];
-    r.done = [this, p, u, missing, shared_plan, i](Status st) {
-      OnReadLanded(p, u, missing, shared_plan, i, std::move(st));
-    };
-    batch.push_back(std::move(r));
+    const CoalescedRead& read = p->plan.reads[i];
+    Status st;
+    {
+      BULLION_TRACE_SPAN("scan.fetch");
+      st = unit.reader->file()->Read(read.begin, read.size(),
+                                     &p->read_bufs[i]);
+    }
+    if (!st.ok()) {
+      // The unit fails with this read; the rest of its plan is moot.
+      MutexLock lock(&mu_);
+      RetireReadsLocked(p, i, n - i, std::move(st));
+      break;
+    }
+    tasks_->Submit([this, p, i] {
+      BULLION_TRACE_SPAN("scan.fetch_decode");
+      const uint64_t work_start = obs::NowNs();
+      const StreamUnit& u = *p->unit;
+      const CoalescedRead& read = p->plan.reads[i];
+      Status st = u.reader->DecodeCoalescedRead(
+          u.local_group, p->missing_cols, read, p->read_bufs[i].AsSlice(),
+          options_.read_options, &p->temp);
+      if (st.ok() && u.publish) u.publish(p->missing_cols, read, &p->temp);
+      if (options_.report != nullptr) {
+        const uint64_t dt = obs::NowNs() - work_start;
+        options_.report->work_ns.fetch_add(dt, std::memory_order_relaxed);
+        options_.report->work_hist.Record(dt);
+        options_.report->bytes.fetch_add(read.size(),
+                                         std::memory_order_relaxed);
+      }
+      // Retiring the last read lets the consumer free `p`: touch
+      // nothing of it afterwards.
+      {
+        MutexLock lock(&mu_);
+        RetireReadsLocked(p, i, 1, st);
+      }
+      cv_.NotifyAll();
+      return st;
+    });
   }
-  {
-    MutexLock lock(&mu_);
-    aio_ops_ += n;
-  }
-  BULLION_TRACE_SPAN("scan.fetch_submit");
-  aio_->SubmitReadBatch(std::move(batch));
   return Status::OK();
 }
 
-void BatchStream::OnReadLanded(
-    InFlight* p, const StreamUnit* u,
-    std::shared_ptr<const std::vector<uint32_t>> missing,
-    std::shared_ptr<const ReadPlan> plan, size_t i, Status st) {
-  if (!st.ok() || cancelled_.load(std::memory_order_relaxed)) {
-    MutexLock lock(&mu_);
-    if (!st.ok() && i < p->first_error_read) {
-      p->first_error_read = i;
-      p->error = std::move(st);
-    }
-    --p->pending;
-    --aio_ops_;
-    cv_.NotifyAll();
-    return;
+void BatchStream::RetireReadsLocked(InFlight* fl, size_t i, size_t count,
+                                    Status st) {
+  if (!st.ok() && i < fl->first_error_read) {
+    fl->first_error_read = i;
+    fl->error = std::move(st);
   }
-  const ReadOptions& ropts = options_.read_options;
-  // Decode as the pread lands. Submit may block while the decode
-  // window is full — backpressure on the AIO thread, not on a compute
-  // worker, and the window drains independently through the pool.
-  tasks_->Submit([this, p, u, missing = std::move(missing),
-                  plan = std::move(plan), ropts, i] {
-    BULLION_TRACE_SPAN("scan.fetch_decode");
-    const uint64_t work_start = obs::NowNs();
-    const CoalescedRead& read = plan->reads[i];
-    Status st =
-        u->reader->DecodeCoalescedRead(u->local_group, *missing, read,
-                                       p->read_bufs[i].AsSlice(), ropts,
-                                       &p->temp);
-    if (st.ok() && u->publish) u->publish(*missing, read, &p->temp);
-    if (options_.report != nullptr) {
-      const uint64_t dt = obs::NowNs() - work_start;
-      options_.report->work_ns.fetch_add(dt, std::memory_order_relaxed);
-      options_.report->work_hist.Record(dt);
-      options_.report->bytes.fetch_add(read.size(), std::memory_order_relaxed);
-    }
-    {
-      MutexLock lock(&mu_);
-      if (!st.ok() && i < p->first_error_read) {
-        p->first_error_read = i;
-        p->error = st;
-      }
-      --p->pending;
-    }
-    cv_.NotifyAll();
-    return st;
-  });
-  MutexLock lock(&mu_);
-  --aio_ops_;
-  cv_.NotifyAll();
+  fl->pending -= count;
 }
 
 Status BatchStream::MaterializeLateSlots(
@@ -527,101 +492,52 @@ Status BatchStream::MaterializeLateSlots(
     }
   }
 
+  // Each deferred slot reads and decodes its page runs in a plain loop
+  // on this thread; the first failed read or decode is the group's
+  // error.
   struct Run {
-    uint32_t page_begin = 0;  // chunk-relative
-    uint32_t page_end = 0;
-    uint32_t row_begin = 0;  // group-relative first row of page_begin
-    Buffer buf;
+    uint32_t row_begin = 0;  // group-relative first row of the run
     ColumnVector decoded;
   };
-  struct SlotWork {
-    size_t slot = 0;
-    uint32_t col = 0;
-    std::vector<Run> runs;
-  };
-  std::vector<SlotWork> work(fl->late_slots.size());
-  for (size_t i = 0; i < fl->late_slots.size(); ++i) {
-    work[i].slot = fl->late_slots[i];
-    work[i].col = options_.fetch_columns[work[i].slot];
-    work[i].runs.reserve(page_runs.size());
-    for (const auto& [pb, pe] : page_runs) {
-      Run run;
-      run.page_begin = pb;
-      run.page_end = pe;
-      run.row_begin = pb * rpp;
-      work[i].runs.push_back(std::move(run));
-    }
-  }
-
-  // One AioRead per (slot, run), submitted as ONE batch; the consumer
-  // blocks here until the whole batch lands. Buffers live in `work`,
-  // which is fully built (stable addresses) before submission.
-  struct Landing {
-    size_t remaining = 0;
-    Status error;
-  };
-  Landing landing;  // guarded by mu_; all callbacks return before exit
-  std::vector<AioRead> batch;
+  const RandomAccessFile* file = unit.reader->file();
+  Buffer bytes;
   uint64_t bytes_fetched = 0;
-  for (SlotWork& w : work) {
-    for (Run& run : w.runs) {
-      BULLION_ASSIGN_OR_RETURN(
-          auto extent, unit.reader->PageRunExtent(unit.local_group, w.col,
-                                                  run.page_begin,
-                                                  run.page_end));
-      AioRead r;
-      r.file = unit.reader->file();
-      r.offset = extent.first;
-      r.len = extent.second - extent.first;
-      r.out = &run.buf;
-      Landing* land = &landing;
-      r.done = [this, land](Status st) {
-        MutexLock lock(&mu_);
-        if (!st.ok() && land->error.ok()) land->error = std::move(st);
-        --land->remaining;
-        cv_.NotifyAll();
-      };
-      bytes_fetched += r.len;
-      batch.push_back(std::move(r));
-    }
-  }
-  landing.remaining = batch.size();
-  aio_->SubmitReadBatch(std::move(batch));
-  {
-    MutexLock lock(&mu_);
-    while (landing.remaining != 0) cv_.Wait(mu_);
-  }
-  BULLION_RETURN_NOT_OK(landing.error);
-  if (options_.report != nullptr) {
-    options_.report->bytes.fetch_add(bytes_fetched,
-                                     std::memory_order_relaxed);
-  }
-
-  // Decode each run and gather the survivors into compacted columns.
-  for (SlotWork& w : work) {
-    for (Run& run : w.runs) {
+  for (size_t slot : fl->late_slots) {
+    const uint32_t col = options_.fetch_columns[slot];
+    std::vector<Run> runs(page_runs.size());
+    for (size_t k = 0; k < page_runs.size(); ++k) {
+      const auto [pb, pe] = page_runs[k];
+      BULLION_ASSIGN_OR_RETURN(auto extent, unit.reader->PageRunExtent(
+                                                unit.local_group, col, pb, pe));
+      const size_t len = extent.second - extent.first;
+      BULLION_RETURN_NOT_OK(file->Read(extent.first, len, &bytes));
+      bytes_fetched += len;
+      runs[k].row_begin = pb * rpp;
       BULLION_RETURN_NOT_OK(unit.reader->DecodePageRun(
-          unit.local_group, w.col, run.page_begin, run.page_end,
-          run.buf.AsSlice(), options_.read_options, &run.decoded));
-      run.buf = Buffer();  // decode done; drop the raw bytes early
+          unit.local_group, col, pb, pe, bytes.AsSlice(),
+          options_.read_options, &runs[k].decoded));
     }
-    const ColumnRecord& rec = options_.fetch_records[w.slot];
+    // Gather the survivors into a compacted column.
+    const ColumnRecord& rec = options_.fetch_records[slot];
     ColumnVector compact(static_cast<PhysicalType>(rec.physical),
                          rec.list_depth);
     size_t ri = 0;
     for (uint32_t r : selection) {
-      while (ri < w.runs.size() &&
-             r >= w.runs[ri].row_begin + w.runs[ri].decoded.num_rows()) {
+      while (ri < runs.size() &&
+             r >= runs[ri].row_begin + runs[ri].decoded.num_rows()) {
         ++ri;
       }
-      if (ri == w.runs.size() || r < w.runs[ri].row_begin) {
+      if (ri == runs.size() || r < runs[ri].row_begin) {
         return Status::Unknown("late materialization lost a surviving row");
       }
-      compact.AppendRowFrom(
-          w.runs[ri].decoded,
-          static_cast<int64_t>(r - w.runs[ri].row_begin));
+      compact.AppendRowFrom(runs[ri].decoded,
+                            static_cast<int64_t>(r - runs[ri].row_begin));
     }
-    fl->out[w.slot] = std::move(compact);
+    fl->out[slot] = std::move(compact);
+  }
+  if (options_.report != nullptr) {
+    options_.report->bytes.fetch_add(bytes_fetched,
+                                     std::memory_order_relaxed);
   }
   return Status::OK();
 }
@@ -753,7 +669,8 @@ Result<bool> BatchStream::Next(RowBatch* out) {
     InFlight* head = in_flight_.front().get();
     {
       // Time blocked on the window head = the consumer's stall: the
-      // signal that says "async I/O / deeper prefetch would help here".
+      // signal that says "deeper prefetch or more workers would help
+      // here".
       StageTimer stall_timer(options_.report != nullptr
                                  ? &options_.report->stall_ns
                                  : nullptr);

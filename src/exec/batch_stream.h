@@ -3,10 +3,11 @@
 //
 // A scan is a sequence of StreamUnits — one per surviving row group, in
 // table order. The stream keeps a bounded window of units in flight:
-// each unit's coalesced reads fan out across the shared ThreadPool
+// the consumer thread preads each unit's coalesced reads itself and
+// hands each read's bytes to a decode task on the shared ThreadPool
 // through one TaskGroup (the existing exec in-flight window, so a
-// stream at T threads keeps at most T*(1+prefetch) reads outstanding no
-// matter how many groups remain), decoded groups are handed off
+// stream at T threads keeps at most T*(1+prefetch) decodes outstanding
+// no matter how many groups remain), decoded groups are handed off
 // strictly in submission order, residual predicates are applied
 // post-decode, and Next() yields bounded RowBatches. Memory is bounded
 // by the group window — a terabyte table streams through a fixed
@@ -44,7 +45,6 @@
 #include "exec/thread_pool.h"
 #include "format/column_vector.h"
 #include "format/reader.h"
-#include "io/aio.h"
 #include "io/predicate.h"
 #include "obs/pipeline_report.h"
 
@@ -147,10 +147,6 @@ struct BatchStreamOptions {
   /// planner that builds the units adds its pruning counts). Must
   /// outlive the stream; the caller owns Reset() between runs.
   obs::PipelineReport* report = nullptr;
-  /// Async I/O engine executing the coalesced preads (null =
-  /// AsyncIoService::Default()). Every tier yields byte-identical
-  /// batches; tests inject explicit-tier services here.
-  AsyncIoService* aio = nullptr;
 };
 
 /// \brief Pull-based stream of RowBatches over a prepared unit list.
@@ -189,22 +185,21 @@ class BatchStream {
   BatchStream(std::vector<StreamUnit> units, BatchStreamOptions options);
 
   /// Moves units_[next_submit_] into the in-flight window: runs its
-  /// prepare hook, plans its missing columns, and submits the plan's
-  /// reads to the AIO service as ONE batch. Decode tasks are spawned
-  /// from each read's completion callback as its pread lands.
+  /// prepare hook, plans its missing columns, then preads the plan's
+  /// coalesced reads in order on this thread, submitting each read's
+  /// decode task as soon as its bytes are in. A failed read is the
+  /// unit's error, and the reads after it are not issued.
   Status SubmitNext();
-  /// Completion callback for read `i` of `fl`'s plan: records errors
-  /// or hands the landed bytes to a decode task (skipped after
-  /// cancellation). Runs on an AIO thread — or inline on the consumer
-  /// for the sync tier.
-  void OnReadLanded(InFlight* fl, const StreamUnit* unit,
-                    std::shared_ptr<const std::vector<uint32_t>> missing,
-                    std::shared_ptr<const ReadPlan> plan, size_t i, Status st);
+  /// Takes reads [i, i + count) of `fl`'s plan off its pending count;
+  /// a non-OK `st` becomes the unit's error unless a lower-indexed read
+  /// already failed.
+  void RetireReadsLocked(InFlight* fl, size_t i, size_t count, Status st)
+      REQUIRES(mu_);
   /// Applies residual filters to a completed group and appends its
   /// batches to ready_. For late-materialized units this is also where
   /// phase 2 runs: the surviving page runs of the deferred slots are
-  /// fetched (one AioRead batch) and decoded into already-compacted
-  /// columns before projection.
+  /// fetched and decoded into already-compacted columns before
+  /// projection.
   Status EmitBatches(InFlight* fl);
   /// Phase 2 of late materialization: fetches and decodes the page
   /// runs of `fl`'s deferred slots covering `selection` (group-relative
@@ -235,21 +230,13 @@ class BatchStream {
 
   std::unique_ptr<ThreadPool> owned_pool_;
 
-  AsyncIoService* aio_ = nullptr;
-  /// Set at teardown: completion callbacks stop spawning decode tasks
-  /// for a stream the consumer abandoned mid-scan.
-  std::atomic<bool> cancelled_{false};
-  /// mu_ also guards every InFlight's pending/error fields (they
-  /// cannot carry GUARDED_BY themselves: InFlight is declared in the
-  /// .cc and holds no back-pointer to the stream).
+  /// mu_ guards every InFlight's pending/error fields (they cannot
+  /// carry GUARDED_BY themselves: InFlight is declared in the .cc and
+  /// holds no back-pointer to the stream).
   Mutex mu_;
   CondVar cv_;
-  /// AIO callbacks not yet returned: the destructor drains these
-  /// before tasks_ joins the decodes, so no callback can touch a dead
-  /// stream.
-  size_t aio_ops_ GUARDED_BY(mu_) = 0;
   /// Consumer-thread-only (Next/EmitBatches); never touched by
-  /// workers or AIO callbacks, so unguarded by design.
+  /// workers, so unguarded by design.
   std::deque<RowBatch> ready_;
   std::deque<std::unique_ptr<InFlight>> in_flight_;
   /// Last member: its destructor joins outstanding tasks before the
@@ -310,8 +297,6 @@ struct ScanStreamSpec {
   /// Optional per-scan accounting, including groups_pruned /
   /// shards_pruned (see BatchStreamOptions).
   obs::PipelineReport* report = nullptr;
-  /// Async I/O engine (see BatchStreamOptions::aio).
-  AsyncIoService* aio = nullptr;
 };
 
 /// The execution settings every OpenScanStream copies from the spec

@@ -1,5 +1,5 @@
 // Execution primitives for the parallel scan layer (and every future
-// scaling subsystem: sharding, async I/O, cache warming).
+// scaling subsystem: sharding, cache warming).
 //
 //   ThreadPool — a fixed set of worker threads draining a FIFO task
 //     queue. Construction spawns the workers; destruction drains

@@ -88,8 +88,8 @@ class TableReader {
                               std::vector<ColumnVector>* out) const;
 
   /// Decode stage alone: `bytes` must be the exact [read.begin,
-  /// read.end) span, fetched by the caller (the async I/O engine lands
-  /// preads and decodes as they complete; exec/batch_stream.cc). Same
+  /// read.end) span, fetched by the caller (the streaming scanner
+  /// preads it and decodes on a worker; exec/batch_stream.cc). Same
   /// slot-disjointness contract as ExecuteCoalescedRead.
   Status DecodeCoalescedRead(uint32_t g, const std::vector<uint32_t>& columns,
                              const CoalescedRead& read, Slice bytes,
@@ -114,8 +114,9 @@ class TableReader {
                        uint32_t page_end, Slice bytes,
                        const ReadOptions& options, ColumnVector* out) const;
 
-  /// The underlying file, for async fetch submission. Thread-safe for
-  /// concurrent positional reads (RandomAccessFile contract).
+  /// The underlying file, for the streaming scanner's own preads.
+  /// Thread-safe for concurrent positional reads (RandomAccessFile
+  /// contract).
   const RandomAccessFile* file() const { return file_.get(); }
 
   /// Projection read of a full row group with I/O coalescing. `out`

@@ -216,7 +216,7 @@ TableWriter::TableWriter(Schema schema, WritableFile* file,
               options_.bloom_bits_per_key > 0.0) {
   if (options_.write_block_bytes > 0) {
     agg_ = std::make_unique<AggregatedWriteBuffer>(
-        file_, options_.write_block_bytes, options_.aio);
+        file_, options_.write_block_bytes);
     sink_ = agg_.get();
   } else {
     sink_ = file_;

@@ -85,14 +85,11 @@ struct WriterOptions {
   /// (bytes_written / write_ops are counted by the WritableFile).
   IoStats* stats = nullptr;
   /// Aggregated-write block size: page appends are absorbed into
-  /// blocks of this many bytes and land as single physical writes
-  /// (AppendBlock), submitted asynchronously so the commit thread
-  /// overlaps encoding with the write syscalls. 0 writes every page
-  /// straight through — the unaggregated reference path.
+  /// blocks of exactly this many bytes, each written by the committing
+  /// thread as one physical write (AppendBlock) when it fills. 0
+  /// writes every page straight through — the unaggregated reference
+  /// path.
   size_t write_block_bytes = 1 << 20;
-  /// Async I/O engine for the aggregated write stream (null =
-  /// AsyncIoService::Default()).
-  AsyncIoService* aio = nullptr;
 };
 
 /// Checks a WriterOptions against a schema: positive rows_per_page,

@@ -1,14 +1,6 @@
 #include "io/aio.h"
 
-#include <cstdlib>
-#include <cstring>
-#include <deque>
-#include <thread>
-
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-
-#include "obs/metrics.h"
+#include <algorithm>
 
 namespace bullion {
 
@@ -24,363 +16,45 @@ const char* AioTierName(AioTier tier) {
   return "unknown";
 }
 
-AioTier ParseAioTier(const char* value, AioTier fallback) {
-  if (value == nullptr) return fallback;
-  if (std::strcmp(value, "sync") == 0) return AioTier::kSync;
-  if (std::strcmp(value, "threads") == 0) return AioTier::kThreads;
-  if (std::strcmp(value, "uring") == 0) return AioTier::kUring;
-  return fallback;
-}
-
-AioTier DefaultAioTier() {
-  // Resolved once: the probe (io_uring_setup + NOP round-trip) is not
-  // free, and flipping tiers mid-process would defeat the byte-level
-  // reproducibility story the tiers are tested under.
-  static AioTier tier = [] {
-    AioTier best = internal::CreateUringBackend() != nullptr
-                       ? AioTier::kUring
-                       : AioTier::kThreads;
-    AioTier chosen = ParseAioTier(std::getenv("BULLION_AIO"), best);
-    // The override can lower the tier freely but cannot raise it past
-    // what the kernel/build supports.
-    if (chosen == AioTier::kUring && best != AioTier::kUring) chosen = best;
-    return chosen;
-  }();
-  return tier;
-}
-
-namespace {
-
-struct AioMetrics {
-  obs::LatencyHistogram* submit_ns;
-  obs::LatencyHistogram* inflight_ns;
-  obs::LatencyHistogram* complete_ns;
-  obs::Gauge* queue_depth;
-};
-
-AioMetrics& Metrics() {
-  static AioMetrics m{
-      obs::MetricsRegistry::Global().GetHistogram("bullion.aio.submit_ns"),
-      obs::MetricsRegistry::Global().GetHistogram("bullion.aio.inflight_ns"),
-      obs::MetricsRegistry::Global().GetHistogram("bullion.aio.complete_ns"),
-      obs::MetricsRegistry::Global().GetGauge("bullion.aio.queue_depth")};
-  return m;
-}
-
-}  // namespace
-
-/// Shared op accounting + the thread lane. The uring backend hangs off
-/// this for fd-backed reads; everything else runs as thread-lane tasks.
-class AsyncIoService::Impl {
- public:
-  explicit Impl(AioTier tier, int io_threads) : tier_(tier) {
-    if (tier_ == AioTier::kUring) {
-      uring_ = internal::CreateUringBackend();
-      if (uring_ == nullptr) tier_ = AioTier::kThreads;
-    }
-    if (tier_ != AioTier::kSync) {
-      if (io_threads <= 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        io_threads = static_cast<int>(hw == 0 ? 4 : std::min(hw, 8u));
-      }
-      for (int i = 0; i < io_threads; ++i) {
-        threads_.emplace_back([this] { RunWorker(); });
-      }
-    }
-  }
-
-  ~Impl() {
-    Drain();
-    {
-      MutexLock lock(&mu_);
-      stop_ = true;
-    }
-    cv_.NotifyAll();
-    for (auto& t : threads_) t.join();
-    // uring_ destructor joins its reaper after its own drain.
-  }
-
-  AioTier tier() const { return tier_; }
-
-  /// Wraps `done` with in-flight accounting + latency metrics. Called
-  /// before the op is handed to any lane.
-  std::function<void(Status)> TrackOp(std::function<void(Status)> done) {
-    inflight_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().queue_depth->Add(1);
-    uint64_t t0 = obs::NowNs();
-    return [this, t0, done = std::move(done)](Status s) {
-      uint64_t landed = obs::NowNs();
-      Metrics().inflight_ns->Record(landed - t0);
-      done(std::move(s));
-      Metrics().complete_ns->Record(obs::NowNs() - landed);
-      Metrics().queue_depth->Add(-1);
-      MutexLock lock(&drain_mu_);
-      if (inflight_.fetch_sub(1, std::memory_order_relaxed) == 1) {
-        drain_cv_.NotifyAll();
-      }
-    };
-  }
-
-  void SubmitReadBatch(std::vector<AioRead> batch) {
-    uint64_t submit_t0 = obs::NowNs();
-    bool staged_uring = false;
-    for (auto& r : batch) {
-      auto tracked = TrackOp(std::move(r.done));
-      if (tier_ == AioTier::kSync) {
-        tracked(r.file->Read(r.offset, r.len, r.out));
-        continue;
-      }
-      int fd = r.file->RawFd();
-      if (uring_ != nullptr && fd >= 0) {
-        // Pre-size the destination; the ring writes straight into it.
-        r.out->Resize(r.len);
-        uring_->SubmitRead(fd, r.offset, r.len, r.out->mutable_data(),
-                           std::move(tracked));
-        staged_uring = true;
-        continue;
-      }
-      Enqueue([r = std::move(r), tracked = std::move(tracked)]() mutable {
-        tracked(r.file->Read(r.offset, r.len, r.out));
-      });
-    }
-    // The whole plan enters the kernel in one syscall.
-    if (staged_uring) uring_->Kick();
-    Metrics().submit_ns->Record(obs::NowNs() - submit_t0);
-  }
-
-  void SubmitWrite(WritableFile* file, Slice data,
-                   std::function<void(Status)> done) {
-    uint64_t submit_t0 = obs::NowNs();
-    auto tracked = TrackOp(std::move(done));
-    if (tier_ == AioTier::kSync) {
-      tracked(file->AppendBlock(data));
-    } else {
-      // The write lane always runs through AppendBlock on an I/O
-      // thread, uring tier included: AppendBlock owns the append
-      // position and the O_DIRECT fallback state machine, and writes
-      // must not race the fd position a ring pwrite would bypass.
-      Enqueue([file, data, tracked = std::move(tracked)]() mutable {
-        tracked(file->AppendBlock(data));
-      });
-    }
-    Metrics().submit_ns->Record(obs::NowNs() - submit_t0);
-  }
-
-  void Drain() {
-    MutexLock lock(&drain_mu_);
-    while (inflight_.load(std::memory_order_relaxed) != 0) {
-      drain_cv_.Wait(drain_mu_);
-    }
-  }
-
-  int64_t InFlight() const {
-    return static_cast<int64_t>(inflight_.load(std::memory_order_relaxed));
-  }
-
- private:
-  void Enqueue(std::function<void()> task) {
-    {
-      MutexLock lock(&mu_);
-      queue_.push_back(std::move(task));
-    }
-    cv_.NotifyOne();
-  }
-
-  void RunWorker() {
-    for (;;) {
-      std::function<void()> task;
-      {
-        MutexLock lock(&mu_);
-        while (!stop_ && queue_.empty()) cv_.Wait(mu_);
-        if (queue_.empty()) return;  // stop_ && drained
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      task();
-    }
-  }
-
-  AioTier tier_;
-  std::unique_ptr<internal::UringBackend> uring_;
-
-  Mutex mu_;
-  CondVar cv_;
-  std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
-  bool stop_ GUARDED_BY(mu_) = false;
-  std::vector<std::thread> threads_;
-
-  /// Atomic so TrackOp's hot increment skips the lock; drain_mu_ only
-  /// serializes the zero-crossing handshake with Drain()'s wait.
-  std::atomic<uint64_t> inflight_{0};
-  Mutex drain_mu_;
-  CondVar drain_cv_;
-};
-
-AsyncIoService::AsyncIoService(AioTier tier, int io_threads)
-    : impl_(std::make_unique<Impl>(tier, io_threads)) {
-  tier_ = impl_->tier();
-}
-
-AsyncIoService::~AsyncIoService() = default;
-
-AsyncIoService& AsyncIoService::Default() {
-  // Leaked intentionally: scans submitted from arbitrary threads may
-  // outlive static destruction order.
-  static AsyncIoService* service = new AsyncIoService(DefaultAioTier());  // lint:allow(raw-new)
-  return *service;
-}
-
-void AsyncIoService::SubmitReadBatch(std::vector<AioRead> batch) {
-  impl_->SubmitReadBatch(std::move(batch));
-}
-
-void AsyncIoService::SubmitWrite(WritableFile* file, Slice data,
-                                 std::function<void(Status)> done) {
-  impl_->SubmitWrite(file, data, std::move(done));
-}
-
-void AsyncIoService::Drain() { impl_->Drain(); }
-
-int64_t AsyncIoService::InFlight() const { return impl_->InFlight(); }
-
-// ---------------------------------------------------------------------------
-// AggregatedWriteBuffer
-
-namespace {
-constexpr size_t kBlockAlign = 4096;
-}  // namespace
-
-/// One aligned allocation absorbing appends until full.
-struct AggregatedWriteBuffer::Block {
-  uint8_t* data = nullptr;
-  size_t len = 0;
-  size_t cap = 0;
-
-  explicit Block(size_t capacity) {
-    void* p = nullptr;
-    if (posix_memalign(&p, kBlockAlign, capacity) != 0) p = nullptr;
-    data = static_cast<uint8_t*>(p);
-    cap = p == nullptr ? 0 : capacity;
-  }
-  ~Block() { std::free(data); }
-  Block(const Block&) = delete;
-  Block& operator=(const Block&) = delete;
-};
-
-/// Completion state shared with the service's callback thread. The
-/// writer thread submits; the callback thread retires blocks and
-/// chains the next one, keeping exactly one write outstanding so the
-/// base file sees blocks in absorption order.
-struct AggregatedWriteBuffer::Shared {
-  Mutex mu;
-  CondVar cv;
-  AsyncIoService* service = nullptr;
-  WritableFile* base = nullptr;
-  bool in_flight GUARDED_BY(mu) = false;
-  std::deque<std::unique_ptr<Block>> pending GUARDED_BY(mu);
-  Status error GUARDED_BY(mu) = Status::OK();  // sticky first failure
-
-  /// Dispatches the head pending block unless one is already in
-  /// flight. SubmitWrite happens OUTSIDE mu: the sync tier completes
-  /// inline, and its completion callback re-acquires mu. Chain depth
-  /// is bounded — sync tier never accumulates more than one pending
-  /// block, async tiers chain from a fresh callback frame.
-  static void Pump(const std::shared_ptr<Shared>& self) {
-    Block* blk = nullptr;
-    {
-      MutexLock lock(&self->mu);
-      if (self->in_flight || self->pending.empty() || !self->error.ok()) {
-        return;
-      }
-      self->in_flight = true;
-      blk = self->pending.front().get();
-    }
-    self->service->SubmitWrite(
-        self->base, Slice(blk->data, blk->len), [self](Status s) {
-          bool chain;
-          {
-            MutexLock lock(&self->mu);
-            self->pending.pop_front();
-            if (!s.ok() && self->error.ok()) self->error = std::move(s);
-            self->in_flight = false;
-            chain = !self->pending.empty() && self->error.ok();
-            if (!chain) self->cv.NotifyAll();
-          }
-          if (chain) Pump(self);
-        });
-  }
-};
+AioTier DefaultAioTier() { return AioTier::kSync; }
 
 AggregatedWriteBuffer::AggregatedWriteBuffer(WritableFile* base,
-                                             size_t block_bytes,
-                                             AsyncIoService* service)
-    : base_(base),
-      block_bytes_(std::max(block_bytes, kBlockAlign)),
-      service_(service != nullptr ? service : &AsyncIoService::Default()),
-      shared_(std::make_shared<Shared>()) {
-  shared_->service = service_;
-  shared_->base = base_;
+                                             size_t block_bytes)
+    // A zero block size would never fill; one byte per block is the
+    // degenerate but terminating reading of it.
+    : base_(base), block_bytes_(std::max<size_t>(block_bytes, 1)) {
   if (auto size = base_->Size(); size.ok()) size0_ = *size;
 }
 
-AggregatedWriteBuffer::~AggregatedWriteBuffer() {
-  // Callers should Flush() and check; destruction must still not leave
-  // callbacks pointing at freed blocks.
-  Barrier().IgnoreError();
-}
-
 Status AggregatedWriteBuffer::Append(Slice data) {
-  {
-    MutexLock lock(&shared_->mu);
-    BULLION_RETURN_NOT_OK(shared_->error);
-  }
+  BULLION_RETURN_NOT_OK(error_);
   // The logical op is counted at absorption; the physical write_call
-  // lands when the containing block does (base AppendBlock).
+  // when the containing block is written (base AppendBlock).
   if (IoStats* stats = base_->stats(); stats != nullptr) {
     stats->write_ops += 1;
   }
   absorbed_ += data.size();
   size_t off = 0;
   while (off < data.size()) {
-    if (cur_ == nullptr) {
-      cur_ = std::make_unique<Block>(block_bytes_);
-      if (cur_->data == nullptr) {
-        cur_.reset();
-        return Status::ResourceExhausted("aligned block allocation failed");
-      }
-    }
-    size_t n = std::min(data.size() - off, cur_->cap - cur_->len);
-    std::memcpy(cur_->data + cur_->len, data.data() + off, n);
-    cur_->len += n;
+    if (block_.size() == 0) block_.Reserve(block_bytes_);
+    size_t n = std::min(data.size() - off, block_bytes_ - block_.size());
+    block_.Append(data.data() + off, n);
     off += n;
-    if (cur_->len == cur_->cap) SubmitBlock();
+    if (block_.size() == block_bytes_) BULLION_RETURN_NOT_OK(WriteBlock());
   }
   return Status::OK();
 }
 
-void AggregatedWriteBuffer::SubmitBlock() {
-  {
-    MutexLock lock(&shared_->mu);
-    shared_->pending.push_back(std::move(cur_));
+Status AggregatedWriteBuffer::WriteBlock() {
+  if (error_.ok() && block_.size() > 0) {
+    error_ = base_->AppendBlock(block_.AsSlice());
+    block_.Clear();
   }
-  Shared::Pump(shared_);
-}
-
-Status AggregatedWriteBuffer::Barrier() {
-  MutexLock lock(&shared_->mu);
-  while (shared_->in_flight ||
-         (!shared_->pending.empty() && shared_->error.ok())) {
-    shared_->cv.Wait(shared_->mu);
-  }
-  return shared_->error;
+  return error_;
 }
 
 Status AggregatedWriteBuffer::Flush() {
-  // The unpadded tail rides the same ordered lane as full blocks, so
-  // bytes land exactly in absorption order before the base flush.
-  if (cur_ != nullptr && cur_->len > 0) SubmitBlock();
-  cur_.reset();
-  BULLION_RETURN_NOT_OK(Barrier());
+  BULLION_RETURN_NOT_OK(WriteBlock());
   return base_->Flush();
 }
 
@@ -389,9 +63,7 @@ Result<uint64_t> AggregatedWriteBuffer::Size() const {
 }
 
 Status AggregatedWriteBuffer::WriteAt(uint64_t offset, Slice data) {
-  if (cur_ != nullptr && cur_->len > 0) SubmitBlock();
-  cur_.reset();
-  BULLION_RETURN_NOT_OK(Barrier());
+  BULLION_RETURN_NOT_OK(WriteBlock());
   return base_->WriteAt(offset, data);
 }
 

@@ -1,44 +1,14 @@
-// Batched async I/O engine for the two OS seams (see src/io/README.md).
+// The commit seam's write-batching layer (see src/io/README.md).
 //
-// AsyncIoService accepts an entire coalesced read plan in one
-// SubmitReadBatch call and an ordered write stream via SubmitWrite,
-// and completes each operation through a caller-supplied callback as
-// the I/O lands. Three tiers, selected once per process like
-// encoding/cpu_dispatch.h picks a SIMD tier:
-//
-//   kSync    — inline passthrough on the calling thread. Zero new
-//              concurrency; the byte-identity baseline every other
-//              tier is tested against.
-//   kThreads — a dedicated I/O thread lane (NOT the compute pool:
-//              blocking a compute worker on a pread is exactly the
-//              stall this engine removes). Portable everywhere.
-//   kUring   — io_uring submission/completion rings via raw syscalls
-//              (no liburing dependency) for fd-backed files; non-fd
-//              operations (in-memory files) fall through to the
-//              thread lane. Compiled behind BULLION_WITH_URING and
-//              runtime-probed, so a build with the backend still
-//              degrades to kThreads on kernels without io_uring.
-//
-// Override with BULLION_AIO=uring|threads|sync. Requesting an
-// unavailable tier degrades (uring → threads → sync) rather than
-// failing, matching BULLION_SIMD semantics.
-//
-// Completion callbacks run on an unspecified thread (the caller's for
-// kSync, an I/O or reaper thread otherwise) and must not block on
-// work that itself waits for this service.
-//
-// Registry metrics (obs/metrics.h):
-//   bullion.aio.submit_ns    — time to enqueue one batch/write
-//   bullion.aio.inflight_ns  — per-op latency from submit to landing
-//   bullion.aio.complete_ns  — per-op completion callback runtime
-//   bullion.aio.queue_depth  — gauge: ops currently in flight
+// Every pread and every block write runs on the thread that asks for
+// it: the streaming scanner reads each coalesced read of a plan itself
+// and hands the bytes to a decode task, and AggregatedWriteBuffer
+// writes each block on the committing thread when it fills. No I/O
+// thread, ring or callback sits in between.
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
 
 #include "common/buffer.h"
 #include "common/status.h"
@@ -46,168 +16,62 @@
 
 namespace bullion {
 
+/// Stays for perfbench, which names kUring; only kSync runs.
 enum class AioTier {
   kSync = 0,
   kThreads = 1,
   kUring = 2,
 };
 
+/// Stays for perfbench's provenance line.
 const char* AioTierName(AioTier tier);
 
-/// Parses a BULLION_AIO-style value ("sync" | "threads" | "uring",
-/// case-sensitive); anything else (including null) yields `fallback`.
-/// Pure, so tests can cover the parse without mutating the process
-/// environment.
-AioTier ParseAioTier(const char* value, AioTier fallback);
-
-/// The tier AsyncIoService::Default() will run: best available
-/// (uring where built + kernel-probed, else threads) clamped by the
-/// BULLION_AIO override. Resolved once per process.
+/// Stays for perfbench; always kSync (I/O runs on the caller's thread).
 AioTier DefaultAioTier();
-
-/// One positional read of a coalesced plan. `out` stays owned by the
-/// caller and must outlive completion; `done` fires exactly once.
-struct AioRead {
-  const RandomAccessFile* file = nullptr;
-  uint64_t offset = 0;
-  size_t len = 0;
-  Buffer* out = nullptr;
-  std::function<void(Status)> done;
-};
-
-namespace internal {
-
-/// Backend interface the io_uring translation unit implements; the
-/// service owns at most one. Kept internal — callers speak only to
-/// AsyncIoService.
-class UringBackend {
- public:
-  virtual ~UringBackend() = default;
-  /// Stages one fd-backed pread; `done(status)` fires from the
-  /// backend's reaper thread when the read (including short-read
-  /// resubmission) finishes. Staged reads reach the kernel on the
-  /// next Kick() — one syscall per coalesced plan, not per read.
-  virtual void SubmitRead(int fd, uint64_t offset, size_t len, uint8_t* dst,
-                          std::function<void(Status)> done) = 0;
-  /// Submits everything staged since the last Kick in one
-  /// io_uring_enter.
-  virtual void Kick() = 0;
-  /// Blocks until every submitted op has completed.
-  virtual void Drain() = 0;
-};
-
-/// Returns a live backend, or nullptr when the build lacks
-/// BULLION_WITH_URING or the kernel fails the runtime probe
-/// (io_uring_setup + NOP round-trip).
-std::unique_ptr<UringBackend> CreateUringBackend();
-
-}  // namespace internal
-
-/// \brief Process-wide async I/O service; see file header.
-class AsyncIoService {
- public:
-  /// Tier chosen by DefaultAioTier(), shared by every scan and writer
-  /// that does not inject its own service.
-  static AsyncIoService& Default();
-
-  /// Explicit-tier construction for tests and benches. A requested
-  /// kUring silently degrades to kThreads when the backend is
-  /// unavailable (check tier() to see what you got).
-  explicit AsyncIoService(AioTier tier, int io_threads = 0);
-  ~AsyncIoService();
-
-  AsyncIoService(const AsyncIoService&) = delete;
-  AsyncIoService& operator=(const AsyncIoService&) = delete;
-
-  /// The tier actually running (post-degradation).
-  AioTier tier() const { return tier_; }
-
-  /// Submits every read of one coalesced plan in a single call. Sync
-  /// tier: executed inline, in order, before returning. Other tiers:
-  /// returns after enqueueing; each read's `done` fires from an I/O
-  /// thread as its pread lands, in no guaranteed order.
-  void SubmitReadBatch(std::vector<AioRead> batch);
-
-  /// Appends `data` to `file` via WritableFile::AppendBlock off the
-  /// caller's thread (sync tier: inline). `data` must stay valid until
-  /// `done` fires. Callers needing ordered streams keep one write
-  /// outstanding per file and chain the next submission from `done` —
-  /// see AggregatedWriteBuffer.
-  void SubmitWrite(WritableFile* file, Slice data,
-                   std::function<void(Status)> done);
-
-  /// Blocks until every previously submitted operation has completed
-  /// (its `done` returned). New submissions during Drain are allowed
-  /// but not waited for.
-  void Drain();
-
-  /// Ops currently in flight (submitted, `done` not yet returned).
-  int64_t InFlight() const;
-
- private:
-  class Impl;
-  AioTier tier_;
-  std::unique_ptr<Impl> impl_;
-};
 
 /// \brief Write-batching layer: a WritableFile that absorbs the many
 /// small page appends of a CommitEncodedGroup into large sequential
-/// blocks (default 1 MiB), submitted asynchronously through an
-/// AsyncIoService with exactly one block in flight per file — order
-/// preserved, producer overlapped with the write syscall.
+/// blocks of exactly `block_bytes` (default 1 MiB in WriterOptions),
+/// each written through the base file's AppendBlock on the calling
+/// thread as soon as it fills.
 ///
 /// Bytes on disk are identical to writing through the base file
-/// directly: blocks are flushed in absorption order and the unpadded
-/// tail goes out on Flush. Logical appends count into the base file's
-/// IoStats::write_ops at absorption time; each flushed block counts
-/// one write_call when it lands (AppendBlock).
-///
-/// Block buffers are 4096-aligned so fd-backed bases opened with
-/// BULLION_ODIRECT=1 can keep O_DIRECT for every full block.
+/// directly: blocks go out in absorption order and the partial tail
+/// goes out on Flush (or before a WriteAt). Logical appends count into
+/// the base file's IoStats::write_ops at absorption time; each block
+/// counts one write_call when it is written (AppendBlock). The first
+/// failed block write is sticky: that Append and every later call
+/// return it.
 ///
 /// Not thread-safe: one writer thread per instance, matching the
 /// ordered commit discipline of format::TableWriter.
 class AggregatedWriteBuffer : public WritableFile {
  public:
-  /// `base` must outlive this object. `service` null means
-  /// AsyncIoService::Default().
-  AggregatedWriteBuffer(WritableFile* base, size_t block_bytes,
-                        AsyncIoService* service = nullptr);
-  ~AggregatedWriteBuffer() override;
+  /// `base` must outlive this object; `block_bytes` must be positive.
+  AggregatedWriteBuffer(WritableFile* base, size_t block_bytes);
 
   Status Append(Slice data) override;
-  /// Blocks until every pending block has landed, writes the tail,
-  /// and flushes the base file.
+  /// Writes the partial block, then flushes the base file.
   Status Flush() override;
-  /// Logical size: base size plus bytes still buffered/in flight.
+  /// Logical size: base size plus bytes still buffered.
   Result<uint64_t> Size() const override;
-
-  /// In-place updates bypass aggregation; a barrier first so the
-  /// bytes being overwritten have actually landed.
+  /// In-place updates bypass aggregation; the partial block is written
+  /// first so the bytes being overwritten are in the base file.
   Status WriteAt(uint64_t offset, Slice data) override;
 
   IoStats* stats() const override { return base_->stats(); }
-  int RawFd() const override { return base_->RawFd(); }
-
-  /// Waits for in-flight blocks (not the unflushed tail buffer).
-  /// Returns the sticky first error of the stream, if any.
-  Status Barrier();
 
  private:
-  struct Block;   // one 4096-aligned allocation
-  struct Shared;  // completion state shared with the callback thread
-
-  void SubmitBlock();
+  /// Writes the buffered bytes (if any) as one AppendBlock; returns the
+  /// sticky error.
+  Status WriteBlock();
 
   WritableFile* base_;
   size_t block_bytes_;
-  AsyncIoService* service_;
-
-  std::unique_ptr<Block> cur_;  // filling
-  uint64_t size0_ = 0;          // base size at construction
-  uint64_t absorbed_ = 0;       // logical bytes accepted
-
-  std::shared_ptr<Shared> shared_;
+  Buffer block_;           // filling; never holds more than block_bytes_
+  uint64_t size0_ = 0;     // base size at construction
+  uint64_t absorbed_ = 0;  // logical bytes accepted
+  Status error_;           // sticky first block-write failure
 };
 
 }  // namespace bullion

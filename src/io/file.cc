@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -15,9 +14,8 @@ namespace bullion {
 namespace {
 
 /// Every file implementation reports op latency into one shared set of
-/// registry histograms — the "p50/p99 per pread/flush" substrate the
-/// async-I/O work measures itself against. Pointers are fetched once;
-/// recording is lock-free.
+/// registry histograms (p50/p99 per pread, write and flush). Pointers
+/// are fetched once; recording is lock-free.
 struct IoLatencyMetrics {
   obs::LatencyHistogram* pread_ns;
   obs::LatencyHistogram* write_ns;
@@ -218,32 +216,27 @@ class PosixReadableFile : public RandomAccessFile {
     return static_cast<uint64_t>(st.st_size);
   }
 
-  int RawFd() const override { return fd_; }
-
  private:
   int fd_;
 };
 
 class PosixWritableFile : public WritableFile {
  public:
-  PosixWritableFile(int fd, bool direct) : fd_(fd), direct_(direct) {}
+  explicit PosixWritableFile(int fd) : fd_(fd) {}
   ~PosixWritableFile() override { ::close(fd_); }
 
   Status Append(Slice data) override {
     ScopedLatency latency(IoMetrics().write_ns);
-    // Small unaligned appends cannot go through O_DIRECT; once one
-    // lands, the file offset loses alignment too, so drop to buffered
-    // for the remainder of the handle's life.
-    BULLION_RETURN_NOT_OK(EnsureBuffered());
-    return WriteFully(data);
-  }
-
-  Status AppendBlock(Slice data) override {
-    ScopedLatency latency(IoMetrics().write_ns);
-    if (direct_ && !DirectEligible(data)) {
-      BULLION_RETURN_NOT_OK(EnsureBuffered());
+    size_t done = 0;
+    while (done < data.size()) {
+      ssize_t n = ::write(fd_, data.data() + done, data.size() - done);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return Status::IOError(std::string("write: ") + std::strerror(errno));
+      }
+      done += static_cast<size_t>(n);
     }
-    return WriteFully(data);
+    return Status::OK();
   }
 
   Status WriteAt(uint64_t offset, Slice data) override {
@@ -281,46 +274,8 @@ class PosixWritableFile : public WritableFile {
     return static_cast<uint64_t>(st.st_size);
   }
 
-  int RawFd() const override { return fd_; }
-
  private:
-  /// O_DIRECT demands sector alignment of buffer address, length, and
-  /// file offset. Blocks from AggregatedWriteBuffer satisfy all three
-  /// until the unpadded tail; anything else falls back to buffered.
-  bool DirectEligible(Slice data) const {
-    constexpr uint64_t kAlign = 4096;
-    if (reinterpret_cast<uintptr_t>(data.data()) % kAlign != 0) return false;
-    if (data.size() % kAlign != 0) return false;
-    auto size = Size();
-    return size.ok() && *size % kAlign == 0;
-  }
-
-  Status EnsureBuffered() {
-    if (!direct_) return Status::OK();
-    int flags = ::fcntl(fd_, F_GETFL);
-    if (flags < 0 || ::fcntl(fd_, F_SETFL, flags & ~O_DIRECT) != 0) {
-      return Status::IOError(std::string("fcntl ~O_DIRECT: ") +
-                             std::strerror(errno));
-    }
-    direct_ = false;
-    return Status::OK();
-  }
-
-  Status WriteFully(Slice data) {
-    size_t done = 0;
-    while (done < data.size()) {
-      ssize_t n = ::write(fd_, data.data() + done, data.size() - done);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError(std::string("write: ") + std::strerror(errno));
-      }
-      done += static_cast<size_t>(n);
-    }
-    return Status::OK();
-  }
-
   int fd_;
-  bool direct_;
 };
 
 }  // namespace
@@ -336,22 +291,8 @@ Result<std::unique_ptr<RandomAccessFile>> OpenPosixReadableFile(
 
 Result<std::unique_ptr<WritableFile>> OpenPosixWritableFile(
     const std::string& path, bool truncate) {
-  const char* env = std::getenv("BULLION_ODIRECT");
-  bool direct = env != nullptr && std::string(env) == "1";
-  return OpenPosixWritableFile(path, truncate, direct);
-}
-
-Result<std::unique_ptr<WritableFile>> OpenPosixWritableFile(
-    const std::string& path, bool truncate, bool direct) {
   int flags = O_RDWR | O_CREAT | (truncate ? O_TRUNC : 0);
-  int fd = -1;
-  if (direct) {
-    fd = ::open(path.c_str(), flags | O_DIRECT, 0644);
-    // tmpfs and some overlay filesystems reject O_DIRECT outright;
-    // fall back to a buffered handle rather than failing the open.
-    if (fd < 0 && (errno == EINVAL || errno == ENOTSUP)) direct = false;
-  }
-  if (fd < 0) fd = ::open(path.c_str(), flags, 0644);
+  int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) {
     return Status::IOError("open " + path + ": " + std::strerror(errno));
   }
@@ -361,7 +302,7 @@ Result<std::unique_ptr<WritableFile>> OpenPosixWritableFile(
       return Status::IOError("lseek " + path + ": " + std::strerror(errno));
     }
   }
-  return std::unique_ptr<WritableFile>(new PosixWritableFile(fd, direct));
+  return std::unique_ptr<WritableFile>(new PosixWritableFile(fd));
 }
 
 }  // namespace bullion

@@ -3,7 +3,8 @@
 // writes. Two implementations are provided:
 //   * InMemoryFile / InMemoryFileSystem — deterministic, used by tests
 //     and benches (with IoStats accounting).
-//   * PosixReadableFile / PosixWritableFile — real files for examples.
+//   * PosixReadableFile / PosixWritableFile — real files for the
+//     examples and perfbench.
 
 #pragma once
 
@@ -42,11 +43,7 @@ class RandomAccessFile {
   /// Total file size.
   virtual Result<uint64_t> Size() const = 0;
 
-  /// The underlying OS file descriptor, or -1 when the file is not
-  /// kernel-backed (in-memory files). The async I/O engine (io/aio.h)
-  /// routes fd-backed reads through io_uring and everything else
-  /// through its thread tier; callers other than the engine should not
-  /// touch the fd.
+  /// Stays for perfbench, which overrides it; the library never calls it.
   virtual int RawFd() const { return -1; }
 };
 
@@ -60,12 +57,12 @@ class WritableFile {
   /// (IoStats::write_ops) and one physical call (write_calls).
   virtual Status Append(Slice data) = 0;
 
-  /// Appends one aggregated block assembled by a write-batching layer
-  /// (io/aio.h AggregatedWriteBuffer). Identical bytes-on-disk to
-  /// Append, but accounted as a PHYSICAL write only (write_calls, not
-  /// write_ops): the logical appends inside the block were already
-  /// counted when the aggregation layer absorbed them. The default
-  /// forwards to Append for implementations without split accounting.
+  /// Appends one block assembled by AggregatedWriteBuffer (io/aio.h).
+  /// Identical bytes-on-disk to Append, but accounted as a PHYSICAL
+  /// write only (write_calls, not write_ops): the logical appends
+  /// inside the block were already counted when the buffer absorbed
+  /// them. The default forwards to Append for implementations without
+  /// split accounting.
   virtual Status AppendBlock(Slice data) { return Append(data); }
 
   /// Overwrites `data.size()` bytes at `offset`. Must not extend the
@@ -79,8 +76,7 @@ class WritableFile {
   /// wrapping layers can record logical ops against the same counters.
   virtual IoStats* stats() const { return nullptr; }
 
-  /// OS file descriptor, or -1 when not kernel-backed (see
-  /// RandomAccessFile::RawFd).
+  /// Stays for perfbench (see RandomAccessFile::RawFd).
   virtual int RawFd() const { return -1; }
 };
 
@@ -161,16 +157,12 @@ class InMemoryFileSystem {
   IoStats stats_;  // internally atomic; recorded lock-free
 };
 
-/// POSIX-backed implementations for the example binaries.
+/// POSIX-backed implementations for the examples and perfbench.
 Result<std::unique_ptr<RandomAccessFile>> OpenPosixReadableFile(
     const std::string& path);
-/// `direct` requests O_DIRECT (aligned block writes bypassing the page
-/// cache; see io/aio.h for the alignment rules). Falls back to a
-/// buffered open when the filesystem rejects O_DIRECT (e.g. tmpfs).
-/// The two-argument form honors the BULLION_ODIRECT=1 env override.
+/// Opens (creating if needed) `path` for appends at its end and
+/// in-place updates; `truncate` empties it first.
 Result<std::unique_ptr<WritableFile>> OpenPosixWritableFile(
     const std::string& path, bool truncate);
-Result<std::unique_ptr<WritableFile>> OpenPosixWritableFile(
-    const std::string& path, bool truncate, bool direct);
 
 }  // namespace bullion

@@ -21,8 +21,8 @@
 //
 // work_ns sums across workers, so at N threads it can legitimately
 // exceed wall_ns — that surplus IS the parallel speedup. stall_ns is
-// the signal the ROADMAP's async-I/O item needs: time the pipeline sat
-// waiting on the window instead of overlapping I/O with compute.
+// time the consumer sat waiting on the window head instead of
+// overlapping I/O with compute.
 //
 // Thread-safety: all fields are atomics recorded from worker threads;
 // reading while a scan is live yields per-field consistent values

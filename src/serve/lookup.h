@@ -119,10 +119,6 @@ class LookupBuilder {
     builder_.Report(report);
     return *this;
   }
-  LookupBuilder& Aio(AsyncIoService* service) {
-    builder_.Aio(service);
-    return *this;
-  }
   LookupBuilder& Options(const ReadOptions& options) {
     builder_.Options(options);
     return *this;

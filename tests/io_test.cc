@@ -121,6 +121,34 @@ TEST(PosixFile, RoundTripAndInPlaceUpdate) {
   std::remove(path.c_str());
 }
 
+TEST(RandomAccessFile, ShortReadPastEofIsOutOfRange) {
+  // Both file kinds report a read that runs past the end as
+  // OutOfRange, not as a generic failure or a short buffer.
+  const std::string path = "/tmp/bullion_io_test_eof.bin";
+  const std::string bytes(1000, '\xab');
+  {
+    auto w = OpenPosixWritableFile(path, /*truncate=*/true);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE((*w)->Append(Slice(bytes.data(), bytes.size())).ok());
+    ASSERT_TRUE((*w)->Flush().ok());
+  }
+  InMemoryFileSystem fs;
+  {
+    auto w = fs.NewWritableFile("a");
+    ASSERT_TRUE((*w)->Append(Slice(bytes.data(), bytes.size())).ok());
+  }
+  auto posix = OpenPosixReadableFile(path);
+  ASSERT_TRUE(posix.ok());
+  auto mem = fs.NewReadableFile("a");
+  ASSERT_TRUE(mem.ok());
+  for (const RandomAccessFile* file : {posix->get(), mem->get()}) {
+    Buffer out;
+    Status st = file->Read(500, 1000, &out);  // 500 bytes past EOF
+    EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(PosixFile, MissingFileFails) {
   EXPECT_FALSE(OpenPosixReadableFile("/nonexistent/zzz").ok());
 }

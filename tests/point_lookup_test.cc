@@ -480,6 +480,67 @@ TEST(PointLookup, LateMaterializationShrinksBytesFetched) {
   EXPECT_LT(late_bytes, eager_bytes);
 }
 
+/// Fails every read that overlaps [bad_begin, bad_end) with an
+/// injected IOError; other reads pass through.
+class FailRangeFile : public RandomAccessFile {
+ public:
+  FailRangeFile(std::unique_ptr<RandomAccessFile> base, uint64_t bad_begin,
+                uint64_t bad_end)
+      : base_(std::move(base)), bad_begin_(bad_begin), bad_end_(bad_end) {}
+  Status Read(uint64_t offset, size_t len, Buffer* out) const override {
+    if (offset < bad_end_ && offset + len > bad_begin_) {
+      return Status::IOError("injected EIO in the score chunk");
+    }
+    return base_->Read(offset, len, out);
+  }
+  Result<uint64_t> Size() const override { return base_->Size(); }
+
+ private:
+  std::unique_ptr<RandomAccessFile> base_;
+  uint64_t bad_begin_;
+  uint64_t bad_end_;
+};
+
+TEST(PointLookup, FailedProjectionReadIsAnErrorNeverAShortAnswer) {
+  FileFixture fx(2000, 500);  // uid 777 is row 277 of group 1
+  const FooterView& footer = fx.reader->footer();
+  auto score = footer.FindColumn("score");
+  ASSERT_TRUE(score.ok());
+  const auto pages = footer.chunk_pages(1, *score);
+  auto failing = std::make_unique<FailRangeFile>(
+      *fx.fs.NewReadableFile("t"), footer.page_offset(pages.first),
+      footer.page_offset(pages.second));
+  auto reader = TableReader::Open(std::move(failing));
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+
+  // The fault is confined to that chunk: the key column of group 1 and
+  // every column of group 0 still read.
+  auto key_only = Lookup(reader->get()).Key("uid", 777).Columns({"uid"}).Run();
+  ASSERT_TRUE(key_only.ok()) << key_only.status().ToString();
+  EXPECT_EQ(key_only->num_rows(), 1u);
+  auto other_group =
+      Lookup(reader->get()).Key("uid", 100).Columns({"uid", "score"}).Run();
+  ASSERT_TRUE(other_group.ok()) << other_group.status().ToString();
+  EXPECT_EQ(other_group->num_rows(), 1u);
+
+  // Late materialization fails in its phase-2 page-run read; the eager
+  // path fails in the coalesced read that covers both columns. Either
+  // way the lookup returns the injected error, not zero or partial
+  // rows.
+  for (bool late : {true, false}) {
+    auto hit = Lookup(reader->get())
+                   .Key("uid", 777)
+                   .Columns({"uid", "score"})
+                   .LateMaterialize(late)
+                   .Run();
+    ASSERT_FALSE(hit.ok()) << "late=" << late << " returned "
+                           << hit->num_rows() << " rows";
+    EXPECT_TRUE(hit.status().IsIOError()) << hit.status().ToString();
+    EXPECT_NE(hit.status().ToString().find("injected EIO"), std::string::npos)
+        << hit.status().ToString();
+  }
+}
+
 // -------------------------------------------- late-mat with deletions
 
 TEST(PointLookup, LateMaterializationFallsBackOnDeletedGroups) {

@@ -28,9 +28,10 @@ Rules (each has a stable id, printed in brackets):
   raw-new         Naked `new` is banned unless the result lands in a
                   smart pointer on the same or previous line, or the
                   line carries `lint:allow(raw-new)` (intentional
-                  immortal singletons, ring-owned ops). malloc /
-                  posix_memalign / free are whitelisted only in
-                  src/io/aio.cc (the aligned Block arena).
+                  immortal singletons). malloc / posix_memalign / free
+                  are banned unless the line carries the same marker;
+                  RAW_ALLOC_WHITELIST names files exempt from that
+                  (none today).
   include-guard   Every header under src/ must start with #pragma once.
   bare-nolint     NOLINT must name its category: `// NOLINT(...)`.
 
@@ -60,7 +61,7 @@ SMART_WRAP_RE = re.compile(
 RAW_ALLOC_RE = re.compile(r'\b(malloc|calloc|realloc|posix_memalign|free)\s*\(')
 NOLINT_RE = re.compile(r'//\s*NOLINT(?!NEXTLINE)(\(|\b)')
 
-RAW_ALLOC_WHITELIST = {os.path.join('src', 'io', 'aio.cc')}
+RAW_ALLOC_WHITELIST = set()
 ALLOW_RAW_NEW = 'lint:allow(raw-new)'
 
 
@@ -172,8 +173,9 @@ class Linter:
                 m = RAW_ALLOC_RE.search(code)
                 if m and ALLOW_RAW_NEW not in raw:
                     self.report(path, i, 'raw-new',
-                                f'{m.group(1)}() outside the aligned-buffer '
-                                'whitelist (src/io/aio.cc)')
+                                f'{m.group(1)}() — use a container or smart '
+                                f'pointer, or mark `// {ALLOW_RAW_NEW}` with '
+                                'a reason')
 
             # bare-nolint.
             m = NOLINT_RE.search(comment)
