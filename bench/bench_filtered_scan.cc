@@ -5,10 +5,10 @@
 //       "scan a slice of a huge table" shape). Each cell streams
 //       `Scan(ds).Filter(uid < cut)` and reports wall time next to
 //       the cell's first scan: its PipelineReport (groups_pruned /
-//       shards_pruned / batches) and its preads (read_ops /
-//       bytes_read). Every cell asserts the filtered stream returns
-//       EXACTLY the rows a full scan + row-level filter would, that
-//       any selective cut issues fewer preads than the full scan
+//       batches) and its preads (read_ops / bytes_read). Every cell
+//       asserts the filtered stream returns EXACTLY the rows a full
+//       scan + row-level filter would, that any selective cut issues
+//       fewer preads than the full scan and prunes at least one group
 //       (pruned groups cost zero I/O), and that those per-scan counts
 //       are the same at every thread count.
 // E15b: bounded-batch streaming — the batch-size sweep shows the
@@ -78,7 +78,6 @@ struct OrderedCorpus {
 /// One scan's pruning, batch and pread counts (an E15a cell).
 struct ScanCounts {
   uint64_t groups_pruned = 0;
-  uint64_t shards_pruned = 0;
   uint64_t batches = 0;
   uint64_t read_ops = 0;
   uint64_t bytes_read = 0;
@@ -123,10 +122,9 @@ void PrintFilteredScanReport() {
   const uint64_t full_reads = full_io.read_ops;
   bench::PrintIoStats("full-scan baseline", full_io);
 
-  std::printf(
-      "%10s %8s %10s %10s %8s %8s %8s %10s %10s %8s\n", "selectivity",
-      "threads", "scan_ms", "rows_out", "grp_prn", "shd_prn", "batches",
-      "read_ops", "MB_read", "exact");
+  std::printf("%10s %8s %10s %10s %8s %8s %10s %10s %8s\n", "selectivity",
+              "threads", "scan_ms", "rows_out", "grp_prn", "batches",
+              "read_ops", "MB_read", "exact");
   for (double keep : {1.0, 0.5, 0.125, 1.0 / kShards / 4, 0.0}) {
     const int64_t cut = static_cast<int64_t>(keep * kRows);
     const uint64_t want_rows = static_cast<uint64_t>(cut);
@@ -152,32 +150,29 @@ void PrintFilteredScanReport() {
           IoStatsDelta(before, corpus.fs.stats().Snapshot());
       BULLION_CHECK(rows_out == want_rows);  // exactness, every cell
       const ScanCounts counts{report.groups_pruned.load(),
-                              report.shards_pruned.load(),
                               report.batches.load(), first_io.read_ops,
                               first_io.bytes_read};
       // Selective cuts must skip preads, not just filter rows.
       if (keep < 1.0) {
         BULLION_CHECK(counts.read_ops < full_reads);
-        BULLION_CHECK(counts.groups_pruned + counts.shards_pruned > 0);
+        BULLION_CHECK(counts.groups_pruned > 0);
       }
       // Pruning and read planning do not depend on the thread count.
       if (threads == 1) row_counts = counts;
       BULLION_CHECK(counts == row_counts);
       double ms = bench::TimeUsAveraged([&] { scan_once(nullptr); }) / 1000.0;
       std::printf(
-          "%10.4f %8zu %10.3f %10llu %8llu %8llu %8llu %10llu %10.2f %8s\n",
+          "%10.4f %8zu %10.3f %10llu %8llu %8llu %10llu %10.2f %8s\n",
           keep, threads, ms, (unsigned long long)rows_out,
           (unsigned long long)counts.groups_pruned,
-          (unsigned long long)counts.shards_pruned,
           (unsigned long long)counts.batches,
           (unsigned long long)counts.read_ops,
           counts.bytes_read / 1048576.0, "yes");
     }
   }
   std::printf(
-      "(grp_prn/shd_prn = row groups / whole shards skipped before any "
-      "pread; every count is the cell's first scan, equal at every thread "
-      "count)\n");
+      "(grp_prn = row groups skipped before any pread; every count is the "
+      "cell's first scan, equal at every thread count)\n");
 }
 
 void PrintBatchSizeReport() {

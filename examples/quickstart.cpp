@@ -232,9 +232,9 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(warm_probes),
           warm->groups == cold->groups ? "yes" : "NO");
 
-      // 5a. The SAME streaming front door works over the dataset: the
-      //     manifest's aggregated zone maps prune whole shards before
-      //     they are touched, and surviving groups stream through the
+      // 5a. The SAME streaming front door works over the dataset: each
+      //     shard footer's zone maps prune its row groups before they
+      //     are touched, and surviving groups stream through the
       //     shared cache.
       {
         obs::PipelineReport scan_report;
@@ -263,20 +263,19 @@ int main(int argc, char** argv) {
           rows += batch.num_rows();
         }
         std::printf(
-            "streamed dataset uid < 1000: %llu rows, %llu shard(s) + "
-            "%llu group(s) pruned before any pread\n",
+            "streamed dataset uid < 1000: %llu rows, %llu group(s) pruned "
+            "before any pread\n",
             static_cast<unsigned long long>(rows),
-            static_cast<unsigned long long>(scan_report.shards_pruned.load()),
             static_cast<unsigned long long>(scan_report.groups_pruned.load()));
       }
 
       // 5a'. Point lookups through the serving tier: the writer
-      //      recorded per-chunk Bloom filters (footer v3) and
-      //      per-shard aggregates (manifest v4) by default, so
-      //      bullion::Lookup answers "uid == K?" by probing filters
-      //      before any pread and then late-materializes only the page
-      //      runs holding surviving rows. Compare bytes fetched with
-      //      the equivalent filtered scan — same rows, less I/O.
+      //      recorded per-chunk Bloom filters (footer v3) by default,
+      //      so bullion::Lookup answers "uid == K?" by probing each
+      //      shard footer's filters before any pread and then
+      //      late-materializes only the page runs holding surviving
+      //      rows. Compare bytes fetched with the equivalent filtered
+      //      scan — same rows, less I/O.
       {
         obs::PipelineReport lookup_report;
         auto hit = Lookup(ds->get())

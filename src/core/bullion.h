@@ -30,8 +30,8 @@
 // same stages concurrently behind ONE unified streaming front door —
 // bullion::Scan works identically over a single file and a sharded
 // dataset, returns a pull-based BatchStream of bounded RowBatches, and
-// pushes Filter predicates down to footer/manifest zone maps so
-// irrelevant row groups and shards never cost a pread:
+// pushes Filter predicates down to footer zone maps and chunk Bloom
+// filters so irrelevant row groups never cost a pread:
 //
 //   auto reader = TableReader::Open(std::move(file));
 //   auto stream = Scan(reader->get())           // or Scan(dataset.get())

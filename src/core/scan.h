@@ -4,10 +4,10 @@
 // identically: pick a source, project columns, push down filters, and
 // pull bounded RowBatches. Results stream group by group through the
 // exec layer's in-flight window (bounded memory, backpressured I/O)
-// instead of materializing the whole projection; zone-map pruning
-// skips row groups — and whole shards — the filters prove irrelevant
-// before a single pread, and residual row-level evaluation keeps the
-// results exact.
+// instead of materializing the whole projection; zone-map and Bloom
+// pruning skips row groups the filters prove irrelevant before a
+// single pread, and residual row-level evaluation keeps the results
+// exact.
 //
 //   auto stream = bullion::Scan(dataset.get())       // or a TableReader*
 //                     .Columns({"uid", "score"})
@@ -143,10 +143,10 @@ class ScanStreamBuilder {
     spec_.pool = pool;
     return *this;
   }
-  /// Record per-stage timing, throughput, pruning counts
-  /// (groups_pruned / shards_pruned), and the per-unit fetch+decode
-  /// latency distribution into `report` (obs/pipeline_report.h). Must
-  /// outlive the stream; accumulates across runs until Reset().
+  /// Record per-stage timing, throughput, the pruned-group count, and
+  /// the per-unit fetch+decode latency distribution into `report`
+  /// (obs/pipeline_report.h). Must outlive the stream; accumulates
+  /// across runs until Reset().
   ScanStreamBuilder& Report(obs::PipelineReport* report) {
     spec_.report = report;
     return *this;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "dataset/sharded_reader.h"
 #include "exec/thread_pool.h"
 #include "format/footer.h"
 #include "format/reader.h"
@@ -179,11 +178,6 @@ Result<DatasetCompactionReport> DatasetCompactor::Compact(
     if (deleted == 0 || fraction < options.min_deleted_fraction) {
       ShardInfo kept = info;
       kept.deleted_rows = deleted;  // refresh the hint at publish time
-      if (kept.column_stats.empty()) {
-        // Backfill zone maps for shards published before the manifest
-        // carried statistics (v1/v2 manifests).
-        kept.column_stats = AggregateShardStats(reader->footer());
-      }
       shards.push_back(std::move(kept));
       report.bytes_after += file_bytes;
       continue;
@@ -198,31 +192,9 @@ Result<DatasetCompactionReport> DatasetCompactor::Compact(
                      options.threads, pool));
     BULLION_RETURN_NOT_OK(dest->Flush());  // durable before GC/publish
 
-    // Publish the rewrite's fresh zone maps (the pre-rewrite bounds
-    // covered rows the rewrite just dropped); CompactTable reports the
-    // writer's aggregate, so no re-open is needed.
-    std::vector<ShardColumnStats> new_stats;
-    for (uint32_t c = 0; c < rewrite.column_stats.size(); ++c) {
-      if (rewrite.column_stats[c].valid) {
-        new_stats.push_back(ShardColumnStats{c, rewrite.column_stats[c]});
-      }
-    }
-    // Rewritten shards also regain fresh aggregate Bloom filters (the
-    // pre-rewrite filters covered deleted keys — still sound, but the
-    // rewrite's are tighter). Kept shards can't be backfilled the way
-    // zone maps are: differently sized split-block filters don't OR, so
-    // a kept shard without filters stays unlisted.
-    std::vector<ShardColumnBloom> new_blooms;
-    for (uint32_t c = 0; c < rewrite.column_blooms.size(); ++c) {
-      if (!rewrite.column_blooms[c].empty()) {
-        new_blooms.push_back(
-            ShardColumnBloom{c, std::move(rewrite.column_blooms[c])});
-      }
-    }
     shards.push_back(ShardInfo{new_name, rewrite.rows_after,
                                rewrite.row_groups_after, /*deleted_rows=*/0,
-                               new_generation, std::move(new_stats),
-                               std::move(new_blooms)});
+                               new_generation});
     ++report.shards_compacted;
     report.rows_reclaimed += rewrite.rows_before - rewrite.rows_after;
     report.bytes_after += rewrite.bytes_written;

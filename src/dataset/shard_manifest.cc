@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/varint.h"
-#include "format/footer.h"
 
 namespace bullion {
 
@@ -47,7 +46,7 @@ Result<ShardManifest::GroupRef> ShardManifest::group(uint32_t g) const {
 Buffer ShardManifest::Serialize() const {
   BufferBuilder out;
   out.Append<uint32_t>(kManifestMagic);
-  out.Append<uint32_t>(kManifestVersionV4);
+  out.Append<uint32_t>(kManifestVersionV2);
   varint::PutVarint64(&out, generation_);
   varint::PutVarint64(&out, shards_.size());
   for (const ShardInfo& s : shards_) {
@@ -57,23 +56,6 @@ Buffer ShardManifest::Serialize() const {
     varint::PutVarint64(&out, s.num_row_groups);
     varint::PutVarint64(&out, s.deleted_rows);
     varint::PutVarint64(&out, s.generation);
-    varint::PutVarint64(&out, s.column_stats.size());
-    for (const ShardColumnStats& stat : s.column_stats) {
-      // Same flag bits + raw-64-bit-pattern encoding as the footer's
-      // chunk-statistics records (format/footer.h) — one conversion,
-      // two serializations.
-      ChunkStatsRecord rec = RecordFromZoneMap(stat.zone);
-      varint::PutVarint64(&out, stat.column);
-      out.Append<uint8_t>(static_cast<uint8_t>(rec.flags));
-      varint::PutVarint64(&out, rec.min_bits);
-      varint::PutVarint64(&out, rec.max_bits);
-    }
-    varint::PutVarint64(&out, s.column_blooms.size());
-    for (const ShardColumnBloom& bloom : s.column_blooms) {
-      varint::PutVarint64(&out, bloom.column);
-      varint::PutVarint64(&out, bloom.bits.size());
-      out.AppendBytes(bloom.bits.data(), bloom.bits.size());
-    }
   }
   return out.Finish();
 }
@@ -142,6 +124,8 @@ Result<ShardManifest> ShardManifest::Parse(Slice data) {
       }
       s.generation = static_cast<uint32_t>(shard_gen);
     }
+    // The v3 zone maps and v4 Bloom filters are framing-checked, then
+    // dropped: pruning reads the shard footers instead.
     if (v3) {
       uint64_t stat_count;
       if (!varint::GetVarint64(data, &pos, &stat_count)) {
@@ -151,13 +135,12 @@ Result<ShardManifest> ShardManifest::Parse(Slice data) {
       if (stat_count > (data.size() - pos) / 4) {
         return Status::Corruption("manifest shard stats count implausible");
       }
-      s.column_stats.reserve(stat_count);
       for (uint64_t j = 0; j < stat_count; ++j) {
         uint64_t column, min_bits, max_bits;
         if (!varint::GetVarint64(data, &pos, &column) || pos >= data.size()) {
           return Status::Corruption("manifest shard stats truncated");
         }
-        uint8_t flags = data[pos++];
+        ++pos;  // flags
         if (!varint::GetVarint64(data, &pos, &min_bits) ||
             !varint::GetVarint64(data, &pos, &max_bits)) {
           return Status::Corruption("manifest shard stats truncated");
@@ -165,12 +148,6 @@ Result<ShardManifest> ShardManifest::Parse(Slice data) {
         if (column > UINT32_MAX) {
           return Status::Corruption("manifest stats column implausible");
         }
-        ChunkStatsRecord rec;
-        rec.flags = flags;
-        rec.min_bits = min_bits;
-        rec.max_bits = max_bits;
-        s.column_stats.push_back(ShardColumnStats{
-            static_cast<uint32_t>(column), ZoneMapFromRecord(rec)});
       }
     }
     if (v4) {
@@ -182,7 +159,6 @@ Result<ShardManifest> ShardManifest::Parse(Slice data) {
       if (bloom_count > (data.size() - pos) / 34) {
         return Status::Corruption("manifest shard bloom count implausible");
       }
-      s.column_blooms.reserve(bloom_count);
       for (uint64_t j = 0; j < bloom_count; ++j) {
         uint64_t column, bits_len;
         if (!varint::GetVarint64(data, &pos, &column) ||
@@ -193,17 +169,11 @@ Result<ShardManifest> ShardManifest::Parse(Slice data) {
         if (column > UINT32_MAX) {
           return Status::Corruption("manifest bloom column implausible");
         }
-        // Zero-length or ragged filters cannot come out of Serialize();
-        // reject them here so every stored filter wraps cleanly.
+        // A split-block filter is a non-zero multiple of 32 bytes.
         if (bits_len == 0 || bits_len % 32 != 0) {
           return Status::Corruption("manifest bloom filter malformed");
         }
-        ShardColumnBloom bloom;
-        bloom.column = static_cast<uint32_t>(column);
-        bloom.bits.assign(reinterpret_cast<const char*>(data.data()) + pos,
-                          bits_len);
         pos += bits_len;
-        s.column_blooms.push_back(std::move(bloom));
       }
     }
     shards.push_back(std::move(s));

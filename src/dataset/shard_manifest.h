@@ -37,37 +37,25 @@
 //                            (bumped by compaction; keys the decoded-
 //                            chunk cache so pre-rewrite entries can
 //                            never serve a post-rewrite scan)
-//     -- v3+ only --
-//     stats_count varint64   aggregated per-column zone maps recorded
-//                            at publish time; filtered scans prune
-//                            whole shards against them before opening
-//                            a single row group. In-place deletes
-//                            after publish only remove rows, so the
-//                            recorded bounds stay a superset of the
-//                            live values (pruning stays sound).
+//     -- v3+ only (legacy) --
+//     stats_count varint64   per-column shard zone maps
 //     repeated `stats_count` times:
-//       column    varint64   leaf column index
-//       flags     u8         bit 0: min/max present, bit 1: real,
-//                            bit 2: binary prefix
-//       min_bits  varint64   raw 64-bit pattern (int64 / double /
-//                            packed binary prefix)
+//       column    varint64   leaf column index (fits in u32)
+//       flags     u8
+//       min_bits  varint64
 //       max_bits  varint64
-//     -- v4 only --
-//     bloom_count varint64   aggregated per-column Bloom filters
-//                            (serve/bloom.h) recorded at publish time;
-//                            point lookups prove whole shards keyless
-//                            against them before opening a footer.
-//                            Deletes only remove rows, so a published
-//                            filter stays a superset of the live keys.
+//     -- v4 only (legacy) --
+//     bloom_count varint64   per-column shard Bloom filters
 //     repeated `bloom_count` times:
-//       column    varint64   leaf column index
-//       bits_len  varint64   serialized filter size (multiple of 32)
-//       bits      bits_len bytes (BloomFilter::ToBytes)
+//       column    varint64   leaf column index (fits in u32)
+//       bits_len  varint64   non-zero multiple of 32
+//       bits      bits_len bytes
 //
-// Parse() accepts every version (older records load with deleted = 0,
-// generation = 0, no stats, and no Bloom filters — lookups then probe
-// shard footers instead of skipping shards early); Serialize() always
-// writes v4.
+// Serialize() writes v2. Parse() accepts v1–v4: older records load
+// with deleted = 0 and generation = 0, and the v3/v4 per-shard
+// aggregates are framing-checked and then dropped. Pruning reads only
+// the shard footers' chunk zone maps and Bloom filters, which
+// ShardedTableReader::Open parses for every shard anyway.
 
 #pragma once
 
@@ -79,31 +67,8 @@
 #include "common/result.h"
 #include "common/slice.h"
 #include "common/status.h"
-#include "io/predicate.h"
 
 namespace bullion {
-
-/// \brief Aggregated min/max of one leaf column across a whole shard —
-/// the manifest-level zone map filtered scans prune entire shards
-/// against (io/predicate.h).
-struct ShardColumnStats {
-  uint32_t column = 0;
-  ZoneMap zone;
-
-  bool operator==(const ShardColumnStats& o) const {
-    return column == o.column && zone == o.zone;
-  }
-};
-
-/// \brief Aggregated Bloom filter of one leaf column across a whole
-/// shard (serve/bloom.h serialized form) — the manifest-level
-/// membership check point lookups skip entire shards with.
-struct ShardColumnBloom {
-  uint32_t column = 0;
-  std::string bits;
-
-  bool operator==(const ShardColumnBloom& o) const = default;
-};
 
 /// \brief One shard's entry in the manifest.
 struct ShardInfo {
@@ -118,17 +83,6 @@ struct ShardInfo {
   /// Rewrite generation of the shard file (0 = as first written;
   /// compaction bumps it each time the shard is rewritten in place).
   uint32_t generation = 0;
-  /// Aggregated per-column zone maps at publish time (empty = unknown;
-  /// scans then fall back to aggregating the shard footer's chunk
-  /// stats). Only columns with a valid min/max are listed.
-  std::vector<ShardColumnStats> column_stats;
-  /// Aggregated per-column Bloom filters at publish time (empty = none
-  /// recorded; lookups then cannot skip the shard without probing its
-  /// footer's chunk filters). Only Bloom-eligible columns are listed.
-  /// Unlike zone maps these cannot be backfilled from footer chunk
-  /// filters — differently sized split-block filters do not OR — so a
-  /// shard kept as-is by a pre-Bloom compactor simply stays unlisted.
-  std::vector<ShardColumnBloom> column_blooms;
 
   /// Deleted fraction recorded at publish time.
   double deleted_fraction() const {
@@ -137,30 +91,7 @@ struct ShardInfo {
                                static_cast<double>(num_rows);
   }
 
-  /// Aggregated zone map of `column`, or invalid if not recorded.
-  ZoneMap column_zone(uint32_t column) const {
-    for (const ShardColumnStats& s : column_stats) {
-      if (s.column == column) return s.zone;
-    }
-    return ZoneMap{};
-  }
-
-  /// Serialized aggregate Bloom filter of `column`, or nullptr if not
-  /// recorded (callers must then treat the shard as possibly holding
-  /// any key).
-  const std::string* column_bloom(uint32_t column) const {
-    for (const ShardColumnBloom& b : column_blooms) {
-      if (b.column == column) return &b.bits;
-    }
-    return nullptr;
-  }
-
-  bool operator==(const ShardInfo& o) const {
-    return name == o.name && num_rows == o.num_rows &&
-           num_row_groups == o.num_row_groups &&
-           deleted_rows == o.deleted_rows && generation == o.generation &&
-           column_stats == o.column_stats && column_blooms == o.column_blooms;
-  }
+  bool operator==(const ShardInfo& o) const = default;
 };
 
 /// \brief Ordered shard list + global row-group index.
@@ -204,11 +135,10 @@ class ShardManifest {
     return shards_ == o.shards_ && generation_ == o.generation_;
   }
 
-  /// Serializes to the on-disk manifest blob (always the current
-  /// version, v4).
+  /// Serializes to the on-disk manifest blob (always v2).
   Buffer Serialize() const;
-  /// Parses a blob produced by Serialize() — current (v4) or legacy
-  /// (v1–v3) format.
+  /// Parses a blob produced by Serialize() or a legacy (v1, v3, v4)
+  /// writer.
   static Result<ShardManifest> Parse(Slice data);
 
  private:

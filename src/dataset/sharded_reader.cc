@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "serve/bloom.h"
-
 namespace bullion {
 
 Result<std::unique_ptr<ShardedTableReader>> ShardedTableReader::Open(
@@ -71,21 +69,10 @@ Result<std::unique_ptr<ShardedTableReader>> ShardedTableReader::Open(
       }
     }
     infos.push_back(ShardInfo{"shard-" + std::to_string(s), f.num_rows(),
-                              f.num_row_groups(), f.TotalDeletedCount(),
-                              /*generation=*/0, AggregateShardStats(f)});
+                              f.num_row_groups(), f.TotalDeletedCount()});
   }
   reader->manifest_ = ShardManifest(std::move(infos));
   return reader;
-}
-
-std::vector<ShardColumnStats> AggregateShardStats(const FooterView& footer) {
-  std::vector<ShardColumnStats> stats;
-  if (!footer.has_chunk_stats()) return stats;
-  for (uint32_t c = 0; c < footer.num_columns(); ++c) {
-    ZoneMap zone = footer.column_zone_map(c);
-    if (zone.valid) stats.push_back(ShardColumnStats{c, zone});
-  }
-  return stats;
 }
 
 uint32_t ShardedTableReader::num_columns() const {
@@ -97,20 +84,6 @@ Result<std::vector<uint32_t>> ShardedTableReader::ResolveColumns(
   if (shards_.empty()) return Status::NotFound("dataset has no shards");
   return shards_.back()->ResolveColumns(names);
 }
-
-namespace {
-
-/// Shard-level zone map for `column`: the manifest's published
-/// aggregate when recorded, else aggregated live from the shard footer
-/// (v1/v2 manifests, or columns the publish skipped).
-ZoneMap ShardZone(const ShardInfo& info, const FooterView& footer,
-                  uint32_t column) {
-  ZoneMap zone = info.column_zone(column);
-  if (zone.valid) return zone;
-  return footer.column_zone_map(column);
-}
-
-}  // namespace
 
 Result<std::unique_ptr<BatchStream>> OpenScanStream(
     const ShardedTableReader* dataset, const ScanStreamSpec& spec,
@@ -159,10 +132,6 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
   const bool fd = spec.read_options.filter_deleted;
   const bool vc = spec.read_options.verify_checksums;
 
-  // -1 = not yet decided; shard-level pruning is decided once per
-  // shard, against the manifest's aggregated stats, and counted once.
-  std::vector<int8_t> shard_pruned(dataset->num_shards(), -1);
-
   std::vector<StreamUnit> units;
   units.reserve(group_end - group_begin);
   for (uint32_t g = group_begin; g < group_end; ++g) {
@@ -171,47 +140,6 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
     const TableReader* shard = dataset->shard_reader(s);
     const FooterView& sf = shard->footer();
     const uint32_t shard_cols = sf.num_columns();
-
-    if (shard_pruned[s] < 0) {
-      // CNF pruning: the shard is provably empty when SOME clause's
-      // EVERY term is provably false here — by schema-evolution null
-      // back-fill (null matches no predicate), by the shard-level zone
-      // map, or by the manifest's aggregate Bloom filter.
-      bool pruned = false;
-      for (const ResolvedClause& clause : plan.residual) {
-        bool clause_empty = !clause.any_of.empty();
-        for (const ResolvedFilter& f : clause.any_of) {
-          uint32_t col = plan.fetch_columns[f.fetch_slot];
-          if (col >= shard_cols) continue;  // back-fill: term matches no row
-          bool term_empty =
-              fd && !ZoneMapMayMatch(ShardZone(manifest.shard(s), sf, col),
-                                     f.filter);
-          if (!term_empty && fd) {
-            const std::string* bloom =
-                manifest.shard(s).column_bloom(col);
-            if (bloom != nullptr) {
-              term_empty = BloomProvesAbsent(
-                  Slice(*bloom),
-                  static_cast<PhysicalType>(sf.column_record(col).physical),
-                  f.filter);
-            }
-          }
-          if (!term_empty) {
-            clause_empty = false;
-            break;
-          }
-        }
-        if (clause_empty) {
-          pruned = true;
-          break;
-        }
-      }
-      shard_pruned[s] = pruned ? 1 : 0;
-      if (pruned && spec.report != nullptr) {
-        spec.report->shards_pruned.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (shard_pruned[s] == 1) continue;
 
     if (!plan.residual.empty() &&
         GroupProvablyEmpty(sf, gref.local_group, plan, spec.read_options)) {

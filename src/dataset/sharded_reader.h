@@ -95,20 +95,14 @@ class ShardedTableReader {
 /// Opens a streaming scan over a sharded dataset (the engine behind
 /// the unified bullion::Scan front door, core/scan.h). One shared
 /// ThreadPool and in-flight window serve every shard; filters prune
-/// whole shards against the manifest's aggregated zone maps (footer
-/// aggregation when the manifest predates stats), then row groups
-/// against footer chunk stats, before any pread. A shard that predates
-/// a filtered column is pruned outright — its rows are all null there.
-/// With `cache`, preset slots come from the DecodedChunkCache and fresh
-/// decodes are published to it. The dataset (and cache) must outlive
-/// the stream.
+/// row groups against each shard footer's chunk zone maps and Bloom
+/// filters (GroupProvablyEmpty) before any pread. Groups of a shard
+/// that predates a filtered column are pruned too — their rows are all
+/// null there. With `cache`, preset slots come from the
+/// DecodedChunkCache and fresh decodes are published to it. The
+/// dataset (and cache) must outlive the stream.
 Result<std::unique_ptr<BatchStream>> OpenScanStream(
     const ShardedTableReader* dataset, const ScanStreamSpec& spec,
     DecodedChunkCache* cache = nullptr);
-
-/// Aggregated per-column zone maps of one shard footer — what
-/// ShardedTableWriter records in the manifest and scans fall back to
-/// when the manifest carries no stats. Only valid columns are listed.
-std::vector<ShardColumnStats> AggregateShardStats(const FooterView& footer);
 
 }  // namespace bullion

@@ -134,30 +134,11 @@ Status ShardedTableWriter::DrainOne() {
 }
 
 Status ShardedTableWriter::CloseShard() {
-  // Aggregate the shard's per-column zone maps before Finish so the
-  // manifest publishes what the footer's chunk stats prove — the
-  // shard-level half of predicate pushdown.
-  std::vector<ShardColumnStats> column_stats;
-  std::vector<ZoneMap> zones = shard_writer_->AggregatedColumnStats();
-  for (uint32_t c = 0; c < zones.size(); ++c) {
-    if (zones[c].valid) column_stats.push_back(ShardColumnStats{c, zones[c]});
-  }
-  // Same for the shard-aggregate Bloom filters: the manifest-level
-  // membership check that lets a point lookup skip the shard without
-  // opening its footer.
-  std::vector<ShardColumnBloom> column_blooms;
-  std::vector<std::string> blooms = shard_writer_->AggregatedColumnBlooms();
-  for (uint32_t c = 0; c < blooms.size(); ++c) {
-    if (!blooms[c].empty()) {
-      column_blooms.push_back(ShardColumnBloom{c, std::move(blooms[c])});
-    }
-  }
   BULLION_RETURN_NOT_OK(shard_writer_->Finish());
   BULLION_RETURN_NOT_OK(shard_file_->Flush());
   shards_.push_back(ShardInfo{
       ShardName(options_.base_name, options_.first_shard_index + open_shard_),
-      shard_rows_, shard_groups_, /*deleted_rows=*/0, /*generation=*/0,
-      std::move(column_stats), std::move(column_blooms)});
+      shard_rows_, shard_groups_});
   shard_writer_.reset();
   shard_file_.reset();
   return Status::OK();

@@ -112,17 +112,21 @@ Result<StreamColumnPlan> PlanStreamColumns(const FooterView& footer,
 bool GroupProvablyEmpty(const FooterView& footer, uint32_t local_group,
                         const StreamColumnPlan& plan,
                         const ReadOptions& read_options) {
-  // Scans that keep deleted rows see zero/empty placeholders for
-  // physically erased values; the recorded bounds (and the write-time
-  // Bloom filters) don't cover those, so pruning would be unsound.
-  if (!read_options.filter_deleted) return false;
   for (const ResolvedClause& clause : plan.residual) {
     bool all_terms_empty = !clause.any_of.empty();
     for (const ResolvedFilter& f : clause.any_of) {
       uint32_t col = plan.fetch_columns[f.fetch_slot];
-      // Columns this footer predates (schema-evolution back-fill) are
-      // decided by the shard-level pass, not per group.
+      // A column this footer predates back-fills as null, which
+      // matches no row: the term is empty here.
       if (col >= footer.num_columns()) continue;
+      // Scans that keep deleted rows see zero/empty placeholders for
+      // physically erased values; the recorded bounds (and the
+      // write-time Bloom filters) don't cover those, so pruning on
+      // them would be unsound.
+      if (!read_options.filter_deleted) {
+        all_terms_empty = false;
+        break;
+      }
       ZoneMap zone = footer.chunk_zone_map(local_group, col);
       if (!ZoneMapMayMatch(zone, f.filter)) continue;
       // No filter recorded (pre-Bloom footer, ineligible column): the
@@ -463,6 +467,10 @@ void BatchStream::RetireReadsLocked(InFlight* fl, size_t i, size_t count,
 Status BatchStream::MaterializeLateSlots(
     InFlight* fl, const std::vector<uint32_t>& selection) {
   BULLION_TRACE_SPAN("scan.late_materialize");
+  // Phase 2's page-run reads and decodes are fetch + decode work, like
+  // the coalesced reads of phase 1.
+  StageTimer work_timer(options_.report != nullptr ? &options_.report->work_ns
+                                                   : nullptr);
   const StreamUnit& unit = *fl->unit;
   // No survivors: every deferred slot becomes an empty column of its
   // type — the group costs zero phase-2 preads.
@@ -544,9 +552,9 @@ Status BatchStream::MaterializeLateSlots(
 
 Status BatchStream::EmitBatches(InFlight* fl) {
   BULLION_TRACE_SPAN("scan.emit");
-  StageTimer emit_timer(options_.report != nullptr
-                            ? &options_.report->emit_ns
-                            : nullptr);
+  std::atomic<uint64_t>* emit_ns =
+      options_.report != nullptr ? &options_.report->emit_ns : nullptr;
+  auto emit_timer = std::make_unique<StageTimer>(emit_ns);
   // Hand the fetched slots their decodes (preset slots already hold
   // theirs).
   for (size_t j = 0; j < fl->missing_slots.size(); ++j) {
@@ -586,9 +594,12 @@ Status BatchStream::EmitBatches(InFlight* fl) {
 
   // Phase 2: fetch + decode only the page runs holding survivors of
   // the deferred slots; they come back already compacted to the
-  // selection (and are never permuted again below).
+  // selection (and are never permuted again below). That time is
+  // work_ns, not emit_ns.
   if (!fl->late_slots.empty()) {
+    emit_timer.reset();
     BULLION_RETURN_NOT_OK(MaterializeLateSlots(fl, selection));
+    emit_timer = std::make_unique<StageTimer>(emit_ns);
   }
 
   // Project the surviving rows.

@@ -15,10 +15,10 @@
 //
 // Predicate pushdown happens in two places:
 //   prune    before a unit is ever created, the scan planner tests each
-//            row group's footer zone maps (and each shard's aggregated
-//            manifest stats) against the filters; groups that provably
-//            match nothing are skipped before any pread
-//            (PipelineReport::groups_pruned / shards_pruned).
+//            row group's footer zone maps and chunk Bloom filters
+//            against the filters; groups that provably match nothing
+//            are skipped before any pread (PipelineReport::
+//            groups_pruned).
 //   residual surviving groups are decoded and filtered row-by-row
 //            (format/column_vector.h), so results are exact even when
 //            zone maps are absent (version-1 footers) or imprecise.
@@ -278,8 +278,8 @@ struct ScanStreamSpec {
   std::vector<uint32_t> columns;
   /// Predicate clauses, ANDed; each clause ORs its terms, and a plain
   /// Filter converts to a one-term clause, so simple conjunctive
-  /// filter lists read unchanged. Pruning uses footer/manifest zone
-  /// maps and Bloom filters; residual evaluation makes the rows exact.
+  /// filter lists read unchanged. Pruning uses footer zone maps and
+  /// chunk Bloom filters; residual evaluation makes the rows exact.
   std::vector<FilterClause> filters;
   /// Fetch filter columns first and pread only surviving page runs of
   /// the rest (see BatchStreamOptions::late_materialize).
@@ -294,8 +294,8 @@ struct ScanStreamSpec {
   ReadOptions read_options;
   /// Shared pool (overrides `threads`); null = private workers.
   ThreadPool* pool = nullptr;
-  /// Optional per-scan accounting, including groups_pruned /
-  /// shards_pruned (see BatchStreamOptions).
+  /// Optional per-scan accounting, including groups_pruned (see
+  /// BatchStreamOptions).
   obs::PipelineReport* report = nullptr;
 };
 
@@ -328,10 +328,12 @@ Result<StreamColumnPlan> PlanStreamColumns(const FooterView& footer,
 
 /// True if `footer`'s zone maps and chunk Bloom filters prove no row
 /// of group `local_group` can satisfy the residual (some clause's
-/// every term is provably false). Never prunes scans that keep deleted
-/// rows (their placeholder values are not covered by the recorded
-/// bounds, and deletes make the filters stale-but-superset only for
-/// filtered scans).
+/// every term is provably false). A term on a column the footer
+/// predates is always false: the group back-fills it with nulls.
+/// Scans that keep deleted rows prune on nothing else (their
+/// placeholder values are not covered by the recorded bounds, and
+/// deletes make the filters stale-but-superset only for filtered
+/// scans).
 bool GroupProvablyEmpty(const FooterView& footer, uint32_t local_group,
                         const StreamColumnPlan& plan,
                         const ReadOptions& read_options);

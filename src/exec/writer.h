@@ -103,16 +103,6 @@ class ParallelTableWriter {
   uint64_t num_rows() const { return writer_.num_rows(); }
   /// Row groups currently staged or encoding, not yet committed.
   size_t pending_groups() const { return pending_.size(); }
-  /// Per-column zone maps aggregated over the committed groups (see
-  /// TableWriter::AggregatedColumnStats).
-  std::vector<ZoneMap> AggregatedColumnStats() const {
-    return writer_.AggregatedColumnStats();
-  }
-  /// Per-column shard-aggregate Bloom filters over the committed groups
-  /// (see TableWriter::AggregatedColumnBlooms).
-  std::vector<std::string> AggregatedColumnBlooms() const {
-    return writer_.AggregatedColumnBlooms();
-  }
 
  private:
   struct PendingGroup {

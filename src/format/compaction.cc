@@ -58,8 +58,6 @@ Result<CompactionReport> CompactTable(TableReader* reader,
   }
   BULLION_RETURN_NOT_OK(writer.Finish());
   BULLION_ASSIGN_OR_RETURN(report.bytes_written, dest->Size());
-  report.column_stats = writer.AggregatedColumnStats();
-  report.column_blooms = writer.AggregatedColumnBlooms();
   return report;
 }
 

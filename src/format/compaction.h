@@ -32,16 +32,6 @@ struct CompactionReport {
   uint64_t rows_after = 0;
   uint32_t row_groups_after = 0;
   uint64_t bytes_written = 0;
-  /// Per-column zone maps aggregated over the rewritten file (one per
-  /// leaf; invalid = no stats for that column). Taken from the
-  /// writer's running aggregate so publishers (the dataset compactor)
-  /// need not re-open the file they just wrote.
-  std::vector<ZoneMap> column_stats;
-  /// Per-column serialized shard-aggregate Bloom filters over the
-  /// rewritten file (one per leaf; empty = no filter). Same provenance
-  /// as column_stats: the compactor republishes these into the manifest
-  /// so rewritten shards regain their lookup fast path.
-  std::vector<std::string> column_blooms;
 };
 
 /// Derives WriterOptions matching the source file's physical layout:

@@ -486,15 +486,6 @@ ChunkStatsRecord FooterView::chunk_stats(uint32_t g, uint32_t c) const {
   return rec;
 }
 
-ZoneMap FooterView::column_zone_map(uint32_t c) const {
-  if (!has_chunk_stats_ || num_row_groups_ == 0) return ZoneMap{};
-  ZoneMap agg = chunk_zone_map(0, c);
-  for (uint32_t g = 1; g < num_row_groups_ && agg.valid; ++g) {
-    agg.Merge(chunk_zone_map(g, c));
-  }
-  return agg;
-}
-
 ColumnRecord FooterView::column_record(uint32_t c) const {
   ColumnRecord rec;
   std::memcpy(&rec,

@@ -306,11 +306,6 @@ class FooterView {
     if (!has_chunk_stats_) return ZoneMap{};
     return ZoneMapFromRecord(chunk_stats(g, c));
   }
-  /// Zone map of column `c` across every row group — the shard-level
-  /// aggregate the dataset manifest records. Invalid if any chunk of
-  /// the column lacks statistics (or the file has zero groups).
-  ZoneMap column_zone_map(uint32_t c) const;
-
   /// True if this footer carries the version-3 Bloom-filter sections.
   bool has_chunk_blooms() const { return has_chunk_blooms_; }
   /// Serialized Bloom filter of chunk (g, c); empty when the footer

@@ -9,6 +9,28 @@
 
 namespace bullion {
 
+namespace {
+
+/// Times one decode into bullion.format.decode_chunk_ns: one sample per
+/// decoded chunk and one per decoded page run, failed decodes included.
+class DecodeTimer {
+ public:
+  DecodeTimer() = default;
+  DecodeTimer(const DecodeTimer&) = delete;
+  DecodeTimer& operator=(const DecodeTimer&) = delete;
+  ~DecodeTimer() {
+    static obs::LatencyHistogram* decode_hist =
+        obs::MetricsRegistry::Global().GetHistogram(
+            "bullion.format.decode_chunk_ns");
+    decode_hist->Record(obs::NowNs() - start_ns_);
+  }
+
+ private:
+  const uint64_t start_ns_ = obs::NowNs();
+};
+
+}  // namespace
+
 Result<std::unique_ptr<TableReader>> TableReader::Open(
     std::unique_ptr<RandomAccessFile> file) {
   BULLION_ASSIGN_OR_RETURN(uint64_t size, file->Size());
@@ -49,21 +71,7 @@ Status TableReader::DecodeChunkFromBuffer(uint32_t g, uint32_t c,
                                           const ReadOptions& options,
                                           ColumnVector* out) const {
   BULLION_TRACE_SPAN("read.decode_chunk");
-  static obs::LatencyHistogram* decode_hist =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "bullion.format.decode_chunk_ns");
-  const uint64_t decode_start = obs::NowNs();
-  Status st = DecodeChunkFromBufferImpl(g, c, chunk_bytes, chunk_file_offset,
-                                        options, out);
-  decode_hist->Record(obs::NowNs() - decode_start);
-  return st;
-}
-
-Status TableReader::DecodeChunkFromBufferImpl(uint32_t g, uint32_t c,
-                                              Slice chunk_bytes,
-                                              uint64_t chunk_file_offset,
-                                              const ReadOptions& options,
-                                              ColumnVector* out) const {
+  DecodeTimer timer;
   const FooterView& f = footer_view_;
   ColumnRecord rec = f.column_record(c);
   auto [first_page, end_page] = f.chunk_pages(g, c);
@@ -191,6 +199,7 @@ Status TableReader::DecodePageRun(uint32_t g, uint32_t c, uint32_t page_begin,
                                   uint32_t page_end, Slice bytes,
                                   const ReadOptions& options,
                                   ColumnVector* out) const {
+  DecodeTimer timer;
   const FooterView& f = footer_view_;
   BULLION_ASSIGN_OR_RETURN(auto extent,
                            PageRunExtent(g, c, page_begin, page_end));

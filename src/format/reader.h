@@ -110,6 +110,7 @@ class TableReader {
   /// rows: callers (exec/batch_stream.cc late materialization) must
   /// only use it on groups with no in-place deletes — a page that
   /// decodes short of its recorded row count is reported as corruption.
+  /// Each call records one bullion.format.decode_chunk_ns sample.
   Status DecodePageRun(uint32_t g, uint32_t c, uint32_t page_begin,
                        uint32_t page_end, Slice bytes,
                        const ReadOptions& options, ColumnVector* out) const;
@@ -133,16 +134,12 @@ class TableReader {
  private:
   TableReader() = default;
 
-  /// Observability shim: times the decode into the registry's
-  /// bullion.format.decode_chunk_ns histogram around the Impl.
+  /// Decodes chunk (g, c) from its bytes, recording one
+  /// bullion.format.decode_chunk_ns sample.
   Status DecodeChunkFromBuffer(uint32_t g, uint32_t c, Slice chunk_bytes,
                                uint64_t chunk_file_offset,
                                const ReadOptions& options,
                                ColumnVector* out) const;
-  Status DecodeChunkFromBufferImpl(uint32_t g, uint32_t c, Slice chunk_bytes,
-                                   uint64_t chunk_file_offset,
-                                   const ReadOptions& options,
-                                   ColumnVector* out) const;
 
   std::unique_ptr<RandomAccessFile> file_;
   Buffer footer_buffer_;

@@ -260,12 +260,6 @@ Status TableWriter::CommitEncodedGroup(const StagedRowGroup& staged,
   footer_.BeginRowGroup(staged.row_count);
   const bool with_bloom =
       options_.write_chunk_stats && options_.bloom_bits_per_key > 0.0;
-  if (options_.write_chunk_stats && column_stats_.empty()) {
-    column_stats_.resize(schema_.num_leaves());
-  }
-  if (with_bloom && column_key_hashes_.empty()) {
-    column_key_hashes_.resize(schema_.num_leaves());
-  }
   for (size_t oi = 0; oi < staged.order.size(); ++oi) {
     uint32_t c = staged.order[oi];
     uint64_t chunk_offset = offset_;
@@ -302,41 +296,17 @@ Status TableWriter::CommitEncodedGroup(const StagedRowGroup& staged,
     footer_.SetChunk(group_index_, c, chunk_offset, first_page);
     if (options_.write_chunk_stats) {
       footer_.SetChunkStats(group_index_, c, RecordFromZoneMap(chunk_zone));
-      if (group_index_ == 0) {
-        column_stats_[c] = chunk_zone;
-      } else {
-        column_stats_[c].Merge(chunk_zone);
-      }
     }
     if (with_bloom && !chunk_hashes.empty()) {
       footer_.SetChunkBloom(
           group_index_, c,
           BloomFilter::Build(chunk_hashes, options_.bloom_bits_per_key)
               .ToBytes());
-      column_key_hashes_[c].insert(column_key_hashes_[c].end(),
-                                   chunk_hashes.begin(),
-                                   chunk_hashes.end());
     }
   }
   num_rows_ += staged.row_count;
   ++group_index_;
   return Status::OK();
-}
-
-std::vector<ZoneMap> TableWriter::AggregatedColumnStats() const {
-  if (!column_stats_.empty()) return column_stats_;
-  return std::vector<ZoneMap>(schema_.num_leaves());
-}
-
-std::vector<std::string> TableWriter::AggregatedColumnBlooms() const {
-  std::vector<std::string> blooms(schema_.num_leaves());
-  for (size_t c = 0; c < column_key_hashes_.size(); ++c) {
-    if (column_key_hashes_[c].empty()) continue;
-    blooms[c] = BloomFilter::Build(column_key_hashes_[c],
-                                   options_.bloom_bits_per_key)
-                    .ToBytes();
-  }
-  return blooms;
 }
 
 Status TableWriter::Finish() {

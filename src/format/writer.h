@@ -188,22 +188,6 @@ class TableWriter {
   const Schema& schema() const { return schema_; }
   const WriterOptions& options() const { return options_; }
 
-  /// Per-column zone maps aggregated across every committed row group —
-  /// what a sharded writer records in the manifest as shard-level
-  /// statistics. Invalid entries mean the column has no stats (type
-  /// without min/max, stats disabled, or nothing committed yet).
-  std::vector<ZoneMap> AggregatedColumnStats() const;
-
-  /// Per-column serialized shard-aggregate Bloom filters built over
-  /// every key committed so far — what a sharded writer publishes into
-  /// the manifest so whole shards can be skipped before their footers
-  /// are even opened. Empty strings mean the column has no filter
-  /// (ineligible type, filters disabled, or nothing committed yet).
-  /// Built from the accumulated key hashes rather than by merging chunk
-  /// filters: filters of different sizes cannot be OR-ed, and the
-  /// shard-level filter wants shard-level sizing.
-  std::vector<std::string> AggregatedColumnBlooms() const;
-
  private:
   Schema schema_;
   WritableFile* file_;
@@ -219,13 +203,6 @@ class TableWriter {
   uint64_t num_rows_ = 0;
   uint32_t group_index_ = 0;
   bool finished_ = false;
-  /// Running per-column aggregate of the committed chunk stats; becomes
-  /// invalid for a column as soon as one committed chunk lacks stats.
-  std::vector<ZoneMap> column_stats_;
-  /// Running per-column key hashes of every committed chunk (Bloom-
-  /// eligible columns only; empty vectors otherwise) — the raw material
-  /// for AggregatedColumnBlooms().
-  std::vector<std::vector<uint64_t>> column_key_hashes_;
 };
 
 /// Min/max of rows [row_begin, row_end) of `column`, or an invalid map

@@ -6,7 +6,7 @@
 // FilterClause ORs several Filters across columns; a scan's clause
 // list is an implicit AND of those ORs (conjunctive normal form). A
 // ZoneMap is the min/max summary of one column over some extent (a
-// column chunk, or a whole shard when aggregated), and ZoneMapMayMatch
+// page, or a column chunk merged from its pages), and ZoneMapMayMatch
 // answers the only question pruning needs: "could ANY value inside
 // this extent satisfy the predicate?" A `false` answer is a proof —
 // the extent is skipped before any pread is issued; a `true` answer
@@ -193,8 +193,8 @@ struct ZoneMap {
     return z;
   }
 
-  /// Widens this zone map to also cover `o` (aggregation across chunks
-  /// of a shard). Either side being invalid poisons the result: an
+  /// Widens this zone map to also cover `o` (aggregation across the
+  /// pages of a chunk). Either side being invalid poisons the result: an
   /// extent with an unknown part has an unknown whole.
   void Merge(const ZoneMap& o);
 

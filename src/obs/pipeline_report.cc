@@ -11,7 +11,6 @@ void PipelineReport::Reset() {
   units.store(0, std::memory_order_relaxed);
   batches.store(0, std::memory_order_relaxed);
   groups_pruned.store(0, std::memory_order_relaxed);
-  shards_pruned.store(0, std::memory_order_relaxed);
   prepare_ns.store(0, std::memory_order_relaxed);
   work_ns.store(0, std::memory_order_relaxed);
   emit_ns.store(0, std::memory_order_relaxed);
@@ -32,9 +31,8 @@ std::string PipelineReport::ToString() const {
           units.load(std::memory_order_relaxed),
           batches.load(std::memory_order_relaxed), wall_ms, rows_per_sec(),
           bytes_per_sec() / 1048576.0);
-  AppendF(&out, "  pruned: %" PRIu64 " row groups, %" PRIu64 " shards\n",
-          groups_pruned.load(std::memory_order_relaxed),
-          shards_pruned.load(std::memory_order_relaxed));
+  AppendF(&out, "  pruned: %" PRIu64 " row groups\n",
+          groups_pruned.load(std::memory_order_relaxed));
   AppendF(
       &out,
       "  stages (ms): prepare %.3f | work %.3f (summed over workers) | "
@@ -58,7 +56,7 @@ std::string PipelineReport::ToJson() const {
       &out,
       "{\"rows\": %" PRIu64 ", \"bytes\": %" PRIu64 ", \"units\": %" PRIu64
       ", \"batches\": %" PRIu64 ", \"groups_pruned\": %" PRIu64
-      ", \"shards_pruned\": %" PRIu64 ", \"wall_ns\": %" PRIu64
+      ", \"wall_ns\": %" PRIu64
       ", \"rows_per_sec\": %.0f, \"bytes_per_sec\": %.0f"
       ", \"prepare_ns\": %" PRIu64 ", \"work_ns\": %" PRIu64
       ", \"emit_ns\": %" PRIu64 ", \"stall_ns\": %" PRIu64
@@ -70,7 +68,6 @@ std::string PipelineReport::ToJson() const {
       units.load(std::memory_order_relaxed),
       batches.load(std::memory_order_relaxed),
       groups_pruned.load(std::memory_order_relaxed),
-      shards_pruned.load(std::memory_order_relaxed),
       wall_ns.load(std::memory_order_relaxed), rows_per_sec(), bytes_per_sec(),
       prepare_ns.load(std::memory_order_relaxed),
       work_ns.load(std::memory_order_relaxed),

@@ -2,16 +2,18 @@
 // via ScanStreamBuilder::Report() and WriteBuilder::Report().
 //
 // A report describes one pipeline: what it produced (rows, bytes,
-// units, batches), what a scan's planner pruned before any pread (row
-// groups and whole shards), and WHERE the time went, per stage, with a
-// latency distribution for the fanned-out work units. File-handle
-// counts (preads, writes, seeks) live in IoStats, not here.
+// units, batches), how many row groups a scan's planner pruned before
+// any pread, and WHERE the time went, per stage, with a latency
+// distribution for the fanned-out work units. File-handle counts
+// (preads, writes, seeks) live in IoStats, not here.
 //
 //   read side  (exec/batch_stream.cc)      write side (exec/writer.cc)
 //   ---------------------------------      ---------------------------
 //   prepare_ns  unit prepare + read plan   stage (validate/sort/slice)
 //   work_ns     fetch + decode, summed     page encode, summed across
-//               across worker threads      worker threads
+//               across worker threads,     worker threads
+//               plus late-materialized
+//               page runs
 //   emit_ns     residual filter + batch    ordered commit (append +
 //               slicing                    footer bookkeeping)
 //   stall_ns    consumer blocked on the    producer blocked joining the
@@ -46,12 +48,10 @@ struct PipelineReport {
   std::atomic<uint64_t> bytes{0};     // bytes fetched / appended
   std::atomic<uint64_t> units{0};     // row groups completed
   std::atomic<uint64_t> batches{0};   // batches emitted / pages encoded
-  /// Scan pruning (exec/batch_stream.h): row groups and whole shards
-  /// the planner skipped because zone maps or Bloom filters proved no
-  /// row could match. A pruned shard counts once in shards_pruned; its
-  /// groups are not also counted in groups_pruned.
+  /// Scan pruning (exec/batch_stream.h): row groups the planner
+  /// skipped because footer zone maps or chunk Bloom filters proved no
+  /// row could match.
   std::atomic<uint64_t> groups_pruned{0};
-  std::atomic<uint64_t> shards_pruned{0};
 
   std::atomic<uint64_t> prepare_ns{0};
   std::atomic<uint64_t> work_ns{0};

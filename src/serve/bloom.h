@@ -10,11 +10,10 @@
 // same bits/key).
 //
 // Filters are built per column chunk during the parallel encode stage
-// (format/writer.cc) from the chunk's key hashes, serialized into the
-// version-3 footer next to the zone maps, and aggregated per shard
-// into the manifest (v4). Readers probe through the zero-copy
-// BloomFilterView, so a lookup that misses costs one footer-resident
-// block read and no pread.
+// (format/writer.cc) from the chunk's key hashes and serialized into
+// the version-3 footer next to the zone maps. Readers probe through
+// the zero-copy BloomFilterView, so a lookup that misses costs one
+// footer-resident block read and no pread.
 //
 // Soundness contract (mirrors ZoneMapMayMatch): MayContain() never
 // answers false for a key that was added — deletes only remove rows,
@@ -127,8 +126,8 @@ class BloomFilter {
   std::vector<uint32_t> words_;
 };
 
-/// \brief Zero-copy probe view over serialized filter bytes (footer
-/// bloom section, manifest aggregate). The bytes must outlive the view.
+/// \brief Zero-copy probe view over serialized filter bytes (a footer
+/// bloom section). The bytes must outlive the view.
 class BloomFilterView {
  public:
   BloomFilterView() = default;

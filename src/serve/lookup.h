@@ -3,9 +3,8 @@
 // A lookup is a fully-filtered scan specialized for "give me the rows
 // where key == K" (or key IN {K...}) over a single Bullion file or a
 // sharded dataset. It rides the same streaming engine as
-// bullion::Scan, so it inherits every pruning tier for free — manifest
-// zone maps + per-shard aggregate Bloom filters skip whole shards,
-// footer zone maps + per-chunk Bloom filters skip row groups — and
+// bullion::Scan, so it inherits its pruning for free — footer zone
+// maps + per-chunk Bloom filters skip row groups, in every shard — and
 // adds late materialization by default: only the key column's pages
 // are fetched up front, and the remaining projected columns are pread
 // just for the page runs that still hold surviving rows. A miss that

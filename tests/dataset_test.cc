@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -55,6 +56,60 @@ std::vector<ColumnVector> MakeMixedData(const Schema& schema, size_t rows,
 
 // ------------------------------------------------------------ manifest
 
+/// Appends `v` to a hand-built manifest blob as a LEB128 varint.
+void PutVarint(std::vector<uint8_t>* blob, uint64_t v) {
+  while (v >= 0x80) {
+    blob->push_back(static_cast<uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  blob->push_back(static_cast<uint8_t>(v));
+}
+
+/// The two shards every LegacyBlob() carries, at dataset generation 7.
+ShardManifest LegacyBlobManifest() {
+  return ShardManifest({{"t.shard-00000", 1000, 4, 250, 0},
+                        {"t.shard-00001.g3", 1000, 4, 0, 3}},
+                       /*generation=*/7);
+}
+
+/// A hand-built v3 (or v4) manifest of LegacyBlobManifest()'s shards,
+/// each carrying one per-shard zone map record (declared as
+/// `stats_count` records) on `column`, and in v4 one Bloom record of
+/// `bloom_len` bytes — the aggregates Serialize() no longer writes.
+std::vector<uint8_t> LegacyBlob(uint32_t version, uint64_t stats_count = 1,
+                                uint64_t bloom_len = 32,
+                                uint64_t column = 0) {
+  std::vector<uint8_t> blob = {0x42, 0x53, 0x48, 0x4D,
+                               static_cast<uint8_t>(version), 0, 0, 0};
+  const ShardManifest want = LegacyBlobManifest();
+  PutVarint(&blob, want.generation());
+  PutVarint(&blob, want.num_shards());
+  for (const ShardInfo& s : want.shards()) {
+    PutVarint(&blob, s.name.size());
+    blob.insert(blob.end(), s.name.begin(), s.name.end());
+    PutVarint(&blob, s.num_rows);
+    PutVarint(&blob, s.num_row_groups);
+    PutVarint(&blob, s.deleted_rows);
+    PutVarint(&blob, s.generation);
+    PutVarint(&blob, stats_count);
+    PutVarint(&blob, column);
+    blob.push_back(0x01);  // flags: min/max present
+    PutVarint(&blob, 0);   // min_bits
+    PutVarint(&blob, 999);  // max_bits
+    if (version >= 4) {
+      PutVarint(&blob, 1);  // bloom count
+      PutVarint(&blob, column);
+      PutVarint(&blob, bloom_len);
+      blob.insert(blob.end(), bloom_len, 0xA5);
+    }
+  }
+  return blob;
+}
+
+Result<ShardManifest> ParseBlob(const std::vector<uint8_t>& blob) {
+  return ShardManifest::Parse(Slice(blob.data(), blob.size()));
+}
+
 TEST(ShardManifest, GlobalGroupIndexSkipsEmptyShards) {
   ShardManifest m({{"a", 100, 2}, {"empty", 0, 0}, {"b", 50, 3}});
   EXPECT_EQ(m.total_rows(), 150u);
@@ -90,6 +145,10 @@ TEST(ShardManifest, SerializeRoundTrips) {
   ShardManifest m(
       {{"t.shard-00000", 1 << 20, 16}, {"t.shard-00001", 123456, 2}});
   Buffer blob = m.Serialize();
+  ASSERT_GE(blob.size(), 8u);
+  uint32_t version = 0;
+  std::memcpy(&version, blob.data() + 4, 4);
+  EXPECT_EQ(version, 2u);  // the newest version ShardInfo carries
   auto parsed = ShardManifest::Parse(blob.AsSlice());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(*parsed, m);
@@ -136,6 +195,46 @@ TEST(ShardManifest, ParsesLegacyV1Blobs) {
   EXPECT_EQ(parsed->shard(1).name, "b");
 }
 
+TEST(ShardManifest, ParsesLegacyV3AndV4BlobsDroppingAggregates) {
+  // Manifests written before v2 became the newest version still open:
+  // their per-shard zone maps and Bloom filters are checked, then
+  // dropped, and every other field parses as written.
+  const ShardManifest want = LegacyBlobManifest();
+  for (uint32_t version : {3u, 4u}) {
+    auto parsed = ParseBlob(LegacyBlob(version));
+    ASSERT_TRUE(parsed.ok()) << "v" << version << ": "
+                             << parsed.status().ToString();
+    EXPECT_EQ(*parsed, want) << "v" << version;
+    EXPECT_EQ(parsed->shard(1).name, "t.shard-00001.g3");
+    EXPECT_EQ(parsed->shard(0).deleted_rows, 250u);
+    EXPECT_EQ(parsed->shard(1).generation, 3u);
+    EXPECT_EQ(parsed->generation(), 7u);
+  }
+}
+
+TEST(ShardManifest, LegacyAggregateFramingIsChecked) {
+  const std::vector<uint8_t> v4 = LegacyBlob(4);
+  for (size_t len = 0; len < v4.size(); ++len) {
+    EXPECT_FALSE(ShardManifest::Parse(Slice(v4.data(), len)).ok())
+        << "truncation at byte " << len;
+  }
+  std::vector<uint8_t> padded = v4;
+  padded.push_back(0x00);
+  EXPECT_FALSE(ParseBlob(padded).ok());
+  // A Bloom filter is a non-zero multiple of 32 bytes.
+  EXPECT_FALSE(ParseBlob(LegacyBlob(4, 1, /*bloom_len=*/0)).ok());
+  EXPECT_FALSE(ParseBlob(LegacyBlob(4, 1, /*bloom_len=*/33)).ok());
+  // A stats count the remaining bytes cannot hold, and column indices
+  // past u32, are corruption in either version.
+  for (uint32_t version : {3u, 4u}) {
+    EXPECT_FALSE(ParseBlob(LegacyBlob(version, /*stats_count=*/1u << 20)).ok())
+        << "v" << version;
+    EXPECT_FALSE(
+        ParseBlob(LegacyBlob(version, 1, 32, /*column=*/1ull << 33)).ok())
+        << "v" << version;
+  }
+}
+
 TEST(ShardManifest, ParseCorruptionMatrix) {
   // Truncate a valid v2 blob at EVERY byte boundary: each prefix must
   // come back as a clean error, never a crash or a bogus manifest.
@@ -156,13 +255,7 @@ TEST(ShardManifest, ParseCorruptionMatrix) {
   auto v2_record = [](uint64_t rows, uint64_t groups, uint64_t deleted,
                       uint64_t gen) {
     std::vector<uint8_t> blob = {0x42, 0x53, 0x48, 0x4D, 2, 0, 0, 0};
-    auto put = [&](uint64_t v) {
-      while (v >= 0x80) {
-        blob.push_back(static_cast<uint8_t>(v) | 0x80);
-        v >>= 7;
-      }
-      blob.push_back(static_cast<uint8_t>(v));
-    };
+    auto put = [&](uint64_t v) { PutVarint(&blob, v); };
     put(0);  // dataset generation
     put(1);  // shard count
     put(1);  // name_len
@@ -173,13 +266,10 @@ TEST(ShardManifest, ParseCorruptionMatrix) {
     put(gen);
     return blob;
   };
-  auto parse = [&](const std::vector<uint8_t>& blob) {
-    return ShardManifest::Parse(Slice(blob.data(), blob.size()));
-  };
-  ASSERT_TRUE(parse(v2_record(10, 1, 2, 1)).ok());  // the template is sane
-  EXPECT_FALSE(parse(v2_record(10, 1, 200, 1)).ok());       // deleted > rows
-  EXPECT_FALSE(parse(v2_record(10, 1ull << 33, 2, 1)).ok());  // groups > u32
-  EXPECT_FALSE(parse(v2_record(10, 1, 2, 1ull << 33)).ok());  // gen > u32
+  ASSERT_TRUE(ParseBlob(v2_record(10, 1, 2, 1)).ok());  // the template is sane
+  EXPECT_FALSE(ParseBlob(v2_record(10, 1, 200, 1)).ok());  // deleted > rows
+  EXPECT_FALSE(ParseBlob(v2_record(10, 1ull << 33, 2, 1)).ok());  // groups
+  EXPECT_FALSE(ParseBlob(v2_record(10, 1, 2, 1ull << 33)).ok());  // gen
 }
 
 TEST(ShardManifest, ParseRejectsGarbage) {
@@ -189,21 +279,28 @@ TEST(ShardManifest, ParseRejectsGarbage) {
 
   // Valid header but hostile varints: a huge shard count and a
   // name_len chosen to overflow `pos + name_len` must both come back
-  // as Status::Corruption, not throw or read out of bounds.
+  // as Status::Corruption, not throw or read out of bounds. The v2
+  // header is followed by the dataset generation, then the count.
   ShardManifest good({{"s", 1, 1}});
   Buffer blob = good.Serialize();
   std::vector<uint8_t> huge_count(blob.data(), blob.data() + 8);
+  huge_count.push_back(0x00);                               // generation
   for (int i = 0; i < 9; ++i) huge_count.push_back(0xFF);  // count ~ 2^63
   huge_count.push_back(0x7F);
-  EXPECT_FALSE(
-      ShardManifest::Parse(Slice(huge_count.data(), huge_count.size())).ok());
+  auto count_st = ParseBlob(huge_count).status();
+  EXPECT_TRUE(count_st.IsCorruption()) << count_st.ToString();
+  EXPECT_NE(count_st.ToString().find("count implausible"), std::string::npos)
+      << count_st.ToString();
 
   std::vector<uint8_t> huge_name(blob.data(), blob.data() + 8);
+  huge_name.push_back(0x00);                               // generation
   huge_name.push_back(0x01);                               // count = 1
   for (int i = 0; i < 9; ++i) huge_name.push_back(0xFF);   // name_len huge
   huge_name.push_back(0x7F);
-  EXPECT_FALSE(
-      ShardManifest::Parse(Slice(huge_name.data(), huge_name.size())).ok());
+  auto name_st = ParseBlob(huge_name).status();
+  EXPECT_TRUE(name_st.IsCorruption()) << name_st.ToString();
+  EXPECT_NE(name_st.ToString().find("name truncated"), std::string::npos)
+      << name_st.ToString();
 }
 
 // -------------------------------------------------------------- writer

@@ -206,7 +206,7 @@ TEST(Bloom, EligibilityMatrix) {
   EXPECT_FALSE(BloomEligibleColumn(PhysicalType::kInt64, 1));  // lists
 }
 
-// ------------------------------------------- footer + manifest ladders
+// ------------------------------------------------------- footer ladder
 
 TEST(PointLookup, FooterV3CarriesChunkBloomsForEligibleColumns) {
   FileFixture fx(200, 50);
@@ -254,36 +254,6 @@ TEST(PointLookup, BloomDisabledWritesV2ZonesStillPrune) {
   ASSERT_TRUE(hit.ok());
   ASSERT_EQ(hit->num_rows(), 1u);
   EXPECT_GT(report.groups_pruned.load(), 0u);  // zones prune other groups
-}
-
-TEST(PointLookup, ManifestV4CarriesShardBloomsAndRoundTrips) {
-  DatasetFixture fx(300, 50, 100);
-  ASSERT_GT(fx.manifest.num_shards(), 1u);
-  for (size_t s = 0; s < fx.manifest.num_shards(); ++s) {
-    EXPECT_NE(fx.manifest.shard(s).column_bloom(0), nullptr);  // uid
-    EXPECT_NE(fx.manifest.shard(s).column_bloom(2), nullptr);  // tag
-    EXPECT_EQ(fx.manifest.shard(s).column_bloom(1), nullptr);  // float
-    EXPECT_EQ(fx.manifest.shard(s).column_bloom(3), nullptr);  // list
-  }
-  Buffer blob = fx.manifest.Serialize();
-  auto parsed = ShardManifest::Parse(blob.AsSlice());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(*parsed, fx.manifest);
-}
-
-TEST(PointLookup, ManifestWithoutBloomsDegradesToChunkFilters) {
-  DatasetFixture fx(300, 50, 100);
-  // Simulate a manifest published by a pre-Bloom writer (v1–v3 parse
-  // into exactly this shape: no column_blooms anywhere).
-  std::vector<ShardInfo> stripped = fx.manifest.shards();
-  for (ShardInfo& s : stripped) s.column_blooms.clear();
-  ShardManifest old(std::move(stripped), fx.manifest.generation());
-  auto reader = fx.Reopen(old);
-  for (int64_t key : {0, 155, 299, 100000}) {
-    auto hit = Lookup(reader.get()).Key("uid", key).Columns({"uid"}).Run();
-    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
-    EXPECT_EQ(hit->num_rows(), key < 300 ? 1u : 0u) << key;
-  }
 }
 
 // ----------------------------------------------- lookup byte-identity
@@ -432,20 +402,27 @@ TEST(PointLookup, BloomSkipsPreadsZonesCannotOnInZoneMisses) {
             plain_report.groups_pruned.load());
 }
 
-TEST(PointLookup, ShardBloomsPruneWholeShardsOnInZoneMisses) {
+TEST(PointLookup, ChunkBloomsAnswerInZoneMissesInEveryShard) {
   DatasetFixture fx(600, 50, 200, 10.0, /*stride=*/2);
-  ASSERT_GT(fx.manifest.num_shards(), 1u);
-  obs::PipelineReport report;
-  // Key 1 is odd: inside the first shard's zone range [0, 398] yet
-  // absent, so only the aggregate Bloom filter can prove that shard
-  // empty; the later shards' zones exclude it outright. Every shard is
-  // skipped without touching its footer. (The key is fixed: data and
-  // hash seed are deterministic, and 1 is a verified Bloom negative —
-  // some odd keys are legitimate ~1% false positives.)
-  auto r = Lookup(fx.reader.get()).Key("uid", 1).Report(&report).Run();
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->num_rows(), 0u);
-  EXPECT_EQ(report.shards_pruned.load(), fx.manifest.num_shards());
+  ASSERT_EQ(fx.manifest.num_shards(), 3u);
+  IoStats& io = fx.fs.stats();
+  // Odd keys inside one group's zone range in each shard (shard s holds
+  // uid [400s, 400s + 398]), yet absent: the zone maps of every other
+  // group exclude the key, and only the chunk Bloom filter of the
+  // group whose range covers it can prove it absent. The keys are
+  // fixed: data and hash seed are deterministic, and each is a
+  // verified Bloom negative (some odd keys are legitimate ~1% false
+  // positives).
+  for (int64_t key : {1, 255, 401, 655, 801, 1155}) {
+    io.Reset();
+    obs::PipelineReport report;
+    auto r = Lookup(fx.reader.get()).Key("uid", key).Report(&report).Run();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->num_rows(), 0u) << key;
+    EXPECT_EQ(io.read_ops.load(), 0u) << key;
+    EXPECT_EQ(report.groups_pruned.load(), fx.manifest.total_row_groups())
+        << key;
+  }
 }
 
 TEST(PointLookup, LateMaterializationShrinksBytesFetched) {
@@ -478,6 +455,39 @@ TEST(PointLookup, LateMaterializationShrinksBytesFetched) {
     EXPECT_EQ(eager->columns[c], late->columns[c]);
   }
   EXPECT_LT(late_bytes, eager_bytes);
+}
+
+TEST(PointLookup, LatePageRunsCountAsWorkWhenTheKeyChunkIsCached) {
+  DatasetFixture fx(600, 50, 200);
+  DecodedChunkCache cache(16 << 20);
+  obs::LatencyHistogram* decode_hist =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "bullion.format.decode_chunk_ns");
+  auto lookup = [&](obs::PipelineReport* report) {
+    return Lookup(fx.reader.get())
+        .Key("uid", 277)
+        .Columns({"uid", "score", "tag"})
+        .Cache(&cache)
+        .Report(report)
+        .Run();
+  };
+  obs::PipelineReport first;
+  auto cold = lookup(&first);  // fetches uid's chunk and caches it
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_EQ(cold->num_rows(), 1u);
+
+  // The repeat takes uid's chunk from the cache, so all that is left is
+  // the late phase: one page run each for score and tag, read and
+  // decoded on the consumer thread.
+  const uint64_t decodes_before = decode_hist->Snapshot().count;
+  const uint64_t hits_before = cache.hits();
+  obs::PipelineReport repeat;
+  auto warm = lookup(&repeat);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->columns, cold->columns);
+  EXPECT_EQ(cache.hits() - hits_before, 1u);
+  EXPECT_GT(repeat.work_ns.load(), 0u);
+  EXPECT_EQ(decode_hist->Snapshot().count - decodes_before, 2u);
 }
 
 /// Fails every read that overlaps [bad_begin, bad_end) with an

@@ -2,13 +2,15 @@
 // source kinds, zone-map predicate pushdown, and the redesign's two
 // headline claims — (1) draining the stream is byte-identical to the
 // serial per-group TableReader reads at any thread count, and (2) a selective
-// predicate provably skips preads (groups_pruned / shards_pruned > 0
-// with read_ops below the unfiltered scan) while residual evaluation
-// keeps results exact, including on version-1 footers with no stats.
+// predicate provably skips preads (groups_pruned > 0 with read_ops
+// below the unfiltered scan) while residual evaluation keeps results
+// exact, including on version-1 footers with no stats.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -78,7 +80,7 @@ struct FileFixture {
 };
 
 /// The same ordered rows as a sharded dataset (uid ranges are disjoint
-/// across shards, so uid predicates prune whole shards).
+/// across shards, so uid predicates prune every group of a shard).
 struct DatasetFixture {
   InMemoryFileSystem fs;
   Schema schema = MakeMixedSchema();
@@ -114,6 +116,39 @@ std::vector<RowBatch> Drain(BatchStream* stream) {
     batches.push_back(std::move(batch));
   }
   return batches;
+}
+
+/// Counts the preads issued against one wrapped file.
+class CountingFile : public RandomAccessFile {
+ public:
+  CountingFile(std::unique_ptr<RandomAccessFile> base,
+               std::atomic<uint64_t>* reads)
+      : base_(std::move(base)), reads_(reads) {}
+  Status Read(uint64_t offset, size_t len, Buffer* out) const override {
+    reads_->fetch_add(1);
+    return base_->Read(offset, len, out);
+  }
+  Result<uint64_t> Size() const override { return base_->Size(); }
+
+ private:
+  std::unique_ptr<RandomAccessFile> base_;
+  std::atomic<uint64_t>* reads_;
+};
+
+/// Opens `manifest` over `fs` with every shard's preads counted in
+/// `(*reads)[shard name]`.
+std::unique_ptr<ShardedTableReader> OpenCounted(
+    const InMemoryFileSystem& fs, const ShardManifest& manifest,
+    std::map<std::string, std::atomic<uint64_t>>* reads) {
+  auto ds = ShardedTableReader::Open(
+      manifest,
+      [&](const std::string& n) -> Result<std::unique_ptr<RandomAccessFile>> {
+        BULLION_ASSIGN_OR_RETURN(auto f, fs.NewReadableFile(n));
+        return std::unique_ptr<RandomAccessFile>(
+            std::make_unique<CountingFile>(std::move(f), &(*reads)[n]));
+      });
+  EXPECT_TRUE(ds.ok()) << ds.status().ToString();
+  return ds.ok() ? std::move(*ds) : nullptr;
 }
 
 /// Independent reference: the serial plan → fetch → decode path, one
@@ -260,14 +295,15 @@ TEST(ScanStream, ResidualEvaluationIsExact) {
 }
 
 TEST(ScanStream, DatasetPredicatePrunesWholeShards) {
-  DatasetFixture fx(600, 50, 200);  // 3 shards x 200 rows
+  DatasetFixture fx(600, 50, 200);  // 3 shards x 4 groups of 50 rows
   ASSERT_EQ(fx.manifest.num_shards(), 3u);
-  // The writer published aggregated zone maps in the manifest.
-  EXPECT_FALSE(fx.manifest.shard(0).column_stats.empty());
-  EXPECT_TRUE(fx.manifest.shard(0).column_zone(0).valid);
+  std::map<std::string, std::atomic<uint64_t>> reads;
+  auto ds = OpenCounted(fx.fs, fx.manifest, &reads);
+  ASSERT_NE(ds, nullptr);
+  for (auto& [name, n] : reads) n.store(0);  // drop the footer reads
 
   obs::PipelineReport scan_report;
-  auto stream = Scan(fx.reader.get())
+  auto stream = Scan(ds.get())
                     .Columns({"uid"})
                     .Filter("uid", CompareOp::kLt, 150)
                     .Threads(2)
@@ -275,7 +311,12 @@ TEST(ScanStream, DatasetPredicatePrunesWholeShards) {
                     .Stream();
   ASSERT_TRUE(stream.ok());
   std::vector<RowBatch> batches = Drain(stream->get());
-  EXPECT_EQ(scan_report.shards_pruned.load(), 2u);  // shards 1 and 2
+  // Group 3 (uid 150..199) and all 8 groups of shards 1 and 2 are
+  // pruned from their footer zone maps; those shards see no pread.
+  EXPECT_EQ(scan_report.groups_pruned.load(), 9u);
+  EXPECT_GT(reads[fx.manifest.shard(0).name].load(), 0u);
+  EXPECT_EQ(reads[fx.manifest.shard(1).name].load(), 0u);
+  EXPECT_EQ(reads[fx.manifest.shard(2).name].load(), 0u);
   EXPECT_EQ(TotalRows(batches), 150u);
   for (const RowBatch& b : batches) {
     for (int64_t uid : b.columns[0].int_values()) EXPECT_LT(uid, 150);
@@ -528,48 +569,38 @@ TEST(ScanStream, FilterOnEvolvedColumnPrunesPredatingShards) {
   auto live = (*appender)->Finish();
   ASSERT_TRUE(live.ok());
 
-  auto ds = ShardedTableReader::Open(*live, read_fn);
-  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  obs::PipelineReport scan_report;
-  auto stream = Scan(ds->get())
-                    .Columns({"uid", "label"})
-                    .Filter("label", CompareOp::kGe, 7000)
-                    .Report(&scan_report)
-                    .Stream();
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  std::vector<RowBatch> batches = Drain(stream->get());
-  // The two pre-evolution shards are all-null for "label": pruned
-  // without touching a single byte of them.
-  EXPECT_EQ(scan_report.shards_pruned.load(), 2u);
-  EXPECT_EQ(TotalRows(batches), 200u);
-  for (const RowBatch& b : batches) {
-    for (int64_t v : b.columns[1].int_values()) EXPECT_GE(v, 7000);
+  std::map<std::string, std::atomic<uint64_t>> reads;
+  auto ds = OpenCounted(fx.fs, *live, &reads);
+  ASSERT_NE(ds, nullptr);
+  ASSERT_EQ(live->num_shards(), 3u);
+  // The two pre-evolution shards are all-null for "label": each of
+  // their 8 groups is pruned without touching a single byte of them,
+  // also by a scan that keeps deleted rows.
+  for (bool filter_deleted : {true, false}) {
+    for (auto& [name, n] : reads) n.store(0);  // drop earlier reads
+    ReadOptions ropts;
+    ropts.filter_deleted = filter_deleted;
+    obs::PipelineReport scan_report;
+    auto stream = Scan(ds.get())
+                      .Columns({"uid", "label"})
+                      .Filter("label", CompareOp::kGe, 7000)
+                      .Options(ropts)
+                      .Report(&scan_report)
+                      .Stream();
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    std::vector<RowBatch> batches = Drain(stream->get());
+    EXPECT_EQ(scan_report.groups_pruned.load(), 8u) << filter_deleted;
+    EXPECT_EQ(reads[live->shard(0).name].load(), 0u) << filter_deleted;
+    EXPECT_EQ(reads[live->shard(1).name].load(), 0u) << filter_deleted;
+    EXPECT_GT(reads[live->shard(2).name].load(), 0u) << filter_deleted;
+    EXPECT_EQ(TotalRows(batches), 200u) << filter_deleted;
+    for (const RowBatch& b : batches) {
+      for (int64_t v : b.columns[1].int_values()) EXPECT_GE(v, 7000);
+    }
   }
 }
 
-// ------------------------------------------------- manifest statistics
-
-TEST(ScanStream, ManifestStatsSurviveSerializeParse) {
-  DatasetFixture fx(200, 50, 100);
-  ASSERT_FALSE(fx.manifest.shard(0).column_stats.empty());
-  Buffer blob = fx.manifest.Serialize();
-  auto parsed = ShardManifest::Parse(blob.AsSlice());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(*parsed, fx.manifest);
-  // uid zone of shard 0 covers exactly its rows [0, 100).
-  ZoneMap zone = parsed->shard(0).column_zone(0);
-  ASSERT_TRUE(zone.valid);
-  EXPECT_FALSE(zone.is_real);
-  EXPECT_EQ(zone.min_i, 0);
-  EXPECT_EQ(zone.max_i, 99);
-  // Binary columns record packed-prefix bounds; list columns still
-  // record no stats.
-  ZoneMap tag_zone = parsed->shard(0).column_zone(2);
-  ASSERT_TRUE(tag_zone.valid);
-  EXPECT_TRUE(tag_zone.is_binary);
-  EXPECT_LE(tag_zone.min_b, tag_zone.max_b);
-  EXPECT_FALSE(parsed->shard(0).column_zone(3).valid);
-}
+// ------------------------------------------------- zone maps
 
 TEST(ScanStream, ZoneMapMayMatchIsConservativeAndTight) {
   ZoneMap z = ZoneMap::OfInts(10, 20);
