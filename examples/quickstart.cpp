@@ -161,10 +161,11 @@ int main(int argc, char** argv) {
   std::printf(" ]\n");
 
   // 5. Sharded dataset: production tables span many files. Split the
-  //    same stream into shards with a MULTI-THREADED write — the row
-  //    groups of all shards encode concurrently on one pool, commits
-  //    land in order, and the shard files are byte-identical to a
-  //    serial write. Then scan them as ONE logical table — all shards
+  //    same stream into shards with a MULTI-THREADED write — every
+  //    shard's page encodes run on one pool, a full shard finishes
+  //    while the next shard's first group encodes, commits land in
+  //    order, and the shard files are byte-identical to a serial
+  //    write. Then scan them as ONE logical table — all shards
   //    fan through one pool, and a DecodedChunkCache makes the second
   //    (warm) epoch skip fetch + decode entirely.
   {

@@ -5,23 +5,16 @@ namespace bullion {
 Status WriteTableFile(WritableFile* file, const Schema& schema,
                       const std::vector<std::vector<ColumnVector>>& groups,
                       const WriterOptions& options, size_t threads) {
-  if (threads <= 1) {
-    TableWriter writer(schema, file, options);
-    for (const auto& group : groups) {
-      BULLION_RETURN_NOT_OK(writer.WriteRowGroup(group));
-    }
-    return writer.Finish();
-  }
-  BULLION_ASSIGN_OR_RETURN(
-      std::unique_ptr<ParallelTableWriter> writer,
-      WriteBuilder(schema, file).Options(options).Threads(threads).Build());
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  TableWriter writer(schema, file, options, pool.get());
   for (const auto& group : groups) {
     // Borrow, don't copy: `groups` outlives the write.
-    BULLION_RETURN_NOT_OK(writer->WriteRowGroup(
+    BULLION_RETURN_NOT_OK(writer.WriteRowGroup(
         std::shared_ptr<const std::vector<ColumnVector>>(
             &group, [](const std::vector<ColumnVector>*) {})));
   }
-  return writer->Finish();
+  return writer.Finish();
 }
 
 Result<ColumnVector> ReadFullColumn(TableReader* reader,

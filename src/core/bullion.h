@@ -60,26 +60,25 @@
 // The write stack is its twin, layered stage → encode → commit:
 // TableWriter stages a batch into per-column page-encode tasks
 // (format/writer.h), encodes each page, and commits the encoded pages
-// in deterministic placement order. exec/writer.h fans the encode
-// stage across a ThreadPool — WriteBuilder is the front door:
+// in deterministic placement order. Given a ThreadPool, the page
+// encodes of up to 2 × workers row groups run on it while commits
+// land in order on the calling thread:
 //
-//   auto writer = WriteBuilder(schema, file)
-//                     .RowsPerPage(4096)
-//                     .Threads(8)                // encode workers
-//                     .MaxPendingGroups(4)       // groups in flight
-//                     .Build();
-//   (*writer)->WriteRowGroup(std::move(batch));
-//   (*writer)->Finish();
+//   ThreadPool pool(8);                          // encode workers
+//   TableWriter writer(schema, file, options, &pool);
+//   writer.WriteRowGroup(std::move(batch));
+//   writer.Finish();
 //
-// Files are byte-identical to the serial TableWriter at any thread
+// Files are byte-identical to a write without a pool at any thread
 // count — all placement decisions happen in the ordered commit stage.
 //
 // Sharded datasets (dataset/*): a logical table at production scale is
 // many Bullion files. ShardedTableWriter splits an append stream into
 // shards by target rows-per-shard — with ShardedWriteBuilder(...)
-// .Threads(N) the row groups of ALL shards encode concurrently on one
-// shared pool with one bounded in-flight window, committing in order
-// so every shard file is byte-identical to a serial write.
+// .Threads(N) every shard's TableWriter encodes on one shared pool,
+// and a full shard's file is finished while the next shard's first
+// group encodes, so every shard file is byte-identical to a serial
+// write.
 // ShardManifest records the shard list and global row-group index;
 // ShardedTableReader scans them as one table, fanning every shard's
 // coalesced reads through ONE shared ThreadPool. An optional
@@ -136,7 +135,6 @@
 #include "dataset/sharded_writer.h"
 #include "encoding/cascade.h"
 #include "exec/thread_pool.h"
-#include "exec/writer.h"
 #include "format/column_vector.h"
 #include "format/compaction.h"
 #include "format/deletion.h"
@@ -164,9 +162,10 @@ namespace bullion {
 /// Library version.
 inline constexpr const char* kVersionString = "0.1.0";
 
-/// Convenience: writes a complete table (one call, many row groups).
-/// Runs on the exec-layer parallel writer; `threads` <= 1 keeps the
-/// write serial. Output bytes are identical either way.
+/// Convenience: writes a complete table (one call, many row groups)
+/// through one TableWriter. `threads` > 1 encodes on a pool of that
+/// many workers made for this call; <= 1 keeps the write serial.
+/// Output bytes are identical either way.
 Status WriteTableFile(WritableFile* file, const Schema& schema,
                       const std::vector<std::vector<ColumnVector>>& groups,
                       const WriterOptions& options = {}, size_t threads = 1);

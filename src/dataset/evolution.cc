@@ -126,9 +126,9 @@ Status DatasetAppender::Append(const std::vector<ColumnVector>& columns) {
 Result<ShardManifest> DatasetAppender::Finish() {
   if (finished_) return Status::InvalidArgument("appender already finished");
   finished_ = true;
-  // Finish() drains the encode window, closes + flushes every new
-  // shard file. Only after that does the data become referenced, via
-  // the manifest returned here — the publish point.
+  // Finish() returns after every new shard file was written and
+  // flushed (TableWriter::Finish). Only after that does the data become
+  // referenced, via the manifest returned here — the publish point.
   BULLION_ASSIGN_OR_RETURN(ShardManifest appended, writer_.Finish());
   std::vector<ShardInfo> shards = base_.shards();
   shards.insert(shards.end(), appended.shards().begin(),
@@ -186,11 +186,11 @@ Result<DatasetCompactionReport> DatasetCompactor::Compact(
     const uint32_t new_generation = info.generation + 1;
     std::string new_name = CompactedShardName(info.name, new_generation);
     BULLION_ASSIGN_OR_RETURN(auto dest, write_opener_(new_name));
+    // CompactTable returns after the rewrite's Flush(): durable before
+    // GC/publish.
     BULLION_ASSIGN_OR_RETURN(
         CompactionReport rewrite,
-        CompactTable(reader.get(), dest.get(), /*options=*/nullptr,
-                     options.threads, pool));
-    BULLION_RETURN_NOT_OK(dest->Flush());  // durable before GC/publish
+        CompactTable(reader.get(), dest.get(), /*options=*/nullptr, pool));
 
     shards.push_back(ShardInfo{new_name, rewrite.rows_after,
                                rewrite.row_groups_after, /*deleted_rows=*/0,

@@ -4,8 +4,9 @@
 // closes the loop for Bullion's long-lived training tables:
 //
 //   DatasetAppender   -- opens an existing dataset and appends new
-//                        shards through the parallel stage → encode →
-//                        commit pipeline (ShardedTableWriter), then
+//                        shards through ShardedTableWriter (one
+//                        TableWriter per shard, page encodes on a
+//                        shared exec::ThreadPool), then
 //                        publishes a v2 manifest with the dataset
 //                        generation bumped. Appends may *evolve* the
 //                        schema by adding nullable trailing columns;
@@ -92,8 +93,8 @@ class DatasetAppender {
   /// Row groups stream through the shared parallel encode pipeline.
   Status Append(const std::vector<ColumnVector>& columns);
 
-  /// Drains the write pipeline, flushes and closes the new shard
-  /// files, and returns the updated manifest: base shards (names,
+  /// Finishes the new shard files (each returns after its Flush())
+  /// and returns the updated manifest: base shards (names,
   /// counts, generations untouched) + new shards, dataset generation
   /// bumped by one. Only after this returns is the new data referenced
   /// anywhere — persist the returned manifest to complete the publish.
@@ -172,8 +173,8 @@ class DatasetCompactor {
   /// Compacts `base` under `options`. Shards are rewritten one at a
   /// time in shard order (commits ordered), each rewrite fanning its
   /// page encodes across the shared pool; the source's physical layout
-  /// is preserved (LayoutWriterOptions). Every rewrite is flushed, and
-  /// only then are the replaced files GC'd — any failure returns with
+  /// is preserved (LayoutWriterOptions). Every rewrite is flushed (by
+  /// CompactTable), and only then are the replaced files GC'd — any failure returns with
   /// the old files intact, so `base` never names missing data.
   Result<DatasetCompactionReport> Compact(
       const ShardManifest& base, const DatasetCompactionOptions& options = {});

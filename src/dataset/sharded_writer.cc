@@ -29,10 +29,6 @@ ShardedTableWriter::ShardedTableWriter(Schema schema,
     owned_pool_ = std::make_unique<ThreadPool>(options_.threads);
     pool_ = owned_pool_.get();
   }
-  size_t workers =
-      pool_ != nullptr ? std::max<size_t>(pool_->num_threads(), 1) : 1;
-  max_pending_ = options_.max_pending_groups > 0 ? options_.max_pending_groups
-                                                 : 2 * workers;
   pending_batch_.reserve(schema_.num_leaves());
   for (const LeafColumn& leaf : schema_.leaves()) {
     pending_batch_.push_back(ColumnVector::ForLeaf(leaf));
@@ -46,28 +42,9 @@ std::string ShardedTableWriter::ShardName(const std::string& base,
   return base + suffix;
 }
 
-Status ShardedTableWriter::EnsureShardOpen(size_t shard) {
-  if (shard_writer_ != nullptr) {
-    if (open_shard_ != shard) {
-      return Status::Unknown("commit crossed a shard boundary out of order");
-    }
-    return Status::OK();
-  }
-  std::string name =
-      ShardName(options_.base_name, options_.first_shard_index + shard);
-  BULLION_ASSIGN_OR_RETURN(shard_file_, opener_(name));
-  shard_writer_ = std::make_unique<TableWriter>(schema_, shard_file_.get(),
-                                                options_.writer);
-  open_shard_ = shard;
-  shard_rows_ = 0;
-  shard_groups_ = 0;
-  return Status::OK();
-}
-
-Status ShardedTableWriter::SubmitGroup() {
+Status ShardedTableWriter::WriteGroup() {
   if (pending_rows_ == 0) return Status::OK();
-  auto batch = std::make_shared<const std::vector<ColumnVector>>(
-      std::move(pending_batch_));
+  std::vector<ColumnVector> batch = std::move(pending_batch_);
   pending_batch_.clear();
   pending_batch_.reserve(schema_.num_leaves());
   for (const LeafColumn& leaf : schema_.leaves()) {
@@ -76,71 +53,44 @@ Status ShardedTableWriter::SubmitGroup() {
   uint64_t rows = pending_rows_;
   pending_rows_ = 0;
 
-  // Sticky on failure: the buffered rows were already consumed, so
-  // continuing would silently drop them from the stream.
-  Result<StagedRowGroup> staged =
-      StageValidatedRowGroup(schema_, options_.writer, std::move(batch));
-  if (!staged.ok()) {
-    error_ = staged.status();
-    return error_;
+  // Shard assignment is pure row-count arithmetic, so it is identical
+  // at any thread count. Shards roll only at group boundaries, so every
+  // shard is a complete Bullion file.
+  Shard full;
+  if (open_.writer == nullptr ||
+      open_.rows >= options_.target_rows_per_shard) {
+    Shard next;
+    next.name = ShardName(options_.base_name,
+                          options_.first_shard_index + shards_.size() +
+                              (open_.writer != nullptr ? 1 : 0));
+    Result<std::unique_ptr<WritableFile>> file = opener_(next.name);
+    // Sticky on failure, like every failure below: the buffered rows
+    // were already consumed, so continuing would silently drop them.
+    if (!file.ok()) {
+      error_ = file.status();
+      return error_;
+    }
+    next.file = std::move(*file);
+    next.writer = std::make_unique<TableWriter>(schema_, next.file.get(),
+                                                options_.writer, pool_);
+    full = std::exchange(open_, std::move(next));
   }
-
-  // Shard assignment is pure row-count arithmetic on the staging side,
-  // so it is identical at any thread count. Shards close only at group
-  // boundaries, so every shard is a complete Bullion file.
-  pending_.emplace_back();
-  PendingGroup& pg = pending_.back();
-  pg.shard = staging_shard_;
-  staging_shard_rows_ += rows;
-  pg.closes_shard = staging_shard_rows_ >= options_.target_rows_per_shard;
-  if (pg.closes_shard) {
-    ++staging_shard_;
-    staging_shard_rows_ = 0;
-  }
-  total_rows_ += rows;
-
-  // Encode tasks capture a pointer to the pages vector: emplace first,
-  // submit second, and never move the PendingGroup while tasks run.
-  pg.staged = std::make_shared<const StagedRowGroup>(std::move(*staged));
-  pg.tasks = std::make_unique<TaskGroup>(pool_);
-  Status st = SubmitGroupEncode(pg.staged, pg.tasks.get(), &pg.pages);
-  if (!st.ok()) {
-    // The submit error is the one to report; the join only reclaims
-    // whatever tasks did start.
-    pg.tasks->Wait().IgnoreError();
-    pending_.pop_back();
-    error_ = st;
-    return error_;
-  }
-  while (pending_.size() > max_pending_) {
-    BULLION_RETURN_NOT_OK(DrainOne());
-  }
-  return Status::OK();
-}
-
-Status ShardedTableWriter::DrainOne() {
-  PendingGroup& pg = pending_.front();
-  Status st = pg.tasks->Wait();
-  if (st.ok()) st = EnsureShardOpen(pg.shard);
-  if (st.ok()) st = shard_writer_->CommitEncodedGroup(*pg.staged, pg.pages);
+  Status st = open_.writer->WriteRowGroup(std::move(batch));
   if (st.ok()) {
-    shard_rows_ += pg.staged->row_count;
-    ++shard_groups_;
-    if (pg.closes_shard) st = CloseShard();
+    open_.rows += rows;
+    ++open_.groups;
+    total_rows_ += rows;
   }
-  pending_.pop_front();
+  // The full shard finishes only now, so its last commits and footer
+  // overlap the encodes of the group just handed to the next shard.
+  if (st.ok() && full.writer != nullptr) st = CloseShard(std::move(full));
   if (!st.ok()) error_ = st;
   return st;
 }
 
-Status ShardedTableWriter::CloseShard() {
-  BULLION_RETURN_NOT_OK(shard_writer_->Finish());
-  BULLION_RETURN_NOT_OK(shard_file_->Flush());
-  shards_.push_back(ShardInfo{
-      ShardName(options_.base_name, options_.first_shard_index + open_shard_),
-      shard_rows_, shard_groups_});
-  shard_writer_.reset();
-  shard_file_.reset();
+Status ShardedTableWriter::CloseShard(Shard shard) {
+  BULLION_RETURN_NOT_OK(shard.writer->Finish());
+  shards_.push_back(ShardInfo{std::move(shard.name), shard.rows, shard.groups});
   return Status::OK();
 }
 
@@ -148,15 +98,8 @@ Status ShardedTableWriter::Append(const std::vector<ColumnVector>& columns) {
   BULLION_RETURN_NOT_OK(init_status_);
   BULLION_RETURN_NOT_OK(error_);
   if (finished_) return Status::InvalidArgument("writer already finished");
-  if (columns.size() != schema_.num_leaves()) {
-    return Status::InvalidArgument("batch has wrong leaf count");
-  }
+  BULLION_RETURN_NOT_OK(ValidateBatch(schema_, columns));
   size_t rows = columns.empty() ? 0 : columns[0].num_rows();
-  for (const ColumnVector& c : columns) {
-    if (c.num_rows() != rows) {
-      return Status::InvalidArgument("batch columns disagree on row count");
-    }
-  }
   size_t row = 0;
   while (row < rows) {
     size_t take = std::min<size_t>(options_.rows_per_group - pending_rows_,
@@ -169,7 +112,7 @@ Status ShardedTableWriter::Append(const std::vector<ColumnVector>& columns) {
     pending_rows_ += take;
     row += take;
     if (pending_rows_ == options_.rows_per_group) {
-      BULLION_RETURN_NOT_OK(SubmitGroup());
+      BULLION_RETURN_NOT_OK(WriteGroup());
     }
   }
   return Status::OK();
@@ -178,22 +121,12 @@ Status ShardedTableWriter::Append(const std::vector<ColumnVector>& columns) {
 Result<ShardManifest> ShardedTableWriter::Finish() {
   if (finished_) return Status::InvalidArgument("writer already finished");
   finished_ = true;
-  BULLION_RETURN_NOT_OK(init_status_);
-  Status st = error_;
-  if (st.ok()) st = SubmitGroup();  // partial tail group
-  while (!pending_.empty()) {
-    if (st.ok()) {
-      st = DrainOne();
-    } else {
-      // A commit already failed: join the stragglers without writing.
-      // `st` already holds the error to report.
-      pending_.front().tasks->Wait().IgnoreError();
-      pending_.pop_front();
-    }
-  }
-  if (st.ok() && shard_writer_ != nullptr) {
-    st = CloseShard();  // partial tail shard
-  }
+  Status st = init_status_.ok() ? error_ : init_status_;
+  if (st.ok()) st = WriteGroup();  // partial tail group
+  if (st.ok() && open_.writer != nullptr) st = CloseShard(std::move(open_));
+  // After a failure, dropping the open shard joins its encodes without
+  // writing.
+  open_ = Shard{};
   BULLION_RETURN_NOT_OK(st);
   return ShardManifest(std::move(shards_));
 }

@@ -9,13 +9,13 @@
 // ShardManifest describing what was written — persist it as
 // `<table>.manifest` or rebuild it later from the shard footers.
 //
-// The write path is the staged pipeline from format/writer.h: every
-// full row group is staged immediately and its page-encode tasks fan
-// out across ONE shared exec::ThreadPool (exec/writer.h's
-// SubmitGroupEncode), while commits trail behind in row-group order —
-// so groups of several shards encode concurrently, bounded by one
-// in-flight window. Shard assignment is decided at staging time from
-// row counts alone, and all file bytes are placed at commit time, so
+// Each shard is one TableWriter (format/writer.h) whose page encodes
+// run on ONE shared exec::ThreadPool. A full row group is moved into
+// the open shard's writer at once. When a shard is full, the next
+// group opens the next shard's writer, and the full shard is finished
+// right after that group was handed over, so its last commits and
+// footer overlap the new group's encodes. Shard assignment is row-count
+// arithmetic and every file byte is placed by the ordered commits, so
 // output is byte-identical to the serial writer at any thread count.
 //
 // File creation goes through a caller-supplied opener so the writer is
@@ -37,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -47,7 +46,6 @@
 #include "common/status.h"
 #include "dataset/shard_manifest.h"
 #include "exec/thread_pool.h"
-#include "exec/writer.h"
 #include "format/column_vector.h"
 #include "format/schema.h"
 #include "format/writer.h"
@@ -74,9 +72,6 @@ struct ShardedWriterOptions {
   /// inline on the calling thread — the serial reference path). An
   /// external pool passed to the constructor overrides this.
   size_t threads = 1;
-  /// Row groups allowed in flight (staged/encoding, uncommitted)
-  /// across all shards; 0 = 2 × encode workers.
-  size_t max_pending_groups = 0;
 };
 
 /// Checks a ShardedWriterOptions against a schema: positive
@@ -97,47 +92,40 @@ class ShardedTableWriter {
   ShardedTableWriter(Schema schema, ShardedWriterOptions options,
                      FileOpener opener, ThreadPool* pool = nullptr);
 
-  /// Appends a batch: one ColumnVector per schema leaf, equal row
-  /// counts. Rows are buffered and flushed as full row groups.
+  /// Appends a batch: one ColumnVector per schema leaf, each of the
+  /// leaf's physical type and list depth, equal row counts. A batch
+  /// that fails ValidateBatch is rejected before any row is copied and
+  /// leaves the writer usable. Rows are buffered and written as full
+  /// row groups.
   Status Append(const std::vector<ColumnVector>& columns);
 
-  /// Flushes buffered rows, drains in-flight encodes, closes the tail
-  /// shard, and returns the manifest. Must be called exactly once; a
-  /// stream with zero rows yields a zero-shard manifest.
+  /// Writes the buffered rows as a last (partial) group, finishes the
+  /// shard files still open in shard order, and returns the manifest.
+  /// Must be called exactly once; a stream with zero rows yields a
+  /// zero-shard manifest.
   Result<ShardManifest> Finish();
 
   /// Rows accepted so far (buffered and in-flight rows included).
   uint64_t num_rows() const { return total_rows_ + pending_rows_; }
-  /// Shards assigned at least one row group so far (committed or
-  /// still encoding).
-  size_t num_shards_started() const {
-    return staging_shard_ + (staging_shard_rows_ > 0 ? 1 : 0);
-  }
-  /// Row groups currently staged or encoding, not yet committed.
-  size_t pending_groups() const { return pending_.size(); }
 
   /// Name of shard `index` under `base`: "<base>.shard-00042".
   static std::string ShardName(const std::string& base, size_t index);
 
  private:
-  struct PendingGroup {
-    size_t shard;       // which shard this group commits into
-    bool closes_shard;  // last group of its shard
-    std::shared_ptr<const StagedRowGroup> staged;
-    std::vector<EncodedPage> pages;
-    std::unique_ptr<TaskGroup> tasks;
+  /// One shard file and the writer filling it.
+  struct Shard {
+    std::string name;
+    std::unique_ptr<WritableFile> file;
+    std::unique_ptr<TableWriter> writer;
+    uint64_t rows = 0;
+    uint32_t groups = 0;
   };
 
-  /// Stages the buffered rows as one row group, assigns it to a shard,
-  /// and fans its encodes out on the pool.
-  Status SubmitGroup();
-  /// Joins the oldest pending group's encodes and commits it to its
-  /// shard (opening/closing shard files as boundaries pass).
-  Status DrainOne();
-  /// Opens shard `shard`'s file lazily (commit side).
-  Status EnsureShardOpen(size_t shard);
-  /// Finishes the current shard file and records its ShardInfo.
-  Status CloseShard();
+  /// Moves the buffered rows into the open shard's writer as one row
+  /// group, opening the next shard first when the open one is full.
+  Status WriteGroup();
+  /// Finishes `shard`'s file and records its ShardInfo.
+  Status CloseShard(Shard shard);
 
   Schema schema_;
   ShardedWriterOptions options_;
@@ -146,26 +134,14 @@ class ShardedTableWriter {
 
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;
-  size_t max_pending_;
 
   /// Row-group staging buffer (one vector per leaf).
   std::vector<ColumnVector> pending_batch_;
   uint64_t pending_rows_ = 0;
 
-  // Staging side: which shard new groups belong to. Pure row-count
-  // arithmetic, so assignment is independent of encode scheduling.
-  size_t staging_shard_ = 0;
-  uint64_t staging_shard_rows_ = 0;
-
-  std::deque<PendingGroup> pending_;
-
-  // Commit side: trails staging by at most the in-flight window.
-  std::unique_ptr<WritableFile> shard_file_;
-  std::unique_ptr<TableWriter> shard_writer_;
-  size_t open_shard_ = 0;
-  uint64_t shard_rows_ = 0;
-  uint32_t shard_groups_ = 0;
-
+  /// The shard receiving groups; its writer is null before the first
+  /// group and after Finish().
+  Shard open_;
   std::vector<ShardInfo> shards_;
   uint64_t total_rows_ = 0;
   Status error_;  // sticky first failure
@@ -211,11 +187,6 @@ class ShardedWriteBuilder {
   /// Encode worker threads shared across all shards.
   ShardedWriteBuilder& Threads(size_t n) {
     options_.threads = n;
-    return *this;
-  }
-  /// Row groups allowed in flight across all shards (0 = 2 × workers).
-  ShardedWriteBuilder& MaxPendingGroups(size_t n) {
-    options_.max_pending_groups = n;
     return *this;
   }
   /// Run encodes on a shared pool instead of a writer-private one.

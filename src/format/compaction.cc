@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "exec/writer.h"
-
 namespace bullion {
 
 WriterOptions LayoutWriterOptions(const FooterView& footer) {
@@ -29,7 +27,7 @@ WriterOptions LayoutWriterOptions(const FooterView& footer) {
 Result<CompactionReport> CompactTable(TableReader* reader,
                                       WritableFile* dest,
                                       const WriterOptions* options,
-                                      size_t threads, ThreadPool* pool) {
+                                      ThreadPool* pool) {
   CompactionReport report;
   report.rows_before = reader->num_rows();
 
@@ -40,8 +38,7 @@ Result<CompactionReport> CompactTable(TableReader* reader,
   // would corrupt the rewrite long after the misconfiguration; fail
   // like every other writer entry point does.
   BULLION_RETURN_NOT_OK(ValidateWriterOptions(wopts, schema));
-  ParallelTableWriter writer(schema, dest, wopts, threads,
-                             /*max_pending_groups=*/0, pool);
+  TableWriter writer(schema, dest, wopts, pool);
 
   std::vector<uint32_t> all_columns(reader->num_columns());
   std::iota(all_columns.begin(), all_columns.end(), 0);

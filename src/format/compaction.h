@@ -7,13 +7,13 @@
 // the deliberate division of labour the paper implies: urgent erasure
 // is in-place and cheap; space reclamation is deferred and batched.
 //
-// The rewrite rides the stage → encode → commit pipeline
-// (format/writer.h): pass `threads` (or a shared exec::ThreadPool) and
-// each surviving row group's page encodes fan out across workers while
-// commits land in row-group order — the output file is byte-identical
-// to a serial compaction at any thread count. Dataset-level compaction
-// (pick shards by deleted fraction, GC the replaced files, refresh the
-// manifest) lives in dataset/evolution.h.
+// The rewrite is one TableWriter (format/writer.h): pass a shared
+// exec::ThreadPool and each surviving row group's page encodes fan out
+// across its workers while commits land in row-group order — the
+// output file is byte-identical to a serial compaction at any thread
+// count. Dataset-level compaction (pick shards by deleted fraction, GC
+// the replaced files, refresh the manifest) lives in
+// dataset/evolution.h.
 
 #pragma once
 
@@ -48,13 +48,12 @@ WriterOptions LayoutWriterOptions(const FooterView& footer);
 /// source's physical layout via LayoutWriterOptions — page size,
 /// compliance level, and column placement order all carry over; pass
 /// explicit options to relayout instead. Options are validated up
-/// front either way. `threads` > 1 (or a non-null shared `pool`) fans
-/// page encodes out across workers; output bytes are identical at any
-/// thread count.
+/// front either way. A non-null `pool` fans page encodes out across
+/// its workers; output bytes are identical either way. Returns after
+/// `dest` was flushed (TableWriter::Finish).
 Result<CompactionReport> CompactTable(TableReader* reader,
                                       WritableFile* dest,
                                       const WriterOptions* options = nullptr,
-                                      size_t threads = 1,
                                       ThreadPool* pool = nullptr);
 
 /// Fraction of rows deleted across all groups (compaction trigger

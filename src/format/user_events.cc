@@ -61,7 +61,7 @@ Status UserEventStore::Write(WritableFile* file,
       cols[3].AppendIntList(item);
       cols[4].AppendRealList(value);
     }
-    BULLION_RETURN_NOT_OK(writer.WriteRowGroup(cols));
+    BULLION_RETURN_NOT_OK(writer.WriteRowGroup(std::move(cols)));
   }
   return writer.Finish();
 }

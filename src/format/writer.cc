@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "exec/thread_pool.h"
 #include "format/merkle.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_report.h"
 #include "obs/trace.h"
 #include "serve/bloom.h"
 
@@ -76,28 +79,27 @@ Status ValidateWriterOptions(const WriterOptions& options,
   return Status::OK();
 }
 
-Result<StagedRowGroup> StageRowGroup(
-    const Schema& schema, const WriterOptions& options,
-    std::shared_ptr<const std::vector<ColumnVector>> columns) {
-  BULLION_RETURN_NOT_OK(ValidateWriterOptions(options, schema));
-  return StageValidatedRowGroup(schema, options, std::move(columns));
-}
-
-Result<StagedRowGroup> StageValidatedRowGroup(
-    const Schema& schema, const WriterOptions& options,
-    std::shared_ptr<const std::vector<ColumnVector>> columns) {
-  BULLION_TRACE_SPAN("write.stage");
-  if (columns == nullptr) {
-    return Status::InvalidArgument("null column batch");
-  }
-  if (columns->size() != schema.num_leaves()) {
+Status ValidateBatch(const Schema& schema,
+                     const std::vector<ColumnVector>& columns) {
+  if (columns.size() != schema.num_leaves()) {
     return Status::InvalidArgument(
-        "row group has " + std::to_string(columns->size()) +
+        "row group has " + std::to_string(columns.size()) +
         " columns, schema has " + std::to_string(schema.num_leaves()) +
         " leaves");
   }
-  size_t rows = columns->empty() ? 0 : (*columns)[0].num_rows();
-  for (const ColumnVector& col : *columns) {
+  size_t rows = columns.empty() ? 0 : columns[0].num_rows();
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const ColumnVector& col = columns[c];
+    const LeafColumn& leaf = schema.leaves()[c];
+    // The encoder picks page encodings from the column's own type, and
+    // the reader decodes by the leaf's, so a mismatch would write pages
+    // that cannot be read back.
+    if (col.physical() != leaf.physical ||
+        col.list_depth() != leaf.list_depth) {
+      return Status::InvalidArgument(
+          "column " + std::to_string(c) + " ('" + leaf.name +
+          "') does not match its leaf's physical type and list depth");
+    }
     if (col.num_rows() != rows) {
       return Status::InvalidArgument("row group columns disagree on rows");
     }
@@ -109,6 +111,19 @@ Result<StagedRowGroup> StageValidatedRowGroup(
           "batch contains null rows; pages cannot encode validity");
     }
   }
+  return Status::OK();
+}
+
+Result<StagedRowGroup> StageRowGroup(
+    const Schema& schema, const WriterOptions& options,
+    std::shared_ptr<const std::vector<ColumnVector>> columns) {
+  BULLION_TRACE_SPAN("write.stage");
+  BULLION_RETURN_NOT_OK(ValidateWriterOptions(options, schema));
+  if (columns == nullptr) {
+    return Status::InvalidArgument("null column batch");
+  }
+  BULLION_RETURN_NOT_OK(ValidateBatch(schema, *columns));
+  size_t rows = columns->empty() ? 0 : (*columns)[0].num_rows();
   if (rows == 0) return Status::InvalidArgument("empty row group");
 
   if (options.quality_sort_column >= 0) {
@@ -167,6 +182,10 @@ Result<StagedRowGroup> StageValidatedRowGroup(
   return staged;
 }
 
+namespace {
+
+/// Encode step: encodes task `task` of `staged` into one page. Pure
+/// and thread-safe.
 Result<EncodedPage> EncodeStagedPage(const StagedRowGroup& staged,
                                      size_t task) {
   BULLION_TRACE_SPAN("write.encode_page");
@@ -174,9 +193,6 @@ Result<EncodedPage> EncodeStagedPage(const StagedRowGroup& staged,
       obs::MetricsRegistry::Global().GetHistogram(
           "bullion.format.encode_page_ns");
   const uint64_t encode_start = obs::NowNs();
-  if (task >= staged.tasks.size()) {
-    return Status::InvalidArgument("staged task index out of range");
-  }
   const PageEncodeTask& t = staged.tasks[task];
   const ColumnVector& col = (*staged.columns)[t.column];
   BULLION_ASSIGN_OR_RETURN(EncodedPage page,
@@ -205,15 +221,35 @@ Result<EncodedPage> EncodeStagedPage(const StagedRowGroup& staged,
   return page;
 }
 
+}  // namespace
+
+/// One row group between stage and commit. Heap-allocated so the
+/// encode tasks can hold its address while the window deque changes.
+struct TableWriter::InFlightGroup {
+  InFlightGroup(StagedRowGroup s, ThreadPool* pool)
+      : staged(std::move(s)), pages(staged.tasks.size()), tasks(pool) {}
+
+  StagedRowGroup staged;
+  std::vector<EncodedPage> pages;  // pages[i] = encoded task i
+  /// Declared last so it is destroyed first: its destructor joins the
+  /// encodes that read `staged` and write `pages`.
+  TaskGroup tasks;
+};
+
 TableWriter::TableWriter(Schema schema, WritableFile* file,
-                         WriterOptions options)
+                         WriterOptions options, ThreadPool* pool,
+                         obs::PipelineReport* report)
     : schema_(std::move(schema)),
       file_(file),
       options_(std::move(options)),
-      init_status_(ValidateWriterOptions(options_, schema_)),
+      pool_(pool),
+      report_(report),
+      max_in_flight_(pool != nullptr ? 2 * pool->num_threads() : 0),
+      error_(ValidateWriterOptions(options_, schema_)),
       footer_(schema_, options_.rows_per_page, options_.compliance,
               options_.write_chunk_stats,
-              options_.bloom_bits_per_key > 0.0) {
+              options_.bloom_bits_per_key > 0.0),
+      start_ns_(obs::NowNs()) {
   if (options_.write_block_bytes > 0) {
     agg_ = std::make_unique<AggregatedWriteBuffer>(
         file_, options_.write_block_bytes);
@@ -223,40 +259,83 @@ TableWriter::TableWriter(Schema schema, WritableFile* file,
   }
 }
 
-Result<StagedRowGroup> TableWriter::StageRowGroup(
-    std::shared_ptr<const std::vector<ColumnVector>> columns) const {
-  BULLION_RETURN_NOT_OK(init_status_);
-  // Options were validated at construction and are immutable.
-  return StageValidatedRowGroup(schema_, options_, std::move(columns));
+TableWriter::~TableWriter() = default;
+
+Status TableWriter::WriteRowGroup(std::vector<ColumnVector> columns) {
+  return WriteRowGroup(
+      std::make_shared<const std::vector<ColumnVector>>(std::move(columns)));
 }
 
-Status TableWriter::WriteRowGroup(const std::vector<ColumnVector>& columns) {
-  BULLION_RETURN_NOT_OK(init_status_);
+Status TableWriter::WriteRowGroup(
+    std::shared_ptr<const std::vector<ColumnVector>> columns) {
+  BULLION_RETURN_NOT_OK(error_);
   if (finished_) return Status::InvalidArgument("writer already finished");
-  // Borrow the batch: the serial path commits before returning, so no
-  // ownership transfer is needed.
-  std::shared_ptr<const std::vector<ColumnVector>> borrowed(
-      &columns, [](const std::vector<ColumnVector>*) {});
-  BULLION_ASSIGN_OR_RETURN(
-      StagedRowGroup staged,
-      StageValidatedRowGroup(schema_, options_, std::move(borrowed)));
-  std::vector<EncodedPage> pages;
-  pages.reserve(staged.tasks.size());
-  for (size_t t = 0; t < staged.tasks.size(); ++t) {
-    BULLION_ASSIGN_OR_RETURN(EncodedPage page, EncodeStagedPage(staged, t));
-    pages.push_back(std::move(page));
+  // Stage failures touch no file or footer state and are not sticky:
+  // the writer stays usable after a bad batch.
+  const uint64_t stage_start = obs::NowNs();
+  Result<StagedRowGroup> staged =
+      StageRowGroup(schema_, options_, std::move(columns));
+  if (report_ != nullptr) {
+    report_->prepare_ns.fetch_add(obs::NowNs() - stage_start,
+                                  std::memory_order_relaxed);
   }
-  return CommitEncodedGroup(staged, pages);
+  BULLION_RETURN_NOT_OK(staged.status());
+
+  // One task per page, each writing its own slot; without a pool they
+  // run inline here.
+  in_flight_.push_back(
+      std::make_unique<InFlightGroup>(std::move(*staged), pool_));
+  InFlightGroup* group = in_flight_.back().get();
+  obs::PipelineReport* report = report_;
+  for (size_t i = 0; i < group->staged.tasks.size(); ++i) {
+    group->tasks.Submit([group, i, report] {
+      const uint64_t work_start = obs::NowNs();
+      BULLION_ASSIGN_OR_RETURN(EncodedPage page,
+                               EncodeStagedPage(group->staged, i));
+      if (report != nullptr) {
+        const uint64_t dt = obs::NowNs() - work_start;
+        report->work_ns.fetch_add(dt, std::memory_order_relaxed);
+        report->work_hist.Record(dt);
+        report->batches.fetch_add(1, std::memory_order_relaxed);
+        report->bytes.fetch_add(page.data.size(), std::memory_order_relaxed);
+      }
+      group->pages[i] = std::move(page);
+      return Status::OK();
+    });
+  }
+  while (in_flight_.size() > max_in_flight_) {
+    BULLION_RETURN_NOT_OK(CommitOldest());
+  }
+  return Status::OK();
 }
 
-Status TableWriter::CommitEncodedGroup(const StagedRowGroup& staged,
-                                       const std::vector<EncodedPage>& pages) {
+Status TableWriter::CommitOldest() {
+  InFlightGroup& group = *in_flight_.front();
+  // Joining the oldest group is the producer's stall: encode workers
+  // still busy when the window forces a commit.
+  const uint64_t join_start = obs::NowNs();
+  Status st = group.tasks.Wait();
+  const uint64_t commit_start = obs::NowNs();
+  if (st.ok()) st = CommitGroup(group.staged, group.pages);
+  if (report_ != nullptr) {
+    report_->stall_ns.fetch_add(commit_start - join_start,
+                                std::memory_order_relaxed);
+    report_->emit_ns.fetch_add(obs::NowNs() - commit_start,
+                               std::memory_order_relaxed);
+    if (st.ok()) {
+      report_->units.fetch_add(1, std::memory_order_relaxed);
+      report_->rows.fetch_add(group.staged.row_count,
+                              std::memory_order_relaxed);
+    }
+  }
+  in_flight_.pop_front();
+  if (!st.ok()) error_ = st;
+  return st;
+}
+
+Status TableWriter::CommitGroup(const StagedRowGroup& staged,
+                                const std::vector<EncodedPage>& pages) {
   BULLION_TRACE_SPAN("write.commit_group");
-  BULLION_RETURN_NOT_OK(init_status_);
-  if (finished_) return Status::InvalidArgument("writer already finished");
-  if (pages.size() != staged.tasks.size()) {
-    return Status::InvalidArgument("encoded page count disagrees with stage");
-  }
   footer_.BeginRowGroup(staged.row_count);
   const bool with_bloom =
       options_.write_chunk_stats && options_.bloom_bits_per_key > 0.0;
@@ -310,17 +389,34 @@ Status TableWriter::CommitEncodedGroup(const StagedRowGroup& staged,
 }
 
 Status TableWriter::Finish() {
-  BULLION_RETURN_NOT_OK(init_status_);
-  if (finished_) return Status::InvalidArgument("writer already finished");
+  if (finished_) {
+    BULLION_RETURN_NOT_OK(error_);
+    return Status::InvalidArgument("writer already finished");
+  }
   finished_ = true;
+  Status st = error_;
+  while (st.ok() && !in_flight_.empty()) st = CommitOldest();
+  // After a failed commit, dropping the rest joins their encodes
+  // without writing.
+  in_flight_.clear();
+  if (st.ok()) st = WriteFooter();
+  if (!st.ok()) error_ = st;
+  if (report_ != nullptr) {
+    report_->wall_ns.fetch_add(obs::NowNs() - start_ns_,
+                               std::memory_order_relaxed);
+  }
+  return st;
+}
+
+Status TableWriter::WriteFooter() {
   BULLION_ASSIGN_OR_RETURN(Buffer footer, footer_.Finish(offset_, num_rows_));
   BULLION_RETURN_NOT_OK(sink_->Append(footer.AsSlice()));
   BufferBuilder trailer;
   trailer.Append<uint32_t>(static_cast<uint32_t>(footer.size()));
   trailer.Append<uint32_t>(kFooterMagic);
   BULLION_RETURN_NOT_OK(sink_->Append(trailer.AsSlice()));
-  // Aggregated sink: barrier over in-flight blocks + tail write, then
-  // the base fsync — every byte is on the device before Finish returns.
+  // Aggregated sink: the tail block, then the base file's flush (fsync
+  // on posix) — every byte is on the device before Finish returns.
   return sink_->Flush();
 }
 

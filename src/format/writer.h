@@ -8,34 +8,35 @@
 // implements Alpha-style feature reordering (§3): columns that training
 // jobs co-access are placed adjacently so projection reads coalesce.
 //
-// The write path is layered stage → encode → commit, the write-side
-// twin of the reader's plan → fetch → decode split:
+// Each row group runs stage → encode → commit, the write-side twin of
+// the reader's plan → fetch → decode split:
 //
-//   StageRowGroup()        -- pure: validates a batch, applies the
-//                             quality sort, and slices it into
-//                             per-column/per-page PageEncodeTasks in
-//                             placement order. No file or footer state
-//                             is touched, so staged groups from
-//                             consecutive batches may encode
-//                             concurrently.
-//   EncodeStagedPage()     -- pure: encodes one task into an
-//                             EncodedPage buffer. Thread-safe; the
-//                             exec layer fans these out across a
-//                             ThreadPool (exec/writer.h).
-//   CommitEncodedGroup()   -- appends the encoded pages in
-//                             deterministic placement order and
-//                             records footer metadata. Commits must
-//                             happen in row-group order; because every
-//                             byte placement decision is made here,
-//                             the file is byte-identical no matter how
-//                             the encode stage was scheduled.
+//   stage   -- pure: validates a batch, applies the quality sort, and
+//              slices it into per-column/per-page PageEncodeTasks in
+//              placement order (StageRowGroup). No file or footer
+//              state is touched.
+//   encode  -- pure: encodes each task into an EncodedPage buffer. With
+//              a ThreadPool the page encodes fan out across its
+//              workers, and encodes of consecutive groups overlap.
+//   commit  -- appends the encoded pages in deterministic placement
+//              order and records footer metadata, on the calling
+//              thread and in row-group order. Every byte placement
+//              decision is made here, so the file is byte-identical no
+//              matter how the encode stage was scheduled.
 //
-// WriteRowGroup() runs the three stages back to back on the calling
-// thread — the serial reference path.
+// Without a pool each group is committed before WriteRowGroup returns.
+// With one, at most 2 × pool->num_threads() groups are staged or
+// encoding at once; Finish() commits the rest and writes the footer:
+//
+//   ThreadPool pool(8);
+//   TableWriter writer(schema, file, options, &pool);
+//   writer.WriteRowGroup(std::move(batch));  // any number of times
+//   writer.Finish();
 
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -50,6 +51,11 @@
 #include "io/file.h"
 
 namespace bullion {
+
+class ThreadPool;  // exec/thread_pool.h
+namespace obs {
+struct PipelineReport;  // obs/pipeline_report.h
+}  // namespace obs
 
 struct WriterOptions {
   /// Rows per page (unit of encoding / checksum / in-place deletion).
@@ -99,6 +105,14 @@ struct WriterOptions {
 Status ValidateWriterOptions(const WriterOptions& options,
                              const Schema& schema);
 
+/// Checks a batch against a schema: one column per leaf, each of the
+/// leaf's physical type and list depth, all with the same row count,
+/// and no null rows (pages have no validity stream). Writers run this
+/// before they read a row, so a mismatched column is a clear Status
+/// instead of a crash or a file that cannot be read back.
+Status ValidateBatch(const Schema& schema,
+                     const std::vector<ColumnVector>& columns);
+
 /// \brief One unit of the parallel encode stage: rows
 /// [row_begin, row_end) of leaf `column`, encoded as a single page.
 struct PageEncodeTask {
@@ -115,7 +129,7 @@ struct PageEncodeTask {
 /// other threads, after the staging frame returned). Tasks are ordered
 /// placement-major — column `order[i]`'s pages occupy task indices
 /// [column_task_begin[i], column_task_begin[i+1]) in page order — which
-/// is exactly the byte order CommitEncodedGroup writes.
+/// is exactly the byte order the commit step writes.
 struct StagedRowGroup {
   std::shared_ptr<const std::vector<ColumnVector>> columns;
   uint32_t row_count = 0;
@@ -145,64 +159,89 @@ Result<StagedRowGroup> StageRowGroup(
     const Schema& schema, const WriterOptions& options,
     std::shared_ptr<const std::vector<ColumnVector>> columns);
 
-/// As above but assumes `options` already passed ValidateWriterOptions
-/// against `schema` — the per-group fast path for writers that
-/// validated once at construction (options are immutable afterwards).
-Result<StagedRowGroup> StageValidatedRowGroup(
-    const Schema& schema, const WriterOptions& options,
-    std::shared_ptr<const std::vector<ColumnVector>> columns);
-
-/// Encode step: encodes task `task` of `staged` into one page. Pure
-/// and thread-safe — distinct tasks of one staged group (or of many)
-/// may run concurrently.
-Result<EncodedPage> EncodeStagedPage(const StagedRowGroup& staged,
-                                     size_t task);
-
 /// \brief Writes a Bullion file row group by row group.
+///
+/// Not thread-safe itself: one producer thread writes row groups and
+/// calls Finish(); the parallelism is internal (page encoding).
 class TableWriter {
  public:
-  TableWriter(Schema schema, WritableFile* file, WriterOptions options);
+  /// Writes through `file` with `options` (validated here; an invalid
+  /// set fails every later call). `pool` (optional, shared, must
+  /// outlive the writer) runs the page encodes. `report` (optional)
+  /// records the write pipeline: stage → prepare_ns, page encodes →
+  /// work_ns/work_hist/batches/bytes, joining the oldest in-flight
+  /// group → stall_ns, commit → emit_ns/units/rows, construction →
+  /// Finish() → wall_ns.
+  TableWriter(Schema schema, WritableFile* file, WriterOptions options,
+              ThreadPool* pool = nullptr,
+              obs::PipelineReport* report = nullptr);
+  /// Joins encodes still in flight; writes nothing.
+  ~TableWriter();
 
-  /// Writes one row group; `columns` has one ColumnVector per schema
-  /// leaf, all with the same row count. Runs stage → encode → commit
-  /// serially on the calling thread.
-  Status WriteRowGroup(const std::vector<ColumnVector>& columns);
+  TableWriter(const TableWriter&) = delete;
+  TableWriter& operator=(const TableWriter&) = delete;
 
-  /// Stage step against this writer's schema/options (see the free
-  /// function). Const: staging never touches file or footer state.
-  Result<StagedRowGroup> StageRowGroup(
-      std::shared_ptr<const std::vector<ColumnVector>> columns) const;
+  /// Writes one row group: one ColumnVector per schema leaf, each of
+  /// the leaf's physical type and list depth, all with the same row
+  /// count. Takes the batch by value, since encodes may still read it
+  /// after this call returns. A batch the stage step rejects touches
+  /// no file or footer state and leaves the writer usable; a failed
+  /// commit is returned by this call or a later one, and by every call
+  /// after it.
+  Status WriteRowGroup(std::vector<ColumnVector> columns);
 
-  /// Commit step: appends `pages` (pages[i] = encoded task i of
-  /// `staged`) in placement order and records footer metadata. Row
-  /// groups must be committed in order; this is the only stage that
-  /// mutates file state, so the bytes written are independent of how
-  /// the encode stage was scheduled.
-  Status CommitEncodedGroup(const StagedRowGroup& staged,
-                            const std::vector<EncodedPage>& pages);
+  /// As above without copying: the shared batch must stay unchanged
+  /// until Finish() returns. Callers whose batches outlive the writer
+  /// (e.g. WriteTableFile) borrow via a no-op-deleter shared_ptr.
+  Status WriteRowGroup(std::shared_ptr<const std::vector<ColumnVector>> columns);
 
-  /// Writes the footer and trailer. Must be called exactly once.
+  /// Commits every group still in flight, writes the footer and
+  /// trailer, and returns only after the file's Flush() succeeded —
+  /// the append and compaction publish protocols rely on that. After a
+  /// failed commit it joins the remaining encodes without writing and
+  /// returns the first error. Must be called exactly once.
   Status Finish();
 
+  /// Rows committed so far (groups still in flight not included).
   uint64_t num_rows() const { return num_rows_; }
   const Schema& schema() const { return schema_; }
   const WriterOptions& options() const { return options_; }
 
  private:
+  struct InFlightGroup;
+
+  /// Joins the oldest in-flight group's encodes and commits it.
+  Status CommitOldest();
+  /// Appends `pages` (pages[i] = encoded task i of `staged`) in
+  /// placement order and records footer metadata.
+  Status CommitGroup(const StagedRowGroup& staged,
+                     const std::vector<EncodedPage>& pages);
+  /// Writes the footer and trailer, then flushes the file.
+  Status WriteFooter();
+
   Schema schema_;
   WritableFile* file_;
   WriterOptions options_;
+  ThreadPool* pool_;
+  obs::PipelineReport* report_;
+  /// Groups staged or encoding, not yet committed (oldest first); at
+  /// most max_in_flight_ of them between calls.
+  std::deque<std::unique_ptr<InFlightGroup>> in_flight_;
+  size_t max_in_flight_;
   /// Write-batching layer over file_ (WriterOptions::write_block_bytes;
   /// null when disabled). sink_ is where commits append: the
   /// aggregation buffer, or file_ directly.
   std::unique_ptr<AggregatedWriteBuffer> agg_;
   WritableFile* sink_ = nullptr;
-  Status init_status_;
+  /// Sticky: invalid options, or the first failed commit or footer
+  /// write.
+  Status error_;
   FooterBuilder footer_;
   uint64_t offset_ = 0;
   uint64_t num_rows_ = 0;
   uint32_t group_index_ = 0;
   bool finished_ = false;
+  uint64_t start_ns_ = 0;  // construction (report wall time)
 };
 
 /// Min/max of rows [row_begin, row_end) of `column`, or an invalid map

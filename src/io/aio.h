@@ -30,10 +30,10 @@ const char* AioTierName(AioTier tier);
 AioTier DefaultAioTier();
 
 /// \brief Write-batching layer: a WritableFile that absorbs the many
-/// small page appends of a CommitEncodedGroup into large sequential
-/// blocks of exactly `block_bytes` (default 1 MiB in WriterOptions),
-/// each written through the base file's AppendBlock on the calling
-/// thread as soon as it fills.
+/// small page appends of a TableWriter's row-group commit into large
+/// sequential blocks of exactly `block_bytes` (default 1 MiB in
+/// WriterOptions), each written through the base file's AppendBlock on
+/// the calling thread as soon as it fills.
 ///
 /// Bytes on disk are identical to writing through the base file
 /// directly: blocks go out in absorption order and the partial tail

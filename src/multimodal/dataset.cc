@@ -78,7 +78,7 @@ Status DatasetWriter::Write(const std::vector<Sample>& samples) {
       cols[4].AppendInt(static_cast<int64_t>(loc.block_offset));
       cols[5].AppendInt(loc.index_in_block);
     }
-    BULLION_RETURN_NOT_OK(writer.WriteRowGroup(cols));
+    BULLION_RETURN_NOT_OK(writer.WriteRowGroup(std::move(cols)));
   }
   return writer.Finish();
 }

@@ -1,5 +1,5 @@
 // PipelineReport: per-scan / per-write pipeline accounting, attachable
-// via ScanStreamBuilder::Report() and WriteBuilder::Report().
+// via ScanStreamBuilder::Report() and the TableWriter constructor.
 //
 // A report describes one pipeline: what it produced (rows, bytes,
 // units, batches), how many row groups a scan's planner pruned before
@@ -7,8 +7,8 @@
 // distribution for the fanned-out work units. File-handle counts
 // (preads, writes, seeks) live in IoStats, not here.
 //
-//   read side  (exec/batch_stream.cc)      write side (exec/writer.cc)
-//   ---------------------------------      ---------------------------
+//   read side  (exec/batch_stream.cc)      write side (format/writer.cc)
+//   ---------------------------------      -----------------------------
 //   prepare_ns  unit prepare + read plan   stage (validate/sort/slice)
 //   work_ns     fetch + decode, summed     page encode, summed across
 //               across worker threads,     worker threads

@@ -512,10 +512,10 @@ TEST(Trace, PipelineEmitsStageSpans) {
   InMemoryFileSystem fs;
   {
     auto f = fs.NewWritableFile("t");
-    auto writer = WriteBuilder(schema, f->get()).Threads(2).Build();
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->WriteRowGroup(cols).ok());
-    ASSERT_TRUE((*writer)->Finish().ok());
+    ThreadPool pool(2);
+    TableWriter writer(schema, f->get(), {}, &pool);
+    ASSERT_TRUE(writer.WriteRowGroup(std::move(cols)).ok());
+    ASSERT_TRUE(writer.Finish().ok());
   }
   auto reader = TableReader::Open(*fs.NewReadableFile("t"));
   ASSERT_TRUE(reader.ok());
@@ -652,16 +652,14 @@ TEST(PipelineReport, PopulatedByParallelWrite) {
   obs::PipelineReport report;
   {
     auto f = fs.NewWritableFile("t");
-    auto writer = WriteBuilder(schema, f->get())
-                      .RowsPerPage(64)
-                      .Threads(2)
-                      .Report(&report)
-                      .Build();
-    ASSERT_TRUE(writer.ok());
-    for (const auto& g : groups) {
-      ASSERT_TRUE((*writer)->WriteRowGroup(g).ok());
+    WriterOptions wopts;
+    wopts.rows_per_page = 64;
+    ThreadPool pool(2);
+    TableWriter writer(schema, f->get(), wopts, &pool, &report);
+    for (auto& g : groups) {
+      ASSERT_TRUE(writer.WriteRowGroup(std::move(g)).ok());
     }
-    ASSERT_TRUE((*writer)->Finish().ok());
+    ASSERT_TRUE(writer.Finish().ok());
   }
 
   EXPECT_EQ(report.rows.load(), kGroups * kRowsPerGroup);

@@ -1,11 +1,14 @@
 // Parallel write path tests: stage → encode → commit layering,
-// WriterOptions validation, and the headline determinism claim — a
-// parallel write (single-file and sharded) is byte-identical to the
-// serial writer at every thread count.
+// WriterOptions and batch validation, the encode window's error
+// contract, and the headline determinism claim — a write on a pool
+// (single-file and sharded) is byte-identical to the serial writer at
+// every thread count.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,7 +83,6 @@ TEST(WriterValidation, RejectsZeroRowsPerPage) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(writer.Finish().ok());
-  EXPECT_FALSE(WriteBuilder(schema, f->get()).RowsPerPage(0).Build().ok());
 }
 
 TEST(WriterValidation, RejectsMalformedColumnOrder) {
@@ -136,6 +138,105 @@ TEST(WriterValidation, ShardedRejectsZeroTargets) {
   EXPECT_FALSE(
       ShardedWriteBuilder(schema, opener).RowsPerGroup(0).Build().ok());
   EXPECT_TRUE(ShardedWriteBuilder(schema, opener).Build().ok());
+}
+
+TEST(WriterValidation, RejectsColumnsThatDisagreeWithTheirLeaf) {
+  // Leaf 0 ("uid") is a scalar int64. A float64 column and a list
+  // column in its place must both be refused before any row is
+  // encoded or copied, and leave every writer usable.
+  Schema schema = MakeMixedSchema();
+  std::vector<ColumnVector> good = MakeMixedData(schema, 100, 17);
+  std::vector<std::vector<ColumnVector>> bad_batches;
+  {
+    std::vector<ColumnVector> floats = good;
+    floats[0] = ColumnVector(PhysicalType::kFloat64, 0);
+    for (size_t r = 0; r < 100; ++r) floats[0].AppendReal(0.5 * r);
+    bad_batches.push_back(std::move(floats));
+    std::vector<ColumnVector> lists = good;
+    lists[0] = ColumnVector(PhysicalType::kInt64, 1);
+    for (size_t r = 0; r < 100; ++r) {
+      lists[0].AppendIntList({static_cast<int64_t>(r)});
+    }
+    bad_batches.push_back(std::move(lists));
+  }
+  auto expect_rejected = [](const Status& st) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  };
+  auto expect_reads_back = [&](const ScanResult& scan) {
+    ASSERT_EQ(scan.columns.size(), good.size());
+    for (size_t c = 0; c < good.size(); ++c) {
+      EXPECT_EQ(*scan.ConcatColumn(c), good[c]) << "column " << c;
+    }
+  };
+
+  // TableWriter, without and with a pool.
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    InMemoryFileSystem fs;
+    auto f = fs.NewWritableFile("t");
+    TableWriter writer(schema, f->get(), {}, p);
+    for (const auto& bad : bad_batches) {
+      expect_rejected(writer.WriteRowGroup(bad));
+    }
+    ASSERT_TRUE(writer.WriteRowGroup(good).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+    auto reader = TableReader::Open(*fs.NewReadableFile("t"));
+    ASSERT_TRUE(reader.ok());
+    auto scan = Scan(reader->get()).Collect();
+    ASSERT_TRUE(scan.ok());
+    expect_reads_back(*scan);
+  }
+
+  auto read_dataset = [&](InMemoryFileSystem* fs,
+                          const ShardManifest& manifest) {
+    auto ds = ShardedTableReader::Open(manifest, [fs](const std::string& n) {
+      return fs->NewReadableFile(n);
+    });
+    ASSERT_TRUE(ds.ok());
+    auto scan = Scan(ds->get()).Collect();
+    ASSERT_TRUE(scan.ok());
+    expect_reads_back(*scan);
+  };
+
+  // ShardedTableWriter.
+  {
+    InMemoryFileSystem fs;
+    auto writer = ShardedWriteBuilder(schema,
+                                      [&](const std::string& name) {
+                                        return fs.NewWritableFile(name);
+                                      })
+                      .RowsPerShard(50)
+                      .RowsPerGroup(50)
+                      .Pool(&pool)
+                      .Build();
+    ASSERT_TRUE(writer.ok());
+    for (const auto& bad : bad_batches) {
+      expect_rejected((*writer)->Append(bad));
+    }
+    EXPECT_EQ((*writer)->num_rows(), 0u);
+    ASSERT_TRUE((*writer)->Append(good).ok());
+    auto manifest = (*writer)->Finish();
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    EXPECT_EQ(manifest->num_shards(), 2u);
+    read_dataset(&fs, *manifest);
+  }
+
+  // DatasetAppender (onto an empty dataset).
+  {
+    InMemoryFileSystem fs;
+    auto appender = DatasetAppender::Open(
+        ShardManifest(), schema,
+        [&](const std::string& n) { return fs.NewReadableFile(n); },
+        [&](const std::string& n) { return fs.NewWritableFile(n); });
+    ASSERT_TRUE(appender.ok()) << appender.status().ToString();
+    for (const auto& bad : bad_batches) {
+      expect_rejected((*appender)->Append(bad));
+    }
+    ASSERT_TRUE((*appender)->Append(good).ok());
+    auto manifest = (*appender)->Finish();
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    read_dataset(&fs, *manifest);
+  }
 }
 
 // ---------------------------------------------------------------- stage
@@ -213,17 +314,13 @@ TEST(ParallelWrite, ByteIdenticalToSerialAtEveryThreadCount) {
   for (size_t threads : {1, 2, 4, 8}) {
     std::string name = "par" + std::to_string(threads);
     auto f = fs.NewWritableFile(name);
-    auto writer = WriteBuilder(schema, f->get())
-                      .Options(wopts)
-                      .Threads(threads)
-                      .MaxPendingGroups(3)
-                      .Build();
-    ASSERT_TRUE(writer.ok());
+    ThreadPool pool(threads);
+    TableWriter writer(schema, f->get(), wopts, &pool);
     for (const auto& g : groups) {
-      ASSERT_TRUE((*writer)->WriteRowGroup(g).ok());
+      ASSERT_TRUE(writer.WriteRowGroup(g).ok());
     }
-    ASSERT_TRUE((*writer)->Finish().ok());
-    EXPECT_EQ((*writer)->num_rows(), 2400u);
+    ASSERT_TRUE(writer.Finish().ok());
+    EXPECT_EQ(writer.num_rows(), 2400u);
     EXPECT_EQ(FileBytes(fs, name), truth) << "threads=" << threads;
   }
 }
@@ -264,9 +361,9 @@ TEST(ParallelWrite, ZeroRowGroupsWritesFooterOnly) {
     ASSERT_TRUE(writer.Finish().ok());
   }
   auto fpar = fs.NewWritableFile("par");
-  auto writer = WriteBuilder(schema, fpar->get()).Threads(4).Build();
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Finish().ok());
+  ThreadPool pool(4);
+  TableWriter writer(schema, fpar->get(), {}, &pool);
+  ASSERT_TRUE(writer.Finish().ok());
   EXPECT_EQ(FileBytes(fs, "par"), FileBytes(fs, "serial"));
 }
 
@@ -309,17 +406,15 @@ TEST(ParallelWrite, SharedPoolAcrossWriters) {
   ThreadPool pool(4);
   auto fa = fs.NewWritableFile("a");
   auto fb = fs.NewWritableFile("b");
-  auto wa = WriteBuilder(schema, fa->get()).Pool(&pool).Build();
-  auto wb = WriteBuilder(schema, fb->get()).Pool(&pool).Build();
-  ASSERT_TRUE(wa.ok());
-  ASSERT_TRUE(wb.ok());
+  TableWriter wa(schema, fa->get(), {}, &pool);
+  TableWriter wb(schema, fb->get(), {}, &pool);
   // Interleave submissions so both writers' encodes share the pool.
   for (const auto& g : groups) {
-    ASSERT_TRUE((*wa)->WriteRowGroup(g).ok());
-    ASSERT_TRUE((*wb)->WriteRowGroup(g).ok());
+    ASSERT_TRUE(wa.WriteRowGroup(g).ok());
+    ASSERT_TRUE(wb.WriteRowGroup(g).ok());
   }
-  ASSERT_TRUE((*wa)->Finish().ok());
-  ASSERT_TRUE((*wb)->Finish().ok());
+  ASSERT_TRUE(wa.Finish().ok());
+  ASSERT_TRUE(wb.Finish().ok());
   EXPECT_EQ(FileBytes(fs, "a"), truth);
   EXPECT_EQ(FileBytes(fs, "b"), truth);
 }
@@ -328,25 +423,108 @@ TEST(ParallelWrite, BadBatchIsRejectedWithoutBrickingTheWriter) {
   Schema schema = MakeMixedSchema();
   InMemoryFileSystem fs;
   auto f = fs.NewWritableFile("t");
-  auto writer = WriteBuilder(schema, f->get()).Threads(2).Build();
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->WriteRowGroup(MakeMixedData(schema, 50, 1)).ok());
+  ThreadPool pool(2);
+  TableWriter writer(schema, f->get(), {}, &pool);
+  ASSERT_TRUE(writer.WriteRowGroup(MakeMixedData(schema, 50, 1)).ok());
   // Wrong leaf count fails the stage step, which touches no file or
   // footer state...
   std::vector<ColumnVector> bad;
   bad.push_back(ColumnVector(PhysicalType::kInt64, 0));
   bad[0].AppendInt(1);
-  Status st = (*writer)->WriteRowGroup(std::move(bad));
+  Status st = writer.WriteRowGroup(std::move(bad));
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  // ...so, like the serial TableWriter, the writer stays usable: a
-  // corrected batch and Finish succeed, and the file round-trips.
-  EXPECT_TRUE((*writer)->WriteRowGroup(MakeMixedData(schema, 50, 2)).ok());
-  ASSERT_TRUE((*writer)->Finish().ok());
+  // ...so the writer stays usable: a corrected batch and Finish
+  // succeed, and the file round-trips.
+  EXPECT_TRUE(writer.WriteRowGroup(MakeMixedData(schema, 50, 2)).ok());
+  ASSERT_TRUE(writer.Finish().ok());
   auto reader = TableReader::Open(*fs.NewReadableFile("t"));
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ((*reader)->num_rows(), 100u);
   EXPECT_EQ((*reader)->num_row_groups(), 2u);
+}
+
+/// Keeps the first `ok_blocks` block writes; every later write fails.
+class BlockFailingFile : public WritableFile {
+ public:
+  explicit BlockFailingFile(size_t ok_blocks) : ok_blocks_(ok_blocks) {}
+
+  Status Append(Slice data) override { return AppendBlock(data); }
+  Status AppendBlock(Slice data) override {
+    if (blocks_ >= ok_blocks_) return Status::IOError("device gone");
+    ++blocks_;
+    contents_.append(reinterpret_cast<const char*>(data.data()),
+                     data.size());
+    return Status::OK();
+  }
+  Status WriteAt(uint64_t, Slice) override {
+    return Status::NotImplemented("WriteAt");
+  }
+  Status Flush() override {
+    ++flushes_;
+    return Status::OK();
+  }
+  Result<uint64_t> Size() const override { return contents_.size(); }
+
+  const std::string& contents() const { return contents_; }
+  int flushes() const { return flushes_; }
+
+ private:
+  size_t ok_blocks_;
+  size_t blocks_ = 0;
+  std::string contents_;
+  int flushes_ = 0;
+};
+
+TEST(ParallelWrite, FailedCommitIsStickyAndWritesNoFooter) {
+  Schema schema = MakeMixedSchema();
+  std::vector<std::vector<ColumnVector>> groups;
+  groups.push_back(MakeMixedData(schema, 400, 61));
+  groups.push_back(MakeMixedData(schema, 400, 62));
+  WriterOptions wopts;
+  wopts.rows_per_page = 64;
+  wopts.write_block_bytes = 4096;
+
+  // The same write on a healthy file: its pages span more than two
+  // blocks, so the commits themselves reach the failing second block
+  // write, before any footer byte is appended.
+  InMemoryFileSystem fs;
+  auto ftruth = fs.NewWritableFile("truth");
+  ASSERT_TRUE(WriteTableFile(ftruth->get(), schema, groups, wopts).ok());
+  std::vector<uint8_t> truth = FileBytes(fs, "truth");
+  uint32_t footer_size;
+  std::memcpy(&footer_size, truth.data() + truth.size() - 8, 4);
+  ASSERT_GT(truth.size() - 8 - footer_size, 2u * 4096);
+  const std::string first_block(truth.begin(), truth.begin() + 4096);
+
+  for (size_t workers : {0, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+    BlockFailingFile file(/*ok_blocks=*/1);
+    TableWriter writer(schema, &file, wopts, pool.get());
+    Status st;
+    for (const auto& g : groups) {
+      if (st.ok()) st = writer.WriteRowGroup(g);
+    }
+    if (workers == 0) {
+      // Serially the failing commit runs inside WriteRowGroup.
+      EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    } else {
+      // A 2-worker window holds four groups: both commit in Finish.
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      st = writer.Finish();
+      EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    }
+    // Sticky: every later call returns the same error.
+    EXPECT_EQ(writer.WriteRowGroup(groups[0]).ToString(), st.ToString());
+    EXPECT_EQ(writer.Finish().ToString(), st.ToString());
+    EXPECT_EQ(writer.Finish().ToString(), st.ToString());
+    // Only the first block, all page bytes, reached the file: no
+    // footer, no trailer, no flush.
+    EXPECT_EQ(file.contents(), first_block);
+    EXPECT_EQ(file.flushes(), 0);
+  }
 }
 
 // ---------------------------------------------------- sharded identity
@@ -394,10 +572,11 @@ TEST(ShardedWrite, ByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ShardedWrite, ManyShardsEncodeConcurrentlyOnOnePool) {
-  // Tiny shards + a wide window: groups of several shards are in the
-  // encode stage at once, all on one shared pool. Output must still be
-  // byte-identical, and the result must read back as one table.
+TEST(ShardedWrite, ManyShardHandoffsOnOnePool) {
+  // Tiny shards: every group opens a new shard, so each shard's last
+  // commits and footer overlap the next shard's first encodes, all on
+  // one shared pool. Output must still be byte-identical, and the
+  // result must read back as one table.
   Schema schema = MakeMixedSchema();
   std::vector<ColumnVector> all = MakeMixedData(schema, 600, 9);
 
@@ -413,7 +592,6 @@ TEST(ShardedWrite, ManyShardsEncodeConcurrentlyOnOnePool) {
                       .RowsPerShard(50)  // 12 shards
                       .RowsPerGroup(50)
                       .RowsPerPage(16)
-                      .MaxPendingGroups(8)
                       .Pool(p)
                       .Build();
     EXPECT_TRUE(writer.ok());
@@ -515,7 +693,7 @@ TEST(WriteStats, CountsPagesBytesAndFlushes) {
   ASSERT_TRUE(WriteTableFile(fserial->get(), schema, groups, wopts).ok());
   // ceil(100/32) = 4 pages per column per group, 5 leaves, 3 groups.
   EXPECT_EQ(serial_fs.stats().pages_encoded.load(), 4u * 5u * 3u);
-  EXPECT_GE(serial_fs.stats().flush_calls.load(), 1u);
+  EXPECT_EQ(serial_fs.stats().flush_calls.load(), 1u);
   uint64_t serial_ops = serial_fs.stats().write_ops.load();
   uint64_t serial_bytes = serial_fs.stats().bytes_written.load();
   EXPECT_GT(serial_bytes, 0u);
@@ -530,6 +708,51 @@ TEST(WriteStats, CountsPagesBytesAndFlushes) {
   EXPECT_EQ(par_fs.stats().pages_encoded.load(), 4u * 5u * 3u);
   EXPECT_EQ(par_fs.stats().write_ops.load(), serial_ops);
   EXPECT_EQ(par_fs.stats().bytes_written.load(), serial_bytes);
+  EXPECT_EQ(par_fs.stats().flush_calls.load(), 1u);
+
+  // A sharded write flushes each shard file exactly once, in its
+  // TableWriter::Finish.
+  InMemoryFileSystem shard_fs;
+  auto writer = ShardedWriteBuilder(schema,
+                                    [&](const std::string& name) {
+                                      return shard_fs.NewWritableFile(name);
+                                    })
+                    .BaseName("t")
+                    .RowsPerShard(75)
+                    .RowsPerGroup(75)
+                    .RowsPerPage(32)
+                    .Threads(2)
+                    .Build();
+  ASSERT_TRUE(writer.ok());
+  for (const auto& g : groups) ASSERT_TRUE((*writer)->Append(g).ok());
+  auto manifest = (*writer)->Finish();
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest->num_shards(), 4u);
+  EXPECT_EQ(shard_fs.stats().flush_calls.load(), 4u);
+
+  // So does compacting one shard: tombstone half of shard 0, then
+  // rewrite it.
+  {
+    const std::string& name = manifest->shard(0).name;
+    auto reader = TableReader::Open(*shard_fs.NewReadableFile(name));
+    ASSERT_TRUE(reader.ok());
+    auto rf = shard_fs.NewReadableFile(name);
+    auto uf = shard_fs.OpenForUpdate(name);
+    ASSERT_TRUE(rf.ok() && uf.ok());
+    DeleteExecutor exec(rf->get(), uf->get(), (*reader)->footer());
+    std::vector<uint64_t> doomed;
+    for (uint64_t r = 0; r < 75; r += 2) doomed.push_back(r);
+    auto deleted = exec.DeleteRows(doomed, ComplianceLevel::kLevel1);
+    ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  }
+  const uint64_t flushes_before = shard_fs.stats().flush_calls.load();
+  DatasetCompactor compactor(
+      [&](const std::string& n) { return shard_fs.NewReadableFile(n); },
+      [&](const std::string& n) { return shard_fs.NewWritableFile(n); });
+  auto compacted = compactor.Compact(*manifest);
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_EQ(compacted->shards_compacted, 1u);
+  EXPECT_EQ(shard_fs.stats().flush_calls.load() - flushes_before, 1u);
 }
 
 }  // namespace
