@@ -110,7 +110,6 @@ void PrintShardedScanReport() {
         return Scan(corpus.reader.get())
             .ColumnIndices(corpus.projection)
             .Threads(threads)
-            .PrefetchDepth(2)
             .Pool(pool.get())
             .Collect();
       };

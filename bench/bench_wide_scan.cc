@@ -114,7 +114,6 @@ void PrintParallelScanReport() {
     return Scan(reader.get())
         .ColumnIndices(corpus.projection)
         .Threads(threads)
-        .PrefetchDepth(2)
         .Pool(pool)
         .Collect();
   };

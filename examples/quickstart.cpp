@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
   auto scan = Scan(reader->get())
                   .Columns({"score", "clk_seq"})
                   .Threads(2)
-                  .PrefetchDepth(2)
                   .Collect();
   if (!scan.ok()) {
     std::fprintf(stderr, "scan failed: %s\n",

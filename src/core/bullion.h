@@ -29,7 +29,8 @@
 // range, and decodes the covered chunks. The exec/ layer drives those
 // same stages concurrently behind ONE unified streaming front door —
 // bullion::Scan works identically over a single file and a sharded
-// dataset, returns a pull-based BatchStream of bounded RowBatches, and
+// dataset (one planner sees both as a list of shards; a file is one
+// shard), returns a pull-based BatchStream of bounded RowBatches, and
 // pushes Filter predicates down to footer zone maps and chunk Bloom
 // filters so irrelevant row groups never cost a pread:
 //
@@ -50,7 +51,6 @@
 //                   .Columns({"uid", "score"})  // default: all leaves
 //                   .RowGroups(0, (*reader)->num_row_groups())
 //                   .Threads(8)                 // <=1 = serial path
-//                   .PrefetchDepth(2)           // reads in flight/thread
 //                   .Collect();
 //   auto uid = scan->ConcatColumn(0);           // across row groups
 //

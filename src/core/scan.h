@@ -2,12 +2,14 @@
 //
 // One API scans a single Bullion file and a sharded dataset
 // identically: pick a source, project columns, push down filters, and
-// pull bounded RowBatches. Results stream group by group through the
-// exec layer's in-flight window (bounded memory, backpressured I/O)
-// instead of materializing the whole projection; zone-map and Bloom
-// pruning skips row groups the filters prove irrelevant before a
-// single pread, and residual row-level evaluation keeps the results
-// exact.
+// pull bounded RowBatches. Stream() hands either source to the one
+// scan planner, OpenScanStream (exec/batch_stream.h), as a list of
+// shards: a file is a list of one. Results stream group by group
+// through the exec layer's in-flight window (bounded memory,
+// backpressured I/O) instead of materializing the whole projection;
+// zone-map and Bloom pruning skips row groups the filters prove
+// irrelevant before a single pread, and residual row-level evaluation
+// keeps the results exact.
 //
 //   auto stream = bullion::Scan(dataset.get())       // or a TableReader*
 //                     .Columns({"uid", "score"})
@@ -96,14 +98,6 @@ class ScanStreamBuilder {
     spec_.filters.push_back(std::move(clause));
     return *this;
   }
-  ScanStreamBuilder& Filters(std::vector<bullion::Filter> filters) {
-    spec_.filters.clear();
-    spec_.filters.reserve(filters.size());
-    for (bullion::Filter& f : filters) {
-      spec_.filters.push_back(FilterClause(std::move(f)));
-    }
-    return *this;
-  }
   /// Fetch only the filter columns up front and pread just the page
   /// runs holding surviving rows of the other projected columns.
   /// Results are identical; only I/O shrinks. Best when filters are
@@ -122,11 +116,6 @@ class ScanStreamBuilder {
   /// Worker threads (<= 1 streams serially on the consuming thread).
   ScanStreamBuilder& Threads(size_t n) {
     spec_.threads = n;
-    return *this;
-  }
-  /// Extra coalesced reads in flight per worker.
-  ScanStreamBuilder& PrefetchDepth(size_t depth) {
-    spec_.prefetch_depth = depth;
     return *this;
   }
   /// Max rows per emitted batch (0 = one batch per row group).
@@ -159,20 +148,27 @@ class ScanStreamBuilder {
     return *this;
   }
 
-  const ScanStreamSpec& spec() const { return spec_; }
-
   /// Validates the spec against the source and opens the stream. The
   /// source (and cache, if any) must outlive the returned stream.
   Result<std::unique_ptr<BatchStream>> Stream() const {
+    // Both source kinds plan as a shard list: a file is one shard, a
+    // dataset its shards in manifest order with their generations.
+    std::vector<ScanShard> shards;
     if (file_ != nullptr) {
       if (cache_ != nullptr) {
         return Status::InvalidArgument(
             "Cache() requires a dataset source: single files have no shard "
             "identity to key cached chunks by");
       }
-      return OpenScanStream(file_, spec_);
+      shards.push_back(ScanShard{file_, 0});
+    } else {
+      shards.reserve(dataset_->num_shards());
+      for (size_t s = 0; s < dataset_->num_shards(); ++s) {
+        shards.push_back(ScanShard{dataset_->shard_reader(s),
+                                   dataset_->manifest().shard(s).generation});
+      }
     }
-    return OpenScanStream(dataset_, spec_, cache_);
+    return OpenScanStream(std::move(shards), spec_, cache_);
   }
 
   /// Opens the stream and drains it into memory: one ScanResult entry

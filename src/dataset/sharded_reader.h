@@ -8,13 +8,14 @@
 // The dataset is then exposed through *global* row-group coordinates:
 // groups number 0..total_row_groups() across shards in manifest order.
 //
-// bullion::Scan(dataset) (core/scan.h) is the front door; the dataset
-// OpenScanStream() below is its engine. It fans the coalesced reads of
-// every selected row group — across ALL shards — through one shared
-// exec::ThreadPool with one in-flight window, so an 8-shard scan at 8
-// threads keeps 8 reads in flight total, not 8 per shard. Output is
-// byte-identical to concatenating per-shard serial reads at any
-// thread/shard count.
+// bullion::Scan(dataset) (core/scan.h) is the front door: it hands the
+// shard readers, in manifest order and with their manifest
+// generations, to the one scan planner (exec/batch_stream.h), which
+// fans the coalesced reads of every selected row group — across ALL
+// shards — through one shared exec::ThreadPool with one in-flight
+// window, so an 8-shard scan at 8 threads keeps 8 reads in flight
+// total, not 8 per shard. Output is byte-identical to concatenating
+// per-shard serial reads at any thread/shard count.
 //
 // Plug in a DecodedChunkCache and repeated epochs skip both fetch and
 // decode: before planning any I/O the stream probes the cache per
@@ -42,9 +43,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "dataset/chunk_cache.h"
 #include "dataset/shard_manifest.h"
-#include "exec/batch_stream.h"
 #include "format/reader.h"
 #include "io/file.h"
 
@@ -80,29 +79,11 @@ class ShardedTableReader {
   /// Leaf column count (0 for a zero-shard dataset).
   uint32_t num_columns() const;
 
-  /// Resolves leaf names via the newest (widest) shard's footer —
-  /// earlier shards are validated prefixes of it at Open.
-  Result<std::vector<uint32_t>> ResolveColumns(
-      const std::vector<std::string>& names) const;
-
  private:
   ShardedTableReader() = default;
 
   ShardManifest manifest_;
   std::vector<std::unique_ptr<TableReader>> shards_;
 };
-
-/// Opens a streaming scan over a sharded dataset (the engine behind
-/// the unified bullion::Scan front door, core/scan.h). One shared
-/// ThreadPool and in-flight window serve every shard; filters prune
-/// row groups against each shard footer's chunk zone maps and Bloom
-/// filters (GroupProvablyEmpty) before any pread. Groups of a shard
-/// that predates a filtered column are pruned too — their rows are all
-/// null there. With `cache`, preset slots come from the
-/// DecodedChunkCache and fresh decodes are published to it. The
-/// dataset (and cache) must outlive the stream.
-Result<std::unique_ptr<BatchStream>> OpenScanStream(
-    const ShardedTableReader* dataset, const ScanStreamSpec& spec,
-    DecodedChunkCache* cache = nullptr);
 
 }  // namespace bullion

@@ -3,14 +3,19 @@
 #include <algorithm>
 #include <utility>
 
+#include "dataset/chunk_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/bloom.h"
 
 namespace bullion {
 
+namespace {
+
 // ---------------------------------------------------------------- planning
 
+/// Resolves a projection spec against a footer: explicit indices win,
+/// then names (clear NotFound for unknown ones), then all leaves.
 Result<std::vector<uint32_t>> ResolveProjection(
     const FooterView& footer, const std::vector<uint32_t>& indices,
     const std::vector<std::string>& names) {
@@ -38,6 +43,19 @@ Result<std::vector<uint32_t>> ResolveProjection(
   return out;
 }
 
+/// \brief Projection + filters resolved into the stream's fetch set.
+struct StreamColumnPlan {
+  std::vector<uint32_t> fetch_columns;
+  size_t num_projected = 0;
+  /// term_slots[i][j] is the fetch slot of spec.filters[i].any_of[j].
+  std::vector<std::vector<size_t>> term_slots;
+};
+
+/// Resolves spec.columns/column_names/filters against `footer`:
+/// projection first, filter-only columns appended, clause terms bound
+/// to fetch slots. Rejects predicates on unknown names and on column
+/// types without an order (lists, raw-bit-pattern floats); binary
+/// columns are accepted for kEq / kNe / kIn.
 Result<StreamColumnPlan> PlanStreamColumns(const FooterView& footer,
                                            const ScanStreamSpec& spec) {
   StreamColumnPlan plan;
@@ -45,14 +63,14 @@ Result<StreamColumnPlan> PlanStreamColumns(const FooterView& footer,
       plan.fetch_columns,
       ResolveProjection(footer, spec.columns, spec.column_names));
   plan.num_projected = plan.fetch_columns.size();
-  plan.residual.reserve(spec.filters.size());
+  plan.term_slots.reserve(spec.filters.size());
   for (const FilterClause& clause : spec.filters) {
     if (clause.any_of.empty()) {
       return Status::InvalidArgument(
           "empty filter clause (a disjunction of nothing matches no row)");
     }
-    ResolvedClause resolved;
-    resolved.any_of.reserve(clause.any_of.size());
+    std::vector<size_t> slots;
+    slots.reserve(clause.any_of.size());
     for (const Filter& f : clause.any_of) {
       BULLION_ASSIGN_OR_RETURN(uint32_t c, footer.FindColumn(f.column));
       ColumnRecord rec = footer.column_record(c);
@@ -102,20 +120,29 @@ Result<StreamColumnPlan> PlanStreamColumns(const FooterView& footer,
         }
       }
       if (slot == plan.fetch_columns.size()) plan.fetch_columns.push_back(c);
-      resolved.any_of.push_back(ResolvedFilter{slot, f});
+      slots.push_back(slot);
     }
-    plan.residual.push_back(std::move(resolved));
+    plan.term_slots.push_back(std::move(slots));
   }
   return plan;
 }
 
+/// True if `footer`'s zone maps and chunk Bloom filters prove no row
+/// of group `local_group` can satisfy spec.filters (some clause's
+/// every term is provably false). A term on a column the footer
+/// predates is always false: the group back-fills it with nulls.
+/// Scans that keep deleted rows prune on nothing else (their
+/// placeholder values are not covered by the recorded bounds, and
+/// deletes make the filters stale-but-superset only for filtered
+/// scans).
 bool GroupProvablyEmpty(const FooterView& footer, uint32_t local_group,
-                        const StreamColumnPlan& plan,
-                        const ReadOptions& read_options) {
-  for (const ResolvedClause& clause : plan.residual) {
-    bool all_terms_empty = !clause.any_of.empty();
-    for (const ResolvedFilter& f : clause.any_of) {
-      uint32_t col = plan.fetch_columns[f.fetch_slot];
+                        const ScanStreamSpec& spec,
+                        const StreamColumnPlan& plan) {
+  for (size_t ci = 0; ci < spec.filters.size(); ++ci) {
+    const std::vector<Filter>& terms = spec.filters[ci].any_of;
+    bool all_terms_empty = !terms.empty();
+    for (size_t ti = 0; ti < terms.size(); ++ti) {
+      uint32_t col = plan.fetch_columns[plan.term_slots[ci][ti]];
       // A column this footer predates back-fills as null, which
       // matches no row: the term is empty here.
       if (col >= footer.num_columns()) continue;
@@ -123,12 +150,12 @@ bool GroupProvablyEmpty(const FooterView& footer, uint32_t local_group,
       // physically erased values; the recorded bounds (and the
       // write-time Bloom filters) don't cover those, so pruning on
       // them would be unsound.
-      if (!read_options.filter_deleted) {
+      if (!spec.read_options.filter_deleted) {
         all_terms_empty = false;
         break;
       }
       ZoneMap zone = footer.chunk_zone_map(local_group, col);
-      if (!ZoneMapMayMatch(zone, f.filter)) continue;
+      if (!ZoneMapMayMatch(zone, terms[ti])) continue;
       // No filter recorded (pre-Bloom footer, ineligible column): the
       // chunk may hold any key.
       Slice bloom = footer.has_chunk_blooms()
@@ -136,7 +163,7 @@ bool GroupProvablyEmpty(const FooterView& footer, uint32_t local_group,
                         : Slice();
       const auto physical =
           static_cast<PhysicalType>(footer.column_record(col).physical);
-      if (bloom.empty() || !BloomProvesAbsent(bloom, physical, f.filter)) {
+      if (bloom.empty() || !BloomProvesAbsent(bloom, physical, terms[ti])) {
         all_terms_empty = false;
         break;
       }
@@ -146,56 +173,84 @@ bool GroupProvablyEmpty(const FooterView& footer, uint32_t local_group,
   return false;
 }
 
+}  // namespace
+
 Result<std::unique_ptr<BatchStream>> OpenScanStream(
-    const TableReader* reader, const ScanStreamSpec& spec) {
-  const FooterView& f = reader->footer();
-  BULLION_ASSIGN_OR_RETURN(StreamColumnPlan plan,
-                           PlanStreamColumns(f, spec));
+    std::vector<ScanShard> shards, const ScanStreamSpec& spec,
+    DecodedChunkCache* cache) {
   if (spec.group_begin > spec.group_end) {
     return Status::InvalidArgument("row-group range begin past end");
   }
-  uint32_t group_end = std::min(spec.group_end, f.num_row_groups());
-  uint32_t group_begin = std::min(spec.group_begin, group_end);
-
-  std::vector<StreamUnit> units;
-  units.reserve(group_end - group_begin);
-  for (uint32_t g = group_begin; g < group_end; ++g) {
-    if (!plan.residual.empty() &&
-        GroupProvablyEmpty(f, g, plan, spec.read_options)) {
-      if (spec.report != nullptr) {
-        spec.report->groups_pruned.fetch_add(1, std::memory_order_relaxed);
-      }
-      continue;
+  if (shards.empty()) {
+    if (!spec.columns.empty()) {
+      // Explicit indices take precedence over names (as everywhere),
+      // and a zero-shard dataset has zero leaf columns.
+      return Status::InvalidArgument(
+          "column index out of range (dataset has no shards)");
     }
-    StreamUnit unit;
-    unit.reader = reader;
-    unit.local_group = g;
-    unit.global_group = g;
-    units.push_back(std::move(unit));
+    if (!spec.column_names.empty() || !spec.filters.empty()) {
+      return Status::NotFound("dataset has no shards");
+    }
+    return std::unique_ptr<BatchStream>(new BatchStream(spec, cache));
   }
 
-  BatchStreamOptions options = StreamOptionsFor(spec);
-  options.fetch_columns = std::move(plan.fetch_columns);
-  options.num_projected = plan.num_projected;
-  options.fetch_records.reserve(options.fetch_columns.size());
-  for (uint32_t c : options.fetch_columns) {
-    options.fetch_records.push_back(f.column_record(c));
+  // The newest (last) shard carries the schema; earlier shards are
+  // validated prefixes of it (ShardedTableReader::Open).
+  const FooterView& ref = shards.back().reader->footer();
+  BULLION_ASSIGN_OR_RETURN(StreamColumnPlan plan,
+                           PlanStreamColumns(ref, spec));
+  uint32_t total_groups = 0;
+  for (const ScanShard& shard : shards) {
+    total_groups += shard.reader->num_row_groups();
   }
-  options.residual = std::move(plan.residual);
-  options.group_begin = group_begin;
-  return BatchStream::Create(std::move(units), std::move(options));
-}
+  const uint32_t group_end = std::min(spec.group_end, total_groups);
+  const uint32_t group_begin = std::min(spec.group_begin, group_end);
 
-BatchStreamOptions StreamOptionsFor(const ScanStreamSpec& spec) {
-  BatchStreamOptions options;
-  options.late_materialize = spec.late_materialize;
-  options.batch_rows = spec.batch_rows;
-  options.threads = spec.threads;
-  options.prefetch_depth = spec.prefetch_depth;
-  options.read_options = spec.read_options;
-  options.pool = spec.pool;
-  options.report = spec.report;
-  return options;
+  // Global group numbers run shard after shard; each shard contributes
+  // the part of its range that falls inside [group_begin, group_end).
+  std::vector<BatchStream::Unit> units;
+  units.reserve(group_end - group_begin);
+  uint32_t shard_begin = 0;  // global number of the shard's first group
+  for (uint32_t s = 0; s < shards.size() && shard_begin < group_end; ++s) {
+    const TableReader* reader = shards[s].reader;
+    const FooterView& footer = reader->footer();
+    const uint32_t shard_end = shard_begin + footer.num_row_groups();
+    const uint32_t end = std::min(group_end, shard_end);
+    for (uint32_t g = std::max(group_begin, shard_begin); g < end; ++g) {
+      const uint32_t local = g - shard_begin;
+      if (!spec.filters.empty() &&
+          GroupProvablyEmpty(footer, local, spec, plan)) {
+        if (spec.report != nullptr) {
+          spec.report->groups_pruned.fetch_add(1, std::memory_order_relaxed);
+        }
+        continue;
+      }
+      units.push_back(
+          BatchStream::Unit{reader, s, shards[s].generation, local, g});
+    }
+    shard_begin = shard_end;
+  }
+
+  auto stream = std::unique_ptr<BatchStream>(new BatchStream(spec, cache));
+  stream->fetch_records_.reserve(plan.fetch_columns.size());
+  for (uint32_t c : plan.fetch_columns) {
+    stream->fetch_records_.push_back(ref.column_record(c));
+  }
+  stream->projected_columns_.assign(
+      plan.fetch_columns.begin(),
+      plan.fetch_columns.begin() + plan.num_projected);
+  stream->projected_records_.assign(
+      stream->fetch_records_.begin(),
+      stream->fetch_records_.begin() + plan.num_projected);
+  stream->residual_slot_.assign(plan.fetch_columns.size(), 0);
+  for (const std::vector<size_t>& slots : plan.term_slots) {
+    for (size_t slot : slots) stream->residual_slot_[slot] = 1;
+  }
+  stream->fetch_columns_ = std::move(plan.fetch_columns);
+  stream->term_slots_ = std::move(plan.term_slots);
+  stream->group_begin_ = group_begin;
+  stream->units_ = std::move(units);
+  return stream;
 }
 
 // ------------------------------------------------------- materializing
@@ -239,6 +294,9 @@ Status ScanResult::DrainStream(BatchStream* stream) {
 
 namespace {
 
+/// Extra coalesced reads in flight per worker.
+constexpr size_t kPrefetchPerWorker = 2;
+
 /// RAII: adds the enclosing scope's duration to a report stage counter
 /// (no-op on a null destination). Covers every exit path, including
 /// the Status-macro early returns.
@@ -261,13 +319,15 @@ class StageTimer {
 
 /// One row group inside the in-flight window.
 struct BatchStream::InFlight {
-  const StreamUnit* unit = nullptr;
-  /// Fetch-slot outputs; preset slots are filled at submission, missing
-  /// slots receive their decode after the join.
+  const Unit* unit = nullptr;
+  /// The group's deleted-row count in its shard's footer: part of
+  /// every cache key, because in-place deletes change what a decode
+  /// produces without bumping the shard generation.
+  uint32_t deleted = 0;
+  /// Fetch-slot outputs; back-filled and cached slots are filled at
+  /// submission, missing slots receive their decode after the join.
   std::vector<ColumnVector> out;
-  std::vector<uint8_t> preset;
-  /// Leaf columns actually fetched (missing from the preset) and the
-  /// fetch slots they land in.
+  /// Leaf columns actually fetched and the fetch slots they land in.
   std::vector<uint32_t> missing_cols;
   std::vector<size_t> missing_slots;
   /// The coalesced reads that fetch missing_cols. Decode tasks read it
@@ -289,55 +349,11 @@ struct BatchStream::InFlight {
   Status error;
 };
 
-Result<std::unique_ptr<BatchStream>> BatchStream::Create(
-    std::vector<StreamUnit> units, BatchStreamOptions options) {
-  if (options.num_projected > options.fetch_columns.size() ||
-      options.fetch_records.size() != options.fetch_columns.size()) {
-    return Status::InvalidArgument("batch stream fetch set inconsistent");
-  }
-  for (const ResolvedClause& clause : options.residual) {
-    if (clause.any_of.empty()) {
-      return Status::InvalidArgument("empty residual clause");
-    }
-    for (const ResolvedFilter& f : clause.any_of) {
-      if (f.fetch_slot >= options.fetch_columns.size()) {
-        return Status::InvalidArgument("residual filter slot out of range");
-      }
-    }
-  }
-  for (const StreamUnit& u : units) {
-    if (u.reader == nullptr) {
-      return Status::InvalidArgument("stream unit has no reader");
-    }
-  }
-  return std::unique_ptr<BatchStream>(
-      new BatchStream(std::move(units), std::move(options)));
-}
-
-BatchStream::BatchStream(std::vector<StreamUnit> units,
-                         BatchStreamOptions options)
-    : options_(std::move(options)), units_(std::move(units)) {
-  projected_columns_.assign(
-      options_.fetch_columns.begin(),
-      options_.fetch_columns.begin() + options_.num_projected);
-  projected_records_.assign(
-      options_.fetch_records.begin(),
-      options_.fetch_records.begin() + options_.num_projected);
-  residual_slot_.assign(options_.fetch_columns.size(), 0);
-  residual_clauses_.reserve(options_.residual.size());
-  for (const ResolvedClause& clause : options_.residual) {
-    FilterClause fc;
-    fc.any_of.reserve(clause.any_of.size());
-    for (const ResolvedFilter& f : clause.any_of) {
-      residual_slot_[f.fetch_slot] = 1;
-      fc.any_of.push_back(f.filter);
-    }
-    residual_clauses_.push_back(std::move(fc));
-  }
-
-  ThreadPool* pool = options_.pool;
-  if (pool == nullptr && options_.threads > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.threads);
+BatchStream::BatchStream(const ScanStreamSpec& spec, DecodedChunkCache* cache)
+    : spec_(spec), cache_(cache) {
+  ThreadPool* pool = spec_.pool;
+  if (pool == nullptr && spec_.threads > 1) {
+    owned_pool_ = std::make_unique<ThreadPool>(spec_.threads);
     pool = owned_pool_.get();
   }
   size_t workers =
@@ -346,9 +362,9 @@ BatchStream::BatchStream(std::vector<StreamUnit> units,
   // ahead by the prefetch window so consumers never starve the pool.
   group_window_ = (pool == nullptr || pool->num_threads() <= 1)
                       ? 1
-                      : workers + options_.prefetch_depth;
-  tasks_ = std::make_unique<TaskGroup>(
-      pool, workers * (1 + options_.prefetch_depth));
+                      : workers + kPrefetchPerWorker;
+  tasks_ = std::make_unique<TaskGroup>(pool,
+                                       workers * (1 + kPrefetchPerWorker));
   start_ns_ = obs::NowNs();
 }
 
@@ -357,10 +373,21 @@ BatchStream::BatchStream(std::vector<StreamUnit> units,
 BatchStream::~BatchStream() { RecordWall(); }
 
 void BatchStream::RecordWall() {
-  if (wall_recorded_ || options_.report == nullptr) return;
+  if (wall_recorded_ || spec_.report == nullptr) return;
   wall_recorded_ = true;
-  options_.report->wall_ns.fetch_add(obs::NowNs() - start_ns_,
-                                     std::memory_order_relaxed);
+  spec_.report->wall_ns.fetch_add(obs::NowNs() - start_ns_,
+                                  std::memory_order_relaxed);
+}
+
+ChunkCacheKey BatchStream::CacheKey(const InFlight& fl,
+                                    uint32_t column) const {
+  return ChunkCacheKey{fl.unit->shard,
+                       fl.unit->local_group,
+                       column,
+                       spec_.read_options.filter_deleted,
+                       spec_.read_options.verify_checksums,
+                       fl.unit->generation,
+                       fl.deleted};
 }
 
 Status BatchStream::SubmitNext() {
@@ -368,28 +395,45 @@ Status BatchStream::SubmitNext() {
   // prepare_ns stops before the fan-out loop: Submit() blocking on the
   // read window is backpressure, not preparation cost.
   auto prep_timer = std::make_unique<StageTimer>(
-      options_.report != nullptr ? &options_.report->prepare_ns : nullptr);
-  const StreamUnit& unit = units_[next_submit_];
+      spec_.report != nullptr ? &spec_.report->prepare_ns : nullptr);
+  const Unit& unit = units_[next_submit_];
+  const FooterView& footer = unit.reader->footer();
   auto fl = std::make_unique<InFlight>();
   fl->unit = &unit;
-  const size_t nfetch = options_.fetch_columns.size();
+  fl->deleted = footer.DeletedCount(unit.local_group);
+  const size_t nfetch = fetch_columns_.size();
   fl->out.resize(nfetch);
-  fl->preset.assign(nfetch, 0);
-  if (unit.prepare) unit.prepare(&fl->out, &fl->preset);
 
   // Late materialization defers every non-filter slot to emit time
   // (phase 2) — sound only when the group has no in-place deletes,
   // because phase 2 addresses rows positionally by page.
-  const bool late = options_.late_materialize && !options_.residual.empty() &&
-                    unit.reader->footer().DeletedCount(unit.local_group) == 0;
+  const bool late =
+      spec_.late_materialize && !spec_.filters.empty() && fl->deleted == 0;
   for (size_t slot = 0; slot < nfetch; ++slot) {
-    if (fl->preset[slot]) continue;
+    const uint32_t col = fetch_columns_[slot];
+    if (col >= footer.num_columns()) {
+      // The shard predates this (nullable) column: back-fill one null
+      // row per surviving row of the group — no pread, no decode, no
+      // cache traffic.
+      const ColumnRecord& rec = fetch_records_[slot];
+      ColumnVector nulls(static_cast<PhysicalType>(rec.physical),
+                         rec.list_depth);
+      uint32_t rows = footer.group_row_count(unit.local_group);
+      if (spec_.read_options.filter_deleted) rows -= fl->deleted;
+      for (uint32_t r = 0; r < rows; ++r) nulls.AppendNullRow();
+      fl->out[slot] = std::move(nulls);
+      continue;
+    }
     if (late && !residual_slot_[slot]) {
       fl->late_slots.push_back(slot);
       continue;
     }
+    if (cache_ != nullptr &&
+        cache_->Lookup(CacheKey(*fl, col), &fl->out[slot])) {
+      continue;
+    }
     fl->missing_slots.push_back(slot);
-    fl->missing_cols.push_back(options_.fetch_columns[slot]);
+    fl->missing_cols.push_back(col);
   }
   if (fl->missing_cols.empty()) {
     // Fully served from cache/back-fill: no I/O at all.
@@ -399,7 +443,7 @@ Status BatchStream::SubmitNext() {
 
   BULLION_ASSIGN_OR_RETURN(
       fl->plan, unit.reader->PlanProjection(unit.local_group, fl->missing_cols,
-                                            options_.read_options));
+                                            spec_.read_options));
   const size_t n = fl->plan.reads.size();
   fl->temp.resize(fl->missing_cols.size());
   fl->read_bufs.resize(n);
@@ -429,18 +473,24 @@ Status BatchStream::SubmitNext() {
     tasks_->Submit([this, p, i] {
       BULLION_TRACE_SPAN("scan.fetch_decode");
       const uint64_t work_start = obs::NowNs();
-      const StreamUnit& u = *p->unit;
+      const Unit& u = *p->unit;
       const CoalescedRead& read = p->plan.reads[i];
       Status st = u.reader->DecodeCoalescedRead(
           u.local_group, p->missing_cols, read, p->read_bufs[i].AsSlice(),
-          options_.read_options, &p->temp);
-      if (st.ok() && u.publish) u.publish(p->missing_cols, read, &p->temp);
-      if (options_.report != nullptr) {
+          spec_.read_options, &p->temp);
+      // Fresh decodes are published while the stream is still in
+      // flight; this task owns exactly the slots its read covers.
+      if (st.ok() && cache_ != nullptr) {
+        for (const ChunkRequest& r : read.chunks) {
+          cache_->Insert(CacheKey(*p, p->missing_cols[r.user_index]),
+                         p->temp[r.user_index]);
+        }
+      }
+      if (spec_.report != nullptr) {
         const uint64_t dt = obs::NowNs() - work_start;
-        options_.report->work_ns.fetch_add(dt, std::memory_order_relaxed);
-        options_.report->work_hist.Record(dt);
-        options_.report->bytes.fetch_add(read.size(),
-                                         std::memory_order_relaxed);
+        spec_.report->work_ns.fetch_add(dt, std::memory_order_relaxed);
+        spec_.report->work_hist.Record(dt);
+        spec_.report->bytes.fetch_add(read.size(), std::memory_order_relaxed);
       }
       // Retiring the last read lets the consumer free `p`: touch
       // nothing of it afterwards.
@@ -469,14 +519,14 @@ Status BatchStream::MaterializeLateSlots(
   BULLION_TRACE_SPAN("scan.late_materialize");
   // Phase 2's page-run reads and decodes are fetch + decode work, like
   // the coalesced reads of phase 1.
-  StageTimer work_timer(options_.report != nullptr ? &options_.report->work_ns
-                                                   : nullptr);
-  const StreamUnit& unit = *fl->unit;
+  StageTimer work_timer(spec_.report != nullptr ? &spec_.report->work_ns
+                                                : nullptr);
+  const Unit& unit = *fl->unit;
   // No survivors: every deferred slot becomes an empty column of its
   // type — the group costs zero phase-2 preads.
   if (selection.empty()) {
     for (size_t slot : fl->late_slots) {
-      const ColumnRecord& rec = options_.fetch_records[slot];
+      const ColumnRecord& rec = fetch_records_[slot];
       fl->out[slot] = ColumnVector(static_cast<PhysicalType>(rec.physical),
                                    rec.list_depth);
     }
@@ -511,7 +561,7 @@ Status BatchStream::MaterializeLateSlots(
   Buffer bytes;
   uint64_t bytes_fetched = 0;
   for (size_t slot : fl->late_slots) {
-    const uint32_t col = options_.fetch_columns[slot];
+    const uint32_t col = fetch_columns_[slot];
     std::vector<Run> runs(page_runs.size());
     for (size_t k = 0; k < page_runs.size(); ++k) {
       const auto [pb, pe] = page_runs[k];
@@ -523,10 +573,10 @@ Status BatchStream::MaterializeLateSlots(
       runs[k].row_begin = pb * rpp;
       BULLION_RETURN_NOT_OK(unit.reader->DecodePageRun(
           unit.local_group, col, pb, pe, bytes.AsSlice(),
-          options_.read_options, &runs[k].decoded));
+          spec_.read_options, &runs[k].decoded));
     }
     // Gather the survivors into a compacted column.
-    const ColumnRecord& rec = options_.fetch_records[slot];
+    const ColumnRecord& rec = fetch_records_[slot];
     ColumnVector compact(static_cast<PhysicalType>(rec.physical),
                          rec.list_depth);
     size_t ri = 0;
@@ -543,8 +593,8 @@ Status BatchStream::MaterializeLateSlots(
     }
     fl->out[slot] = std::move(compact);
   }
-  if (options_.report != nullptr) {
-    options_.report->bytes.fetch_add(bytes_fetched,
+  if (spec_.report != nullptr) {
+    spec_.report->bytes.fetch_add(bytes_fetched,
                                      std::memory_order_relaxed);
   }
   return Status::OK();
@@ -553,10 +603,10 @@ Status BatchStream::MaterializeLateSlots(
 Status BatchStream::EmitBatches(InFlight* fl) {
   BULLION_TRACE_SPAN("scan.emit");
   std::atomic<uint64_t>* emit_ns =
-      options_.report != nullptr ? &options_.report->emit_ns : nullptr;
+      spec_.report != nullptr ? &spec_.report->emit_ns : nullptr;
   auto emit_timer = std::make_unique<StageTimer>(emit_ns);
-  // Hand the fetched slots their decodes (preset slots already hold
-  // theirs).
+  // Hand the fetched slots their decodes (back-filled and cached slots
+  // already hold theirs).
   for (size_t j = 0; j < fl->missing_slots.size(); ++j) {
     fl->out[fl->missing_slots[j]] = std::move(fl->temp[j]);
   }
@@ -575,18 +625,13 @@ Status BatchStream::EmitBatches(InFlight* fl) {
 
   std::vector<uint32_t> selection;
   bool filtered = false;
-  if (!options_.residual.empty()) {
+  if (!spec_.filters.empty()) {
     std::vector<uint8_t> mask(rows, 1);
     std::vector<const ColumnVector*> cols;
-    for (size_t ci = 0; ci < options_.residual.size(); ++ci) {
-      const ResolvedClause& clause = options_.residual[ci];
+    for (size_t ci = 0; ci < spec_.filters.size(); ++ci) {
       cols.clear();
-      cols.reserve(clause.any_of.size());
-      for (const ResolvedFilter& f : clause.any_of) {
-        cols.push_back(&fl->out[f.fetch_slot]);
-      }
-      BULLION_RETURN_NOT_OK(
-          UpdateClauseMask(cols, residual_clauses_[ci], &mask));
+      for (size_t slot : term_slots_[ci]) cols.push_back(&fl->out[slot]);
+      BULLION_RETURN_NOT_OK(UpdateClauseMask(cols, spec_.filters[ci], &mask));
     }
     selection = SelectionFromMask(mask);
     filtered = selection.size() != rows;
@@ -604,8 +649,8 @@ Status BatchStream::EmitBatches(InFlight* fl) {
 
   // Project the surviving rows.
   std::vector<ColumnVector> proj;
-  proj.reserve(options_.num_projected);
-  for (size_t slot = 0; slot < options_.num_projected; ++slot) {
+  proj.reserve(projected_columns_.size());
+  for (size_t slot = 0; slot < projected_columns_.size(); ++slot) {
     if (filtered && !is_late[slot]) {
       BULLION_ASSIGN_OR_RETURN(ColumnVector kept,
                                fl->out[slot].Permute(selection));
@@ -615,19 +660,19 @@ Status BatchStream::EmitBatches(InFlight* fl) {
     }
   }
   const size_t out_rows = filtered ? selection.size() : rows;
-  if (options_.report != nullptr) {
-    options_.report->units.fetch_add(1, std::memory_order_relaxed);
-    options_.report->rows.fetch_add(out_rows, std::memory_order_relaxed);
+  if (spec_.report != nullptr) {
+    spec_.report->units.fetch_add(1, std::memory_order_relaxed);
+    spec_.report->rows.fetch_add(out_rows, std::memory_order_relaxed);
   }
 
-  if (options_.batch_rows == 0 || out_rows <= options_.batch_rows) {
+  if (spec_.batch_rows == 0 || out_rows <= spec_.batch_rows) {
     // One batch covers the group (batch_rows == 0 is the one-batch-
     // per-row-group contract, emitted even at zero rows, so an
     // unfiltered Collect() holds one entry per row group; a bounded
     // batch that fits is the same thing): hand the columns over
     // without re-copying. Exception: bounded streams drop empty
     // groups — only the unbounded contract needs them.
-    if (options_.batch_rows != 0 && out_rows == 0) return Status::OK();
+    if (spec_.batch_rows != 0 && out_rows == 0) return Status::OK();
     RowBatch batch;
     batch.group = fl->unit->global_group;
     batch.columns = std::move(proj);
@@ -635,8 +680,8 @@ Status BatchStream::EmitBatches(InFlight* fl) {
     return Status::OK();
   }
   // Bounded batches: slice the group's survivors.
-  for (size_t b = 0; b < out_rows; b += options_.batch_rows) {
-    size_t e = std::min(out_rows, b + static_cast<size_t>(options_.batch_rows));
+  for (size_t b = 0; b < out_rows; b += spec_.batch_rows) {
+    size_t e = std::min(out_rows, b + static_cast<size_t>(spec_.batch_rows));
     std::vector<uint32_t> slice(e - b);
     for (size_t r = b; r < e; ++r) slice[r - b] = static_cast<uint32_t>(r);
     RowBatch batch;
@@ -657,8 +702,8 @@ Result<bool> BatchStream::Next(RowBatch* out) {
     if (!ready_.empty()) {
       *out = std::move(ready_.front());
       ready_.pop_front();
-      if (options_.report != nullptr) {
-        options_.report->batches.fetch_add(1, std::memory_order_relaxed);
+      if (spec_.report != nullptr) {
+        spec_.report->batches.fetch_add(1, std::memory_order_relaxed);
       }
       return true;
     }
@@ -680,10 +725,9 @@ Result<bool> BatchStream::Next(RowBatch* out) {
     InFlight* head = in_flight_.front().get();
     {
       // Time blocked on the window head = the consumer's stall: the
-      // signal that says "deeper prefetch or more workers would help
-      // here".
-      StageTimer stall_timer(options_.report != nullptr
-                                 ? &options_.report->stall_ns
+      // signal that says "more workers would help here".
+      StageTimer stall_timer(spec_.report != nullptr
+                                 ? &spec_.report->stall_ns
                                  : nullptr);
       MutexLock lock(&mu_);
       while (head->pending != 0) cv_.Wait(mu_);

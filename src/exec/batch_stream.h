@@ -1,24 +1,41 @@
 // BatchStream: the pull-based streaming scan engine behind the unified
 // bullion::Scan() front door (core/scan.h).
 //
-// A scan is a sequence of StreamUnits — one per surviving row group, in
-// table order. The stream keeps a bounded window of units in flight:
-// the consumer thread preads each unit's coalesced reads itself and
-// hands each read's bytes to a decode task on the shared ThreadPool
-// through one TaskGroup (the existing exec in-flight window, so a
-// stream at T threads keeps at most T*(1+prefetch) decodes outstanding
-// no matter how many groups remain), decoded groups are handed off
-// strictly in submission order, residual predicates are applied
-// post-decode, and Next() yields bounded RowBatches. Memory is bounded
-// by the group window — a terabyte table streams through a fixed
-// footprint instead of materializing the whole projection.
+// OpenScanStream() plans every scan. Its source is a list of
+// ScanShards in table order — a single file is a list of one — whose
+// row groups are numbered globally, shard after shard. It resolves the
+// spec against the newest (last) shard's footer, prunes row groups,
+// and hands the stream one unit per surviving row group. The stream
+// keeps a bounded window of units in flight: the consumer thread
+// preads each unit's coalesced reads itself and hands each read's
+// bytes to a decode task on the shared ThreadPool through one
+// TaskGroup (the existing exec in-flight window, so a stream at T
+// threads keeps at most 3T decodes outstanding no matter how many
+// groups remain), decoded groups are handed off strictly in submission
+// order, residual predicates are applied post-decode, and Next()
+// yields bounded RowBatches. Memory is bounded by the group window — a
+// terabyte table streams through a fixed footprint instead of
+// materializing the whole projection.
+//
+// As a unit enters the window, each of its fetch slots is served one
+// of four ways:
+//   back-fill  a column the shard predates (schema evolution) becomes
+//              null rows, with no I/O;
+//   deferred   with late materialization, a slot no filter reads waits
+//              for phase 2, which preads only the page runs holding
+//              surviving rows (groups with in-place deletes fetch
+//              everything instead); deferred slots neither read nor
+//              fill the cache;
+//   cached     a DecodedChunkCache hit, keyed by the unit's shard
+//              index, shard generation and group's deleted count;
+//   fetched    planned into coalesced preads, decoded on the pool and
+//              published to the cache.
 //
 // Predicate pushdown happens in two places:
-//   prune    before a unit is ever created, the scan planner tests each
-//            row group's footer zone maps and chunk Bloom filters
-//            against the filters; groups that provably match nothing
-//            are skipped before any pread (PipelineReport::
-//            groups_pruned).
+//   prune    before a unit is ever created, the planner tests each row
+//            group's footer zone maps and chunk Bloom filters against
+//            the filters; groups that provably match nothing are
+//            skipped before any pread (PipelineReport::groups_pruned).
 //   residual surviving groups are decoded and filtered row-by-row
 //            (format/column_vector.h), so results are exact even when
 //            zone maps are absent (version-1 footers) or imprecise.
@@ -33,7 +50,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,6 +66,9 @@
 
 namespace bullion {
 
+class DecodedChunkCache;
+struct ChunkCacheKey;
+
 /// \brief One bounded unit of scan output: the projected columns of a
 /// run of rows from a single row group.
 struct RowBatch {
@@ -64,63 +83,28 @@ struct RowBatch {
   }
 };
 
-/// \brief A filter bound to a slot of the stream's fetch set. The
-/// bound Filter carries the op and constant(s) — including kIn value
-/// lists; its column name is redundant after binding.
-struct ResolvedFilter {
-  size_t fetch_slot = 0;
-  Filter filter;
-};
-
-/// \brief A disjunction of bound filters (one FilterClause after
-/// column resolution). The stream's residual is an AND of these; a
-/// clause prunes an extent only when every term prunes it.
-struct ResolvedClause {
-  std::vector<ResolvedFilter> any_of;
-};
-
-/// \brief One row group's worth of streamable work, prepared by the
-/// scan planner (exec::OpenScanStream / dataset::OpenScanStream).
-struct StreamUnit {
+/// \brief One file of a scan's source.
+struct ScanShard {
   const TableReader* reader = nullptr;
-  /// Row group on `reader` (shard-local for dataset scans).
-  uint32_t local_group = 0;
-  /// The group's index in the source's global numbering (stamped on
-  /// emitted batches).
-  uint32_t global_group = 0;
-  /// Runs on the consumer thread as the unit enters the in-flight
-  /// window. May fill `(*out)[slot]` (fetch coordinates) and mark
-  /// `(*preset)[slot] = 1` for slots served without I/O — decoded-chunk
-  /// cache hits and schema-evolution null back-fill. Both vectors are
-  /// pre-sized to the fetch set.
-  std::function<void(std::vector<ColumnVector>* out,
-                     std::vector<uint8_t>* preset)>
-      prepare;
-  /// Runs on a worker thread after one coalesced read fetched and
-  /// decoded successfully. `missing` are the fetched leaf columns
-  /// (indexed by the read's chunk user_index values), `done` their
-  /// decode slots; the hook may only touch slots named by
-  /// `read.chunks[].user_index`. The dataset layer publishes freshly
-  /// decoded chunks into its cache here, mid-stream.
-  std::function<void(const std::vector<uint32_t>& missing,
-                     const CoalescedRead& read,
-                     std::vector<ColumnVector>* done)>
-      publish;
+  /// Rewrite generation of the file (ShardInfo::generation; 0 for a
+  /// single file). Cache keys carry it, so a compacted shard is never
+  /// served its predecessor's chunks.
+  uint32_t generation = 0;
 };
 
-/// \brief Everything a BatchStream needs beyond its units.
-struct BatchStreamOptions {
-  /// Leaf columns to fetch per group: the projection first, then any
-  /// filter-only columns (fetched for evaluation, never emitted).
-  std::vector<uint32_t> fetch_columns;
-  /// How many leading fetch slots are the projection.
-  size_t num_projected = 0;
-  /// Leaf type of each fetch slot (schema of the stream even when no
-  /// unit survives pruning).
-  std::vector<ColumnRecord> fetch_records;
-  /// Residual predicate clauses, ANDed row-wise after decode (each
-  /// clause ORs its terms).
-  std::vector<ResolvedClause> residual;
+/// \brief Spec for a streaming scan: projection, filters, row-group
+/// range, batch sizing, and the execution hooks.
+struct ScanStreamSpec {
+  /// Leaf columns to project, by name (resolved against the newest
+  /// shard's footer) or by index (takes precedence). Both empty = every
+  /// leaf.
+  std::vector<std::string> column_names;
+  std::vector<uint32_t> columns;
+  /// Predicate clauses, ANDed; each clause ORs its terms, and a plain
+  /// Filter converts to a one-term clause, so simple conjunctive
+  /// filter lists read unchanged. Pruning uses footer zone maps and
+  /// chunk Bloom filters; residual evaluation makes the rows exact.
+  std::vector<FilterClause> filters;
   /// Late materialization: fetch only the filter columns up front,
   /// evaluate the residual, then pread just the page runs that hold
   /// surviving rows of the remaining projection columns. Exactness is
@@ -128,37 +112,33 @@ struct BatchStreamOptions {
   /// groups with no in-place deletes (positional page addressing);
   /// other groups silently take the full-fetch path.
   bool late_materialize = false;
+  /// Global row-group range [group_begin, group_end), clamped to the
+  /// source.
+  uint32_t group_begin = 0;
+  uint32_t group_end = UINT32_MAX;
+  /// Worker threads when no pool is given (<= 1 streams serially on
+  /// the consumer thread).
+  size_t threads = 1;
   /// Max rows per emitted batch; 0 = one batch per row group, emitted
   /// even when no row survives the residual.
   uint64_t batch_rows = 0;
-  /// Worker threads when no external pool is given (<= 1 streams
-  /// serially on the consumer thread).
-  size_t threads = 1;
-  /// Extra coalesced reads in flight per worker.
-  size_t prefetch_depth = 2;
-  /// First selected global row group after clamping (reporting only).
-  uint32_t group_begin = 0;
   ReadOptions read_options;
-  /// External pool to share; null spins up `threads` private workers
-  /// for the stream's lifetime.
+  /// Shared pool (overrides `threads`); null = private workers for the
+  /// stream's lifetime.
   ThreadPool* pool = nullptr;
-  /// Optional per-scan stage accounting: prepare/work/emit/stall time,
-  /// rows/bytes/batches, per-unit fetch+decode latency (the scan
-  /// planner that builds the units adds its pruning counts). Must
-  /// outlive the stream; the caller owns Reset() between runs.
+  /// Optional per-scan accounting: prepare/work/emit/stall time,
+  /// rows/bytes/batches, groups_pruned, per-read fetch+decode latency.
+  /// Must outlive the stream; the caller owns Reset() between runs.
   obs::PipelineReport* report = nullptr;
 };
 
-/// \brief Pull-based stream of RowBatches over a prepared unit list.
+/// \brief Pull-based stream of RowBatches over a planned unit list.
 ///
-/// Not thread-safe: one consumer pulls. The readers behind the units
-/// must outlive the stream. Dropping the stream early joins its
-/// in-flight work before returning.
+/// Not thread-safe: one consumer pulls. The readers behind the shards
+/// (and the cache, if any) must outlive the stream. Dropping the
+/// stream early joins its in-flight work before returning.
 class BatchStream {
  public:
-  static Result<std::unique_ptr<BatchStream>> Create(
-      std::vector<StreamUnit> units, BatchStreamOptions options);
-
   ~BatchStream();
   BatchStream(const BatchStream&) = delete;
   BatchStream& operator=(const BatchStream&) = delete;
@@ -175,21 +155,38 @@ class BatchStream {
     return projected_records_;
   }
   /// First selected global row group (after range clamping).
-  uint32_t group_begin() const { return options_.group_begin; }
+  uint32_t group_begin() const { return group_begin_; }
   /// Units (surviving row groups) this stream will scan in total.
   size_t num_units() const { return units_.size(); }
 
  private:
+  friend Result<std::unique_ptr<BatchStream>> OpenScanStream(
+      std::vector<ScanShard> shards, const ScanStreamSpec& spec,
+      DecodedChunkCache* cache);
+
+  /// One surviving row group.
+  struct Unit {
+    const TableReader* reader = nullptr;
+    uint32_t shard = 0;         // index into the scan's shard list
+    uint32_t generation = 0;    // that shard's ScanShard::generation
+    uint32_t local_group = 0;   // row group on `reader`
+    uint32_t global_group = 0;  // stamped on emitted batches
+  };
   struct InFlight;
 
-  BatchStream(std::vector<StreamUnit> units, BatchStreamOptions options);
+  /// Sizes the group and decode windows; OpenScanStream fills in the
+  /// plan.
+  BatchStream(const ScanStreamSpec& spec, DecodedChunkCache* cache);
 
-  /// Moves units_[next_submit_] into the in-flight window: runs its
-  /// prepare hook, plans its missing columns, then preads the plan's
-  /// coalesced reads in order on this thread, submitting each read's
-  /// decode task as soon as its bytes are in. A failed read is the
-  /// unit's error, and the reads after it are not issued.
+  /// Moves units_[next_submit_] into the in-flight window: serves each
+  /// fetch slot from back-fill, deferral or the cache, plans the rest,
+  /// then preads the plan's coalesced reads in order on this thread,
+  /// submitting each read's decode task as soon as its bytes are in. A
+  /// failed read is the unit's error, and the reads after it are not
+  /// issued.
   Status SubmitNext();
+  /// The cache identity of `column`'s chunk in `fl`'s group.
+  ChunkCacheKey CacheKey(const InFlight& fl, uint32_t column) const;
   /// Takes reads [i, i + count) of `fl`'s plan off its pending count;
   /// a non-OK `st` becomes the unit's error unless a lower-indexed read
   /// already failed.
@@ -211,17 +208,22 @@ class BatchStream {
   /// teardown, whichever comes first).
   void RecordWall();
 
-  BatchStreamOptions options_;
-  std::vector<StreamUnit> units_;
+  const ScanStreamSpec spec_;
+  DecodedChunkCache* const cache_;
+  /// Leaf columns to fetch per group: the projection first, then any
+  /// filter-only columns (fetched for evaluation, never emitted).
+  std::vector<uint32_t> fetch_columns_;
+  /// Leaf type of each fetch slot, from the newest shard's footer.
+  std::vector<ColumnRecord> fetch_records_;
   std::vector<uint32_t> projected_columns_;
   std::vector<ColumnRecord> projected_records_;
-  /// residual_slot_[slot] = 1 iff some residual term reads that fetch
+  /// term_slots_[i][j] is the fetch slot of spec_.filters[i].any_of[j].
+  std::vector<std::vector<size_t>> term_slots_;
+  /// residual_slot_[slot] = 1 iff some filter term reads that fetch
   /// slot (those slots are always fetched in phase 1).
   std::vector<uint8_t> residual_slot_;
-  /// options_.residual re-shaped as FilterClauses (parallel vectors) so
-  /// the per-group row evaluation feeds UpdateClauseMask without
-  /// rebuilding the clause each time.
-  std::vector<FilterClause> residual_clauses_;
+  uint32_t group_begin_ = 0;
+  std::vector<Unit> units_;
   size_t group_window_ = 1;
   size_t next_submit_ = 0;
   Status status_;  // sticky first failure
@@ -243,6 +245,22 @@ class BatchStream {
   /// InFlight slots (and the owned pool) go away.
   std::unique_ptr<TaskGroup> tasks_;
 };
+
+/// Plans a scan of `shards` (in table order; one entry for a single
+/// file) and opens its stream. Resolves the spec against the last
+/// shard's footer — earlier shards must carry a prefix of its schema,
+/// and the columns a shard predates back-fill as nulls. Prunes row
+/// groups against each shard footer's zone maps and chunk Bloom
+/// filters before any pread; a group whose shard predates a filtered
+/// column is pruned too. With `cache`, slots are served from and fresh
+/// decodes published to the DecodedChunkCache; shard indices key it,
+/// so one cache must only ever see shard lists of one dataset. With no
+/// shards, any projection or filter fails (InvalidArgument for column
+/// indices, NotFound otherwise) and the stream is empty. The shards'
+/// readers (and the cache) must outlive the stream.
+Result<std::unique_ptr<BatchStream>> OpenScanStream(
+    std::vector<ScanShard> shards, const ScanStreamSpec& spec,
+    DecodedChunkCache* cache);
 
 /// \brief Fully-materialized output of a stream: every emitted batch
 /// kept in memory, columns in projection order.
@@ -268,80 +286,5 @@ struct ScanResult {
   /// Drains `stream` into this result, one `groups` entry per batch.
   Status DrainStream(BatchStream* stream);
 };
-
-/// \brief Spec for a streaming scan: projection, filters, row-group
-/// range, batch sizing, and the execution hooks.
-struct ScanStreamSpec {
-  /// Leaf columns to project, by name (resolved against the footer) or
-  /// by index (takes precedence). Both empty = every leaf.
-  std::vector<std::string> column_names;
-  std::vector<uint32_t> columns;
-  /// Predicate clauses, ANDed; each clause ORs its terms, and a plain
-  /// Filter converts to a one-term clause, so simple conjunctive
-  /// filter lists read unchanged. Pruning uses footer zone maps and
-  /// chunk Bloom filters; residual evaluation makes the rows exact.
-  std::vector<FilterClause> filters;
-  /// Fetch filter columns first and pread only surviving page runs of
-  /// the rest (see BatchStreamOptions::late_materialize).
-  bool late_materialize = false;
-  /// Row-group range [group_begin, group_end), clamped to the source.
-  uint32_t group_begin = 0;
-  uint32_t group_end = UINT32_MAX;
-  size_t threads = 1;
-  size_t prefetch_depth = 2;
-  /// Max rows per emitted batch (0 = one batch per row group).
-  uint64_t batch_rows = 0;
-  ReadOptions read_options;
-  /// Shared pool (overrides `threads`); null = private workers.
-  ThreadPool* pool = nullptr;
-  /// Optional per-scan accounting, including groups_pruned (see
-  /// BatchStreamOptions).
-  obs::PipelineReport* report = nullptr;
-};
-
-/// The execution settings every OpenScanStream copies from the spec
-/// (everything but the fetch set, residual, and group range, which the
-/// source-specific planner fills in).
-BatchStreamOptions StreamOptionsFor(const ScanStreamSpec& spec);
-
-/// Resolves a projection spec against a footer: explicit indices win,
-/// then names (clear NotFound for unknown ones), then all leaves.
-/// Shared by every scan front door so their validation agrees.
-Result<std::vector<uint32_t>> ResolveProjection(
-    const FooterView& footer, const std::vector<uint32_t>& indices,
-    const std::vector<std::string>& names);
-
-/// \brief Projection + filters resolved into the stream's fetch set.
-struct StreamColumnPlan {
-  std::vector<uint32_t> fetch_columns;
-  size_t num_projected = 0;
-  std::vector<ResolvedClause> residual;
-};
-
-/// Resolves spec.columns/column_names/filters against `footer`:
-/// projection first, filter-only columns appended, clause terms bound
-/// to fetch slots. Rejects predicates on unknown names and on column
-/// types without an order (lists, raw-bit-pattern floats); binary
-/// columns are accepted for kEq / kNe / kIn.
-Result<StreamColumnPlan> PlanStreamColumns(const FooterView& footer,
-                                           const ScanStreamSpec& spec);
-
-/// True if `footer`'s zone maps and chunk Bloom filters prove no row
-/// of group `local_group` can satisfy the residual (some clause's
-/// every term is provably false). A term on a column the footer
-/// predates is always false: the group back-fills it with nulls.
-/// Scans that keep deleted rows prune on nothing else (their
-/// placeholder values are not covered by the recorded bounds, and
-/// deletes make the filters stale-but-superset only for filtered
-/// scans).
-bool GroupProvablyEmpty(const FooterView& footer, uint32_t local_group,
-                        const StreamColumnPlan& plan,
-                        const ReadOptions& read_options);
-
-/// Opens a streaming scan over one Bullion file: resolves the spec,
-/// prunes row groups against footer zone maps, and returns the stream.
-/// The reader must outlive it.
-Result<std::unique_ptr<BatchStream>> OpenScanStream(
-    const TableReader* reader, const ScanStreamSpec& spec);
 
 }  // namespace bullion

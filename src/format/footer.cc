@@ -1,6 +1,7 @@
 #include "format/footer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/logging.h"
@@ -425,9 +426,9 @@ uint32_t FooterView::DeletedCount(uint32_t g) const {
   Slice dv = deletion_vector(g);
   uint32_t rows = group_row_count(g);
   uint32_t n = 0;
-  for (uint32_t r = 0; r < rows; ++r) {
-    n += (dv[r >> 3] >> (r & 7)) & 1;
-  }
+  uint32_t r = 0;
+  for (; r + 8 <= rows; r += 8) n += std::popcount(dv[r >> 3]);
+  for (; r < rows; ++r) n += (dv[r >> 3] >> (r & 7)) & 1;
   return n;
 }
 

@@ -65,31 +65,33 @@ Result<std::vector<uint32_t>> TableReader::ResolveColumns(
   return out;
 }
 
-Status TableReader::DecodeChunkFromBuffer(uint32_t g, uint32_t c,
-                                          Slice chunk_bytes,
-                                          uint64_t chunk_file_offset,
-                                          const ReadOptions& options,
-                                          ColumnVector* out) const {
-  BULLION_TRACE_SPAN("read.decode_chunk");
+Status TableReader::DecodePages(uint32_t g, uint32_t c, uint32_t page_begin,
+                                uint32_t page_end, Slice bytes,
+                                uint64_t bytes_offset,
+                                const ReadOptions& options,
+                                ColumnVector* out) const {
   DecodeTimer timer;
   const FooterView& f = footer_view_;
   ColumnRecord rec = f.column_record(c);
-  auto [first_page, end_page] = f.chunk_pages(g, c);
-  if (end_page > f.total_pages()) {
+  const uint32_t first_page = f.chunk_pages(g, c).first;
+  if (first_page + page_end > f.total_pages()) {
     return Status::Corruption("chunk pages exceed total pages");
   }
 
   uint32_t row0 = 0;  // group-relative first row of the current page
-  for (uint32_t p = first_page; p < end_page; ++p) {
-    if (f.page_offset(p) < chunk_file_offset) {
+  for (uint32_t p = first_page; p < first_page + page_begin; ++p) {
+    row0 += f.page_row_count(p);
+  }
+  for (uint32_t p = first_page + page_begin; p < first_page + page_end; ++p) {
+    if (f.page_offset(p) < bytes_offset) {
       return Status::Corruption("page offset before chunk start");
     }
-    uint64_t page_off = f.page_offset(p) - chunk_file_offset;
+    uint64_t page_off = f.page_offset(p) - bytes_offset;
     uint64_t slot = f.page_slot_size(p);
-    if (page_off + slot > chunk_bytes.size()) {
+    if (page_off + slot > bytes.size()) {
       return Status::Corruption("page extends past chunk bytes");
     }
-    Slice page = chunk_bytes.SubSlice(page_off, slot);
+    Slice page = bytes.SubSlice(page_off, slot);
     if (options.verify_checksums) {
       if (HashPage(page) != f.page_hash(p)) {
         return Status::Corruption("page checksum mismatch at page " +
@@ -114,7 +116,8 @@ Status TableReader::DecodeChunkFromBuffer(uint32_t g, uint32_t c,
       }
     } else if (got < expected) {
       // Rows physically removed by in-place deletion (§2.1 RLE path):
-      // re-align using the deletion vector.
+      // re-align using the deletion vector. In a group without deletes
+      // the values run out first: a shortened page there is corrupt.
       size_t ti = 0;
       for (uint32_t r = 0; r < expected; ++r) {
         if (f.IsDeleted(g, row0 + r)) {
@@ -151,7 +154,9 @@ Status TableReader::ReadColumnChunk(uint32_t g, uint32_t c,
   BULLION_RETURN_NOT_OK(file_->Read(begin, end - begin, &bytes));
   ColumnRecord rec = f.column_record(c);
   *out = ColumnVector(static_cast<PhysicalType>(rec.physical), rec.list_depth);
-  return DecodeChunkFromBuffer(g, c, bytes.AsSlice(), begin, options, out);
+  BULLION_TRACE_SPAN("read.decode_chunk");
+  return DecodePages(g, c, 0, end_page - first_page, bytes.AsSlice(), begin,
+                     options, out);
 }
 
 Result<ReadPlan> TableReader::PlanProjection(
@@ -199,53 +204,15 @@ Status TableReader::DecodePageRun(uint32_t g, uint32_t c, uint32_t page_begin,
                                   uint32_t page_end, Slice bytes,
                                   const ReadOptions& options,
                                   ColumnVector* out) const {
-  DecodeTimer timer;
-  const FooterView& f = footer_view_;
   BULLION_ASSIGN_OR_RETURN(auto extent,
                            PageRunExtent(g, c, page_begin, page_end));
   if (bytes.size() != extent.second - extent.first) {
     return Status::InvalidArgument("page run bytes size mismatch");
   }
-  ColumnRecord rec = f.column_record(c);
+  ColumnRecord rec = footer_view_.column_record(c);
   *out = ColumnVector(static_cast<PhysicalType>(rec.physical), rec.list_depth);
-  auto [first_page, end_page] = f.chunk_pages(g, c);
-  (void)end_page;
-  for (uint32_t p = first_page + page_begin; p < first_page + page_end; ++p) {
-    uint64_t page_off = f.page_offset(p) - extent.first;
-    uint64_t slot = f.page_slot_size(p);
-    if (page_off + slot > bytes.size()) {
-      return Status::Corruption("page extends past run bytes");
-    }
-    Slice page = bytes.SubSlice(page_off, slot);
-    if (options.verify_checksums && HashPage(page) != f.page_hash(p)) {
-      return Status::Corruption("page checksum mismatch at page " +
-                                std::to_string(p));
-    }
-    ColumnVector decoded(static_cast<PhysicalType>(rec.physical),
-                         rec.list_depth);
-    BULLION_RETURN_NOT_OK(DecodePage(page, &decoded));
-    if (decoded.num_rows() != f.page_row_count(p)) {
-      // In-place deletion shortened this page; the caller's no-deletes
-      // precondition does not hold, so positional row addressing would
-      // be wrong.
-      return Status::Corruption("page run decode hit a shortened page");
-    }
-    out->AppendAllFrom(decoded);
-  }
-  return Status::OK();
-}
-
-Status TableReader::ExecuteCoalescedRead(uint32_t g,
-                                         const std::vector<uint32_t>& columns,
-                                         const CoalescedRead& read,
-                                         const ReadOptions& options,
-                                         std::vector<ColumnVector>* out) const {
-  Buffer bytes;
-  {
-    BULLION_TRACE_SPAN("read.fetch");
-    BULLION_RETURN_NOT_OK(file_->Read(read.begin, read.size(), &bytes));
-  }
-  return DecodeCoalescedRead(g, columns, read, bytes.AsSlice(), options, out);
+  return DecodePages(g, c, page_begin, page_end, bytes, extent.first, options,
+                     out);
 }
 
 Status TableReader::DecodeCoalescedRead(uint32_t g,
@@ -265,8 +232,10 @@ Status TableReader::DecodeCoalescedRead(uint32_t g,
     ColumnRecord rec = f.column_record(c);
     ColumnVector col(static_cast<PhysicalType>(rec.physical), rec.list_depth);
     Slice chunk = bytes.SubSlice(r.begin - read.begin, r.size());
-    BULLION_RETURN_NOT_OK(
-        DecodeChunkFromBuffer(g, c, chunk, r.begin, options, &col));
+    auto [first_page, end_page] = f.chunk_pages(g, c);
+    BULLION_TRACE_SPAN("read.decode_chunk");
+    BULLION_RETURN_NOT_OK(DecodePages(g, c, 0, end_page - first_page, chunk,
+                                      r.begin, options, &col));
     (*out)[r.user_index] = std::move(col);
   }
   return Status::OK();
@@ -279,9 +248,14 @@ Status TableReader::ReadProjection(uint32_t g,
   BULLION_ASSIGN_OR_RETURN(ReadPlan plan, PlanProjection(g, columns, options));
   out->clear();
   out->resize(columns.size());
+  Buffer bytes;
   for (const CoalescedRead& read : plan.reads) {
+    {
+      BULLION_TRACE_SPAN("read.fetch");
+      BULLION_RETURN_NOT_OK(file_->Read(read.begin, read.size(), &bytes));
+    }
     BULLION_RETURN_NOT_OK(
-        ExecuteCoalescedRead(g, columns, read, options, out));
+        DecodeCoalescedRead(g, columns, read, bytes.AsSlice(), options, out));
   }
   return Status::OK();
 }

@@ -8,7 +8,7 @@
 //          capped at ReadOptions::max_coalesced_bytes),
 //   fetch  each CoalescedRead is one pread() against the (thread-safe)
 //          RandomAccessFile,
-//   decode ExecuteCoalescedRead() decodes every chunk the read covers
+//   decode DecodeCoalescedRead() decodes every chunk the read covers
 //          into its projection slot.
 // ReadProjection() runs the three stages serially; the exec/ layer
 // (BatchStream, behind bullion::Scan) drives the same stages with
@@ -75,22 +75,14 @@ class TableReader {
                                   const std::vector<uint32_t>& columns,
                                   const ReadOptions& options) const;
 
-  /// Fetch + decode stages for one planned read: preads
-  /// [read.begin, read.end) once and decodes every covered chunk into
-  /// `(*out)[chunk.user_index]`. `out` must already have one slot per
-  /// projection column. Distinct reads touch distinct slots, so
-  /// multiple ExecuteCoalescedRead calls (even for different groups)
-  /// may run concurrently against non-overlapping outputs.
-  Status ExecuteCoalescedRead(uint32_t g,
-                              const std::vector<uint32_t>& columns,
-                              const CoalescedRead& read,
-                              const ReadOptions& options,
-                              std::vector<ColumnVector>* out) const;
-
-  /// Decode stage alone: `bytes` must be the exact [read.begin,
-  /// read.end) span, fetched by the caller (the streaming scanner
-  /// preads it and decodes on a worker; exec/batch_stream.cc). Same
-  /// slot-disjointness contract as ExecuteCoalescedRead.
+  /// Decode stage for one planned read: `bytes` must be the exact
+  /// [read.begin, read.end) span, fetched by the caller, and `out` must
+  /// already have one slot per projection column. Decodes every covered
+  /// chunk into `(*out)[chunk.user_index]`. Distinct reads touch
+  /// distinct slots, so calls for different reads (even of different
+  /// groups) may run concurrently against non-overlapping outputs; the
+  /// streaming scanner preads on its consumer thread and decodes on a
+  /// worker (exec/batch_stream.cc).
   Status DecodeCoalescedRead(uint32_t g, const std::vector<uint32_t>& columns,
                              const CoalescedRead& read, Slice bytes,
                              const ReadOptions& options,
@@ -104,13 +96,13 @@ class TableReader {
       uint32_t g, uint32_t c, uint32_t page_begin, uint32_t page_end) const;
 
   /// Decodes pages [page_begin, page_end) (chunk-relative) of chunk
-  /// (g, c) from `bytes`, the exact PageRunExtent span, appending every
-  /// stored row to `*out` (which is reset to the column's type). Unlike
-  /// the chunk decode path this does NOT realign or filter deleted
-  /// rows: callers (exec/batch_stream.cc late materialization) must
-  /// only use it on groups with no in-place deletes — a page that
-  /// decodes short of its recorded row count is reported as corruption.
-  /// Each call records one bullion.format.decode_chunk_ns sample.
+  /// (g, c) from `bytes`, the exact PageRunExtent span, into `*out`
+  /// (which is reset to the column's type), exactly as the chunk path
+  /// decodes those pages. Late materialization (exec/batch_stream.cc)
+  /// only reads groups with no in-place deletes, where the run's rows
+  /// are positional and a page that decodes short of its recorded row
+  /// count is reported as corruption. Each call records one
+  /// bullion.format.decode_chunk_ns sample.
   Status DecodePageRun(uint32_t g, uint32_t c, uint32_t page_begin,
                        uint32_t page_end, Slice bytes,
                        const ReadOptions& options, ColumnVector* out) const;
@@ -121,9 +113,9 @@ class TableReader {
   const RandomAccessFile* file() const { return file_.get(); }
 
   /// Projection read of a full row group with I/O coalescing. `out`
-  /// receives one ColumnVector per requested column, in request order.
-  /// Equivalent to PlanProjection + ExecuteCoalescedRead over every
-  /// planned read, in plan order.
+  /// receives one ColumnVector per requested column, in request order:
+  /// PlanProjection, then one pread + DecodeCoalescedRead per planned
+  /// read, in plan order.
   Status ReadProjection(uint32_t g, const std::vector<uint32_t>& columns,
                         const ReadOptions& options,
                         std::vector<ColumnVector>* out) const;
@@ -134,12 +126,15 @@ class TableReader {
  private:
   TableReader() = default;
 
-  /// Decodes chunk (g, c) from its bytes, recording one
+  /// The one page-decode loop: appends pages [page_begin, page_end)
+  /// (chunk-relative) of chunk (g, c) to `*out`, checking each page's
+  /// slot bounds and checksum, realigning pages shortened by in-place
+  /// deletion and filtering deleted rows per `options`. `bytes` starts
+  /// at file offset `bytes_offset`. Records one
   /// bullion.format.decode_chunk_ns sample.
-  Status DecodeChunkFromBuffer(uint32_t g, uint32_t c, Slice chunk_bytes,
-                               uint64_t chunk_file_offset,
-                               const ReadOptions& options,
-                               ColumnVector* out) const;
+  Status DecodePages(uint32_t g, uint32_t c, uint32_t page_begin,
+                     uint32_t page_end, Slice bytes, uint64_t bytes_offset,
+                     const ReadOptions& options, ColumnVector* out) const;
 
   std::unique_ptr<RandomAccessFile> file_;
   Buffer footer_buffer_;

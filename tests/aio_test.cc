@@ -255,8 +255,7 @@ TEST(AioScan, AbortingAStreamWithDecodesInFlightIsSafe) {
   auto slow = std::make_unique<SlowFile>(*fs.NewReadableFile("t"));
   auto reader = TableReader::Open(std::move(slow));
   ASSERT_TRUE(reader.ok());
-  auto stream =
-      Scan(reader->get()).Threads(4).PrefetchDepth(4).Stream();
+  auto stream = Scan(reader->get()).Threads(4).Stream();
   ASSERT_TRUE(stream.ok());
   RowBatch batch;
   auto more = (*stream)->Next(&batch);  // the window is full behind it

@@ -478,14 +478,17 @@ TEST(PointLookup, LatePageRunsCountAsWorkWhenTheKeyChunkIsCached) {
 
   // The repeat takes uid's chunk from the cache, so all that is left is
   // the late phase: one page run each for score and tag, read and
-  // decoded on the consumer thread.
+  // decoded on the consumer thread. Deferred slots never probe the
+  // cache, so the repeat counts no miss.
   const uint64_t decodes_before = decode_hist->Snapshot().count;
   const uint64_t hits_before = cache.hits();
+  const uint64_t misses_before = cache.misses();
   obs::PipelineReport repeat;
   auto warm = lookup(&repeat);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(warm->columns, cold->columns);
   EXPECT_EQ(cache.hits() - hits_before, 1u);
+  EXPECT_EQ(cache.misses(), misses_before);
   EXPECT_GT(repeat.work_ns.load(), 0u);
   EXPECT_EQ(decode_hist->Snapshot().count - decodes_before, 2u);
 }

@@ -223,6 +223,106 @@ TEST(ScanStream, DatasetStreamMatchesSerialReadsAtAnyThreadCount) {
   }
 }
 
+// A file and the one-shard dataset over that same file go through the
+// same planner and must not be told apart: same batches, same report
+// counts, same preads, for every knob the planner reads.
+TEST(ScanStream, FileAndItsOneShardDatasetScanTheSame) {
+  FileFixture fx(600, 50);  // 12 groups; uid in [g*50, g*50+49]
+  std::vector<std::unique_ptr<RandomAccessFile>> files;
+  files.push_back(*fx.fs.NewReadableFile("t"));
+  auto ds = ShardedTableReader::Open(std::move(files));
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+
+  struct FilterSet {
+    const char* name;
+    std::vector<FilterClause> clauses;
+    bool (*keeps)(int64_t uid);  // the reference row predicate
+  };
+  const std::vector<FilterSet> filter_sets = {
+      {"none", {}, [](int64_t) { return true; }},
+      {"range",
+       {Filter("uid", CompareOp::kGe, 275), Filter("uid", CompareOp::kLt, 330)},
+       [](int64_t uid) { return uid >= 275 && uid < 330; }},
+      {"in",
+       {Filter("uid", {FilterValue(7), FilterValue(277), FilterValue(278),
+                       FilterValue(599), FilterValue(1000)})},
+       [](int64_t uid) {
+         return uid == 7 || uid == 277 || uid == 278 || uid == 599;
+       }},
+      {"or",
+       {FilterClause({Filter("uid", CompareOp::kLt, 40),
+                      Filter("score", CompareOp::kGt, 0.57)})},
+       [](int64_t uid) { return uid < 40 || uid / 1000.0 > 0.57; }},
+  };
+  const std::pair<uint32_t, uint32_t> ranges[] = {{0, UINT32_MAX}, {3, 9}};
+
+  // Drains one configured scan, counting the preads it issued.
+  auto run = [&](ScanStreamBuilder builder, obs::PipelineReport* report,
+                 uint64_t* read_ops) {
+    fx.fs.stats().Reset();
+    auto stream = builder.Report(report).Stream();
+    EXPECT_TRUE(stream.ok()) << stream.status().ToString();
+    std::vector<RowBatch> batches;
+    if (stream.ok()) batches = Drain(stream->get());
+    *read_ops = fx.fs.stats().read_ops.load();
+    return batches;
+  };
+  for (const FilterSet& set : filter_sets) {
+    for (bool late : {false, true}) {
+      for (uint64_t batch_rows : {0, 7}) {
+        for (auto [begin, end] : ranges) {
+          for (size_t threads : {1, 4}) {
+            SCOPED_TRACE(std::string(set.name) + " late=" +
+                         std::to_string(late) + " batch_rows=" +
+                         std::to_string(batch_rows) + " groups=[" +
+                         std::to_string(begin) + "," + std::to_string(end) +
+                         ") threads=" + std::to_string(threads));
+            auto configure = [&](ScanStreamBuilder builder) {
+              builder.Columns({"uid", "tag", "clk_seq"})
+                  .LateMaterialize(late)
+                  .BatchRows(batch_rows)
+                  .RowGroups(begin, end)
+                  .Threads(threads);
+              for (const FilterClause& clause : set.clauses) {
+                builder.FilterAnyOf(clause);
+              }
+              return builder;
+            };
+            obs::PipelineReport file_report, ds_report;
+            uint64_t file_reads = 0, ds_reads = 0;
+            std::vector<RowBatch> from_file =
+                run(configure(Scan(fx.reader.get())), &file_report,
+                    &file_reads);
+            std::vector<RowBatch> from_ds =
+                run(configure(Scan(ds->get())), &ds_report, &ds_reads);
+
+            ASSERT_EQ(from_file.size(), from_ds.size());
+            for (size_t i = 0; i < from_file.size(); ++i) {
+              EXPECT_EQ(from_file[i].group, from_ds[i].group) << i;
+              EXPECT_EQ(from_file[i].columns, from_ds[i].columns) << i;
+            }
+            EXPECT_EQ(file_report.groups_pruned.load(),
+                      ds_report.groups_pruned.load());
+            EXPECT_EQ(file_report.units.load(), ds_report.units.load());
+            EXPECT_EQ(file_report.rows.load(), ds_report.rows.load());
+            EXPECT_EQ(file_report.batches.load(), ds_report.batches.load());
+            EXPECT_EQ(file_report.bytes.load(), ds_report.bytes.load());
+            EXPECT_EQ(file_reads, ds_reads);
+
+            // And both are right.
+            uint64_t want = 0;
+            const int64_t last = std::min<int64_t>(end, 12) * 50;
+            for (int64_t uid = int64_t{begin} * 50; uid < last; ++uid) {
+              want += set.keeps(uid) ? 1 : 0;
+            }
+            EXPECT_EQ(TotalRows(from_file), want);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ScanStream, BatchRowsBoundsEveryBatch) {
   FileFixture fx(600, 50);
   auto full = ReadFullColumn(fx.reader.get(), "uid");
