@@ -4,8 +4,7 @@
 // table, the selected rows scatter across every row group, forcing
 // reads of all heavy column chunks; with quality-presorted rows the
 // selection is a contiguous prefix. The report sweeps the selectivity
-// (top 10/25/50%) and shows read volume, read ops, seeks, and modeled
-// device time on NVMe / SSD / HDD / object-store profiles.
+// (top 10/25/50%) and shows read volume, read ops and seeks.
 
 #include <benchmark/benchmark.h>
 
@@ -84,21 +83,18 @@ void PrintMultimodalReport() {
 
   bench::PrintHeader(
       "E6 / §2.5: quality-filtered training scan — sorted vs unsorted");
-  std::printf("%8s %10s %12s %10s %8s %14s %14s\n", "top-q%", "layout",
-              "read_MB", "read_ops", "seeks", "ssd_ms", "hdd_ms");
+  std::printf("%8s %10s %12s %10s %8s\n", "top-q%", "layout", "read_MB",
+              "read_ops", "seeks");
   for (double topq : {0.10, 0.25, 0.50}) {
     double threshold = 1.0 - topq;
     for (bool sorted : {true, false}) {
       ScanResult r =
           (sorted ? sorted_ds : unsorted_ds).Scan(threshold, 0.02);
-      double ssd_ms = ModeledTimeUs(r.io, DeviceModel()) / 1000.0;
-      double hdd_ms = ModeledTimeUs(r.io, DeviceModel::Hdd()) / 1000.0;
-      std::printf("%7.0f%% %10s %12.2f %10llu %8llu %14.2f %14.2f\n",
-                  topq * 100, sorted ? "sorted" : "unsorted",
+      std::printf("%7.0f%% %10s %12.2f %10llu %8llu\n", topq * 100,
+                  sorted ? "sorted" : "unsorted",
                   r.io.bytes_read / 1048576.0,
                   static_cast<unsigned long long>(r.io.read_ops),
-                  static_cast<unsigned long long>(r.io.seeks), ssd_ms,
-                  hdd_ms);
+                  static_cast<unsigned long long>(r.io.seeks));
     }
   }
   std::printf(

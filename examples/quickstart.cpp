@@ -72,10 +72,8 @@ int main(int argc, char** argv) {
       for (const LeafColumn& leaf : schema.leaves()) {
         g.push_back(ColumnVector::ForLeaf(leaf));
       }
-      for (size_t r = begin; r < begin + 2500; ++r) {
-        for (size_t c = 0; c < g.size(); ++c) {
-          g[c].AppendRowFrom(cols[c], static_cast<int64_t>(r));
-        }
+      for (size_t c = 0; c < g.size(); ++c) {
+        g[c].AppendRows(cols[c], begin, begin + 2500);
       }
       groups.push_back(std::move(g));
     }

@@ -407,8 +407,10 @@ Status ParquetLikeReader::ReadColumnChunk(uint32_t g, uint32_t c,
                        ? static_cast<uint64_t>(cc.page_offsets[p + 1] -
                                                cc.file_offset)
                        : static_cast<uint64_t>(cc.total_compressed_size);
+    ColumnVector decoded(out->physical(), out->list_depth());
     BULLION_RETURN_NOT_OK(
-        DecodePage(bytes.AsSlice().SubSlice(off, end - off), out));
+        DecodePage(bytes.AsSlice().SubSlice(off, end - off), &decoded));
+    out->AppendAllFrom(decoded);
   }
   return Status::OK();
 }

@@ -146,7 +146,6 @@
 #include "format/user_events.h"
 #include "format/writer.h"
 #include "io/file.h"
-#include "io/simulated_device.h"
 #include "multimodal/dataset.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_report.h"

@@ -105,9 +105,7 @@ Status ShardedTableWriter::Append(const std::vector<ColumnVector>& columns) {
     size_t take = std::min<size_t>(options_.rows_per_group - pending_rows_,
                                    rows - row);
     for (size_t c = 0; c < columns.size(); ++c) {
-      for (size_t r = row; r < row + take; ++r) {
-        pending_batch_[c].AppendRowFrom(columns[c], static_cast<int64_t>(r));
-      }
+      pending_batch_[c].AppendRows(columns[c], row, row + take);
     }
     pending_rows_ += take;
     row += take;

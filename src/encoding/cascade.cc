@@ -15,6 +15,10 @@ namespace bullion {
 
 namespace {
 
+/// Values the selector trial-encodes from a larger input (full data is
+/// used when smaller than this).
+constexpr size_t kSampleValues = 8192;
+
 /// Takes up to `target` values as up-to-8 evenly spaced contiguous
 /// chunks, preserving local run/delta structure the selector must see.
 template <typename T>
@@ -35,7 +39,6 @@ double ScoreCost(const CascadeOptions& opts, EncodingType t, size_t est_bytes,
                  size_t count) {
   EncodingCost c = GetEncodingCost(t);
   return opts.w_size * static_cast<double>(est_bytes) +
-         opts.w_encode * c.encode * static_cast<double>(count) +
          opts.w_decode * c.decode * static_cast<double>(count);
 }
 
@@ -335,7 +338,7 @@ std::vector<EncodingType> IntCandidates(const IntStats& s,
     c.push_back(EncodingType::kDelta);
   }
   c.push_back(EncodingType::kBitShuffle);
-  if (opts.allow_chunked) c.push_back(EncodingType::kChunked);
+  c.push_back(EncodingType::kChunked);
   c.push_back(EncodingType::kTrivial);
 
   std::vector<EncodingType> filtered;
@@ -354,7 +357,7 @@ std::vector<EncodingType> DoubleCandidates(const FloatStats& s,
   if (s.decimal_fraction >= 0.9) c.push_back(EncodingType::kAlp);
   if (s.decimal_fraction >= 0.5) c.push_back(EncodingType::kPseudodecimal);
   c.push_back(EncodingType::kBitShuffle);
-  if (opts.allow_chunked) c.push_back(EncodingType::kChunked);
+  c.push_back(EncodingType::kChunked);
   c.push_back(EncodingType::kTrivial);
   std::vector<EncodingType> filtered;
   for (EncodingType t : c) {
@@ -371,7 +374,7 @@ std::vector<EncodingType> StringCandidates(const StringStats& s,
     c.push_back(EncodingType::kStringDict);
   }
   if (s.avg_length >= 4.0) c.push_back(EncodingType::kFsst);
-  if (opts.allow_chunked) c.push_back(EncodingType::kChunked);
+  c.push_back(EncodingType::kChunked);
   c.push_back(EncodingType::kStringTrivial);
   std::vector<EncodingType> filtered;
   for (EncodingType t : c) {
@@ -403,7 +406,7 @@ Result<SelectionDecision> SelectBest(std::span<const T> full,
                                      const std::vector<EncodingType>& cands,
                                      const CascadeOptions& opts,
                                      EncodeFn&& encode_fn) {
-  std::vector<T> sample_storage = SampleChunks(full, opts.sample_values);
+  std::vector<T> sample_storage = SampleChunks(full, kSampleValues);
   std::span<const T> sample(sample_storage);
   double scale = sample.empty()
                      ? 1.0
@@ -520,7 +523,7 @@ Status DecodeInt64Column(Slice block, std::vector<int64_t>* out) {
 
 Result<Buffer> EncodeDoubleColumn(std::span<const double> values,
                                   const CascadeOptions& options) {
-  std::vector<double> sample = SampleChunks(values, options.sample_values);
+  std::vector<double> sample = SampleChunks(values, kSampleValues);
   FloatStats stats = ComputeFloatStats(sample);
   std::vector<EncodingType> cands = DoubleCandidates(stats, options);
   BULLION_ASSIGN_OR_RETURN(

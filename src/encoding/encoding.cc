@@ -67,62 +67,62 @@ std::string_view EncodingTypeName(EncodingType t) {
 }
 
 EncodingCost GetEncodingCost(EncodingType t) {
-  // Relative per-value CPU factors, Trivial = 1. Static (not measured at
+  // Relative per-value decode factors, Trivial = 1. Static (not measured at
   // runtime) so cascade selection is deterministic across machines.
   switch (t) {
     case EncodingType::kTrivial:
     case EncodingType::kStringTrivial:
-      return {1.0, 1.0};
+      return {1.0};
     case EncodingType::kConstant:
-      return {1.0, 0.5};
+      return {0.5};
     case EncodingType::kFixedBitWidth:
     case EncodingType::kForDelta:
-      return {2.0, 2.0};
+      return {2.0};
     case EncodingType::kFastBP128:
-      return {2.5, 2.0};
+      return {2.0};
     case EncodingType::kFastPFor:
-      return {3.5, 2.5};
+      return {2.5};
     case EncodingType::kVarint:
     case EncodingType::kZigZag:
-      return {2.0, 2.5};
+      return {2.5};
     case EncodingType::kDelta:
-      return {3.0, 3.0};
+      return {3.0};
     case EncodingType::kRle:
     case EncodingType::kBoolRle:
-      return {2.0, 2.0};
+      return {2.0};
     case EncodingType::kDictionary:
     case EncodingType::kStringDict:
-      return {4.0, 2.0};
+      return {2.0};
     case EncodingType::kMainlyConstant:
-      return {3.0, 1.5};
+      return {1.5};
     case EncodingType::kSentinel:
     case EncodingType::kNullable:
-      return {2.5, 2.5};
+      return {2.5};
     case EncodingType::kSparseBool:
-      return {1.5, 1.5};
+      return {1.5};
     case EncodingType::kHuffman:
-      return {6.0, 8.0};
+      return {8.0};
     case EncodingType::kBitShuffle:
-      return {8.0, 8.0};
+      return {8.0};
     case EncodingType::kFsst:
-      return {10.0, 4.0};
+      return {4.0};
     case EncodingType::kGorilla:
     case EncodingType::kChimp:
-      return {5.0, 5.0};
+      return {5.0};
     case EncodingType::kPseudodecimal:
-      return {6.0, 4.0};
+      return {4.0};
     case EncodingType::kAlp:
-      return {4.0, 3.0};
+      return {3.0};
     case EncodingType::kRoaring:
-      return {2.0, 2.0};
+      return {2.0};
     case EncodingType::kChunked:
-      return {12.0, 6.0};
+      return {6.0};
     case EncodingType::kSparseDelta:
-      return {14.0, 5.0};
+      return {5.0};
     case EncodingType::kNumEncodings:
       break;
   }
-  return {1.0, 1.0};
+  return {1.0};
 }
 
 }  // namespace bullion

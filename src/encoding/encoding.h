@@ -75,18 +75,13 @@ struct CascadeOptions {
   /// Maximum recursion depth for child streams. Depth 0 encodes every
   /// child trivially; the paper notes BtrBlocks uses 1-2 in practice.
   int max_depth = 2;
-  /// Sample size used by the selector for trial encodings on large
-  /// inputs (values; full data is used when smaller than this).
-  size_t sample_values = 8192;
   /// Linear objective weights (Nimble-style): minimize
-  ///   w_size * bytes + w_encode * est_encode_cost + w_decode * est_decode_cost.
+  ///   w_size * bytes + w_decode * est_decode_cost.
+  /// General-purpose block compression (Chunked/deflate) is always a
+  /// candidate: Zeng et al. advise against defaulting to it, but the
+  /// paper argues it still wins for rarely-read columns (§2.6).
   double w_size = 1.0;
-  double w_encode = 0.0;
   double w_decode = 0.0;
-  /// Allow general-purpose block compression (Chunked/deflate) as a
-  /// candidate. Zeng et al. advise against defaulting to it; the paper
-  /// argues it still wins for rarely-read columns (§2.6).
-  bool allow_chunked = true;
   /// When non-empty, only these encodings are considered at the top
   /// level (used by ablations and by columns that must remain in-place
   /// deletable, §2.1).
@@ -141,11 +136,10 @@ inline Result<BlockHeader> ReadBlockHeader(SliceReader* in) {
   return BlockHeader{static_cast<EncodingType>(tag), count};
 }
 
-/// Relative CPU cost factors per encoding, used by the selector's
+/// Relative CPU cost factor per encoding, used by the selector's
 /// deterministic linear objective (measured once on the dev machine,
 /// normalized to Trivial = 1; kept static so selection is reproducible).
 struct EncodingCost {
-  double encode;  // relative cost per value to encode
   double decode;  // relative cost per value to decode
 };
 

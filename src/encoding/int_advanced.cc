@@ -53,11 +53,6 @@ Status DecodeRleInto(SliceReader* in, size_t n, int64_t* out) {
   return Status::OK();
 }
 
-Status DecodeRle(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeRleInto(in, n, out->data());
-}
-
 Status EncodeDictionary(std::span<const int64_t> v, CascadeContext* ctx,
                         bool reserve_mask_entry, BufferBuilder* out) {
   // Sorted distinct entries; codes reference them. Code 0 is optionally
@@ -119,11 +114,6 @@ Status DecodeDictionaryInto(SliceReader* in, size_t n, int64_t* out) {
   return Status::OK();
 }
 
-Status DecodeDictionary(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeDictionaryInto(in, n, out->data());
-}
-
 Status EncodeMainlyConstant(std::span<const int64_t> v, CascadeContext* ctx,
                             BufferBuilder* out) {
   if (v.empty()) return Status::OK();
@@ -182,12 +172,6 @@ Status DecodeMainlyConstantInto(SliceReader* in, size_t n, int64_t* out) {
     }
   }
   return Status::OK();
-}
-
-Status DecodeMainlyConstant(SliceReader* in, size_t n,
-                            std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeMainlyConstantInto(in, n, out->data());
 }
 
 Status EncodeSentinel(std::span<const int64_t> v,
@@ -479,11 +463,6 @@ Status DecodeHuffmanInto(SliceReader* in, size_t n, int64_t* out) {
   }
   in->Seek(in->position() - rest.size() + pos);
   return Status::OK();
-}
-
-Status DecodeHuffman(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeHuffmanInto(in, n, out->data());
 }
 
 }  // namespace intcodec

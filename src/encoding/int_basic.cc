@@ -219,46 +219,5 @@ Status DecodeConstantInto(SliceReader* in, size_t n, int64_t* out) {
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// Legacy vector overloads: resize exactly once, forward to the block
-// decoders above.
-// ---------------------------------------------------------------------------
-
-Status DecodeTrivial(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeTrivialInto(in, n, out->data());
-}
-
-Status DecodeVarint(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeVarintInto(in, n, out->data());
-}
-
-Status DecodeZigZag(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeZigZagInto(in, n, out->data());
-}
-
-Status DecodeFixedBitWidth(SliceReader* in, size_t n,
-                           std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeFixedBitWidthInto(in, n, out->data());
-}
-
-Status DecodeForDelta(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeForDeltaInto(in, n, out->data());
-}
-
-Status DecodeDelta(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeDeltaInto(in, n, out->data());
-}
-
-Status DecodeConstant(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeConstantInto(in, n, out->data());
-}
-
 }  // namespace intcodec
 }  // namespace bullion

@@ -23,55 +23,43 @@ namespace intcodec {
 
 // kTrivial: raw 8-byte little-endian values.
 Status EncodeTrivial(std::span<const int64_t> v, BufferBuilder* out);
-Status DecodeTrivial(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kVarint: LEB128 per value. Requires non-negative input. The layout is
 // in-place maskable: zeroing the low 7 bits of each byte of a value
 // erases it without moving neighbours (§2.1).
 Status EncodeVarint(std::span<const int64_t> v, BufferBuilder* out);
-Status DecodeVarint(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kZigZag: LEB128 of zigzag(v); handles negatives.
 Status EncodeZigZag(std::span<const int64_t> v, BufferBuilder* out);
-Status DecodeZigZag(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kFixedBitWidth: [width:u8][LSB-first packed values]. Requires
 // non-negative input; random-accessible and maskable.
 Status EncodeFixedBitWidth(std::span<const int64_t> v, BufferBuilder* out);
-Status DecodeFixedBitWidth(SliceReader* in, size_t n,
-                           std::vector<int64_t>* out);
 
 // kForDelta: [base: zigzag varint][width:u8][packed (v - base)].
 // Frame-of-reference; random-accessible and maskable.
 Status EncodeForDelta(std::span<const int64_t> v, BufferBuilder* out);
-Status DecodeForDelta(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kDelta: [first: zigzag varint][child: zigzag'd consecutive deltas].
 Status EncodeDelta(std::span<const int64_t> v, CascadeContext* ctx,
                    BufferBuilder* out);
-Status DecodeDelta(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kConstant: [value: zigzag varint].
 Status EncodeConstant(std::span<const int64_t> v, BufferBuilder* out);
-Status DecodeConstant(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kMainlyConstant: [constant][n_exc][positions child][values child].
 Status EncodeMainlyConstant(std::span<const int64_t> v, CascadeContext* ctx,
                             BufferBuilder* out);
-Status DecodeMainlyConstant(SliceReader* in, size_t n,
-                            std::vector<int64_t>* out);
 
 // kRle: [run values child][run lengths child].
 Status EncodeRle(std::span<const int64_t> v, CascadeContext* ctx,
                  BufferBuilder* out);
-Status DecodeRle(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kDictionary: [n_entries][entries child][codes child]. Entries are the
 // sorted distinct values; codes index them. `reserve_mask_entry` makes
 // code 0 a reserved deletion-mask slot (§2.1) shifting real codes by 1.
 Status EncodeDictionary(std::span<const int64_t> v, CascadeContext* ctx,
                         bool reserve_mask_entry, BufferBuilder* out);
-Status DecodeDictionary(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kSentinel: [sentinel: zigzag varint][values child]. Encodes nullable
 // data in one stream by mapping nulls to an unused value.
@@ -93,34 +81,29 @@ Status DecodeNullable(SliceReader* in, size_t n, int64_t null_fill,
 // Requires a small alphabet (<= kMaxAlphabet distinct values).
 constexpr size_t kMaxHuffmanAlphabet = 4096;
 Status EncodeHuffman(std::span<const int64_t> v, BufferBuilder* out);
-Status DecodeHuffman(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kFastPFor: 128-value miniblocks, per-block FOR + bit packing with
 // patched exceptions (top ~1/8 outliers stored separately).
 Status EncodeFastPFor(std::span<const int64_t> v, BufferBuilder* out);
-Status DecodeFastPFor(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kFastBP128: per-128-block FOR + bit packing, no exceptions.
 Status EncodeFastBP128(std::span<const int64_t> v, BufferBuilder* out);
-Status DecodeFastBP128(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kBitShuffle: bit-plane transpose of the 64-bit values
 // (blockcodec::Kernels::transpose_bits), then the planes are deflated in
 // the Chunked framing. (Bitshuffle is conventionally paired with a
 // byte-level compressor.)
 Status EncodeBitShuffle(std::span<const int64_t> v, BufferBuilder* out);
-Status DecodeBitShuffle(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // kChunked: deflate over 256 KiB chunks of the raw value bytes.
 Status EncodeChunked(std::span<const int64_t> v, BufferBuilder* out);
-Status DecodeChunked(SliceReader* in, size_t n, std::vector<int64_t>* out);
 
 // ---------------------------------------------------------------------------
-// Block decode-into variants (encoding/block_codec.h): write exactly
-// `n` values into caller-preallocated out[0..n) — no clear / reserve /
-// push_back growth on the decode path. The legacy vector overloads
-// above resize once and forward here; new callers (cascade block
-// dispatch, page decode) use these directly.
+// Decoders (encoding/block_codec.h): each writes exactly `n` values into
+// caller-preallocated out[0..n) — no clear / reserve / push_back growth
+// on the decode path. The cascade's block dispatch (DecodeIntBlock and
+// friends in cascade.h) sizes the destination once from the block
+// header and calls these.
 // ---------------------------------------------------------------------------
 
 Status DecodeTrivialInto(SliceReader* in, size_t n, int64_t* out);

@@ -209,27 +209,5 @@ Status DecodeChunkedInto(SliceReader* in, size_t n, int64_t* out) {
                                          reinterpret_cast<uint8_t*>(out));
 }
 
-// Legacy vector overloads: resize once, forward to the block decoders.
-
-Status DecodeFastBP128(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeFastBP128Into(in, n, out->data());
-}
-
-Status DecodeFastPFor(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeFastPForInto(in, n, out->data());
-}
-
-Status DecodeBitShuffle(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeBitShuffleInto(in, n, out->data());
-}
-
-Status DecodeChunked(SliceReader* in, size_t n, std::vector<int64_t>* out) {
-  out->resize(n);
-  return DecodeChunkedInto(in, n, out->data());
-}
-
 }  // namespace intcodec
 }  // namespace bullion

@@ -575,12 +575,14 @@ Status BatchStream::MaterializeLateSlots(
           unit.local_group, col, pb, pe, bytes.AsSlice(),
           spec_.read_options, &runs[k].decoded));
     }
-    // Gather the survivors into a compacted column.
+    // Gather the survivors into a compacted column, one append per run
+    // of consecutive survivors inside a page run.
     const ColumnRecord& rec = fetch_records_[slot];
     ColumnVector compact(static_cast<PhysicalType>(rec.physical),
                          rec.list_depth);
     size_t ri = 0;
-    for (uint32_t r : selection) {
+    for (size_t i = 0; i < selection.size();) {
+      const uint32_t r = selection[i];
       while (ri < runs.size() &&
              r >= runs[ri].row_begin + runs[ri].decoded.num_rows()) {
         ++ri;
@@ -588,8 +590,15 @@ Status BatchStream::MaterializeLateSlots(
       if (ri == runs.size() || r < runs[ri].row_begin) {
         return Status::Unknown("late materialization lost a surviving row");
       }
-      compact.AppendRowFrom(runs[ri].decoded,
-                            static_cast<int64_t>(r - runs[ri].row_begin));
+      const size_t run_end = runs[ri].row_begin + runs[ri].decoded.num_rows();
+      size_t j = i + 1;
+      while (j < selection.size() && selection[j] < run_end &&
+             selection[j] == selection[j - 1] + 1) {
+        ++j;
+      }
+      const size_t local = r - runs[ri].row_begin;
+      compact.AppendRows(runs[ri].decoded, local, local + (j - i));
+      i = j;
     }
     fl->out[slot] = std::move(compact);
   }
@@ -682,13 +691,12 @@ Status BatchStream::EmitBatches(InFlight* fl) {
   // Bounded batches: slice the group's survivors.
   for (size_t b = 0; b < out_rows; b += spec_.batch_rows) {
     size_t e = std::min(out_rows, b + static_cast<size_t>(spec_.batch_rows));
-    std::vector<uint32_t> slice(e - b);
-    for (size_t r = b; r < e; ++r) slice[r - b] = static_cast<uint32_t>(r);
     RowBatch batch;
     batch.group = fl->unit->global_group;
     batch.columns.reserve(proj.size());
     for (const ColumnVector& col : proj) {
-      BULLION_ASSIGN_OR_RETURN(ColumnVector part, col.Permute(slice));
+      ColumnVector part(col.physical(), col.list_depth());
+      part.AppendRows(col, b, e);
       batch.columns.push_back(std::move(part));
     }
     ready_.push_back(std::move(batch));

@@ -6,10 +6,6 @@
 
 namespace bullion {
 
-void ColumnVector::EnsureValidity() {
-  if (validity_.empty()) validity_.assign(num_rows(), 1);
-}
-
 bool ColumnVector::SameValidity(const ColumnVector& o) const {
   if (validity_.empty() && o.validity_.empty()) return true;
   const size_t n = num_rows();
@@ -20,209 +16,89 @@ bool ColumnVector::SameValidity(const ColumnVector& o) const {
   return true;
 }
 
-void ColumnVector::AppendNullRow() {
+void ColumnVector::AppendPlaceholderRow(bool null) {
   const size_t rows_before = num_rows();
-  EnsureValidity();
-  AppendRowFrom(*this, -1);  // zero/empty placeholder
-  // EnsureValidity on a zero-row vector leaves the bitmap empty and the
-  // placeholder append then skips it; resize covers both shapes.
-  validity_.resize(rows_before + 1);
-  validity_[rows_before] = 0;
+  if (list_depth_ > 0) {
+    offsets_[0].push_back(offsets_[0].back());  // a row with no items
+  } else {
+    switch (domain()) {
+      case ValueDomain::kInt:
+        int_values_.push_back(0);
+        break;
+      case ValueDomain::kReal:
+        real_values_.push_back(0.0);
+        break;
+      case ValueDomain::kBinary:
+        bin_values_.emplace_back();
+        break;
+    }
+  }
+  if (null || !validity_.empty()) {
+    validity_.resize(rows_before, 1);  // materializes on the first null
+    validity_.push_back(null ? 0 : 1);
+  }
+}
+
+void ColumnVector::AppendRows(const ColumnVector& src, size_t begin,
+                              size_t end) {
+  const size_t rows_before = num_rows();
+  if (!src.validity_.empty()) {
+    validity_.resize(rows_before, 1);
+    validity_.insert(validity_.end(), src.validity_.begin() + begin,
+                     src.validity_.begin() + end);
+  } else if (!validity_.empty()) {
+    validity_.resize(rows_before + (end - begin), 1);
+  }
+  // Outside-in: [begin, end) indexes level 0's entries; the items they
+  // span are the range copied at the next level, and the innermost
+  // level's span is the leaf value range. Each copied offset moves from
+  // src's item numbering onto the items this vector already holds.
+  for (int level = 0; level < list_depth_; ++level) {
+    const std::vector<int64_t>& from = src.offsets_[level];
+    std::vector<int64_t>& to = offsets_[level];
+    const int64_t shift = to.back() - from[begin];
+    const size_t old_size = to.size();
+    to.resize(old_size + (end - begin));
+    for (size_t i = 0; i < end - begin; ++i) {
+      to[old_size + i] = from[begin + 1 + i] + shift;
+    }
+    begin = static_cast<size_t>(from[begin]);
+    end = static_cast<size_t>(from[end]);
+  }
+  switch (domain()) {
+    case ValueDomain::kInt:
+      int_values_.insert(int_values_.end(), src.int_values_.begin() + begin,
+                         src.int_values_.begin() + end);
+      break;
+    case ValueDomain::kReal:
+      real_values_.insert(real_values_.end(),
+                          src.real_values_.begin() + begin,
+                          src.real_values_.begin() + end);
+      break;
+    case ValueDomain::kBinary:
+      bin_values_.insert(bin_values_.end(), src.bin_values_.begin() + begin,
+                         src.bin_values_.begin() + end);
+      break;
+  }
 }
 
 Result<ColumnVector> ColumnVector::Permute(
     const std::vector<uint32_t>& perm) const {
   ColumnVector out(physical_, list_depth_);
-  for (uint32_t src : perm) {
-    if (src >= num_rows()) {
+  const size_t rows = num_rows();
+  for (size_t i = 0; i < perm.size();) {
+    if (perm[i] >= rows) {
       return Status::InvalidArgument("gather index out of range");
     }
-    if (IsNull(src)) {
-      out.EnsureValidity();
-      out.validity_.push_back(0);
-    } else if (!out.validity_.empty()) {
-      out.validity_.push_back(1);
+    size_t j = i + 1;
+    while (j < perm.size() && perm[j] < rows &&
+           perm[j] == static_cast<size_t>(perm[j - 1]) + 1) {
+      ++j;
     }
-    switch (list_depth_) {
-      case 0:
-        switch (domain()) {
-          case ValueDomain::kInt:
-            out.AppendInt(int_values_[src]);
-            break;
-          case ValueDomain::kReal:
-            out.AppendReal(real_values_[src]);
-            break;
-          case ValueDomain::kBinary:
-            out.AppendBinary(bin_values_[src]);
-            break;
-        }
-        break;
-      case 1: {
-        auto [b, e] = ListRange(src);
-        switch (domain()) {
-          case ValueDomain::kInt:
-            out.AppendIntList(std::vector<int64_t>(int_values_.begin() + b,
-                                                   int_values_.begin() + e));
-            break;
-          case ValueDomain::kReal:
-            out.AppendRealList(std::vector<double>(real_values_.begin() + b,
-                                                   real_values_.begin() + e));
-            break;
-          case ValueDomain::kBinary:
-            out.AppendBinaryList(std::vector<std::string>(
-                bin_values_.begin() + b, bin_values_.begin() + e));
-            break;
-        }
-        break;
-      }
-      case 2: {
-        int64_t inner_b = offsets_[0][src];
-        int64_t inner_e = offsets_[0][src + 1];
-        std::vector<std::vector<int64_t>> row;
-        for (int64_t j = inner_b; j < inner_e; ++j) {
-          int64_t vb = offsets_[1][j];
-          int64_t ve = offsets_[1][j + 1];
-          row.push_back(std::vector<int64_t>(int_values_.begin() + vb,
-                                             int_values_.begin() + ve));
-        }
-        out.AppendIntListList(row);
-        break;
-      }
-      default:
-        return Status::NotImplemented("list depth > 2");
-    }
+    out.AppendRows(*this, perm[i], perm[i] + (j - i));
+    i = j;
   }
   return out;
-}
-
-void ColumnVector::AppendRowFrom(const ColumnVector& src, int64_t src_row) {
-  if (src_row < 0) {
-    // Placeholder for a physically removed row.
-    switch (list_depth_) {
-      case 0:
-        switch (domain()) {
-          case ValueDomain::kInt:
-            AppendInt(0);
-            break;
-          case ValueDomain::kReal:
-            AppendReal(0.0);
-            break;
-          case ValueDomain::kBinary:
-            AppendBinary("");
-            break;
-        }
-        break;
-      case 1:
-        switch (domain()) {
-          case ValueDomain::kInt:
-            AppendIntList({});
-            break;
-          case ValueDomain::kReal:
-            AppendRealList({});
-            break;
-          case ValueDomain::kBinary:
-            AppendBinaryList({});
-            break;
-        }
-        break;
-      default:
-        AppendIntListList({});
-        break;
-    }
-    // Erased-row placeholders are valid zeros (the §2.1 realignment
-    // contract), not nulls.
-    if (!validity_.empty()) validity_.push_back(1);
-    return;
-  }
-  size_t r = static_cast<size_t>(src_row);
-  if (src.IsNull(r)) {
-    EnsureValidity();
-    validity_.push_back(0);
-  } else if (!validity_.empty()) {
-    validity_.push_back(1);
-  }
-  switch (list_depth_) {
-    case 0:
-      switch (domain()) {
-        case ValueDomain::kInt:
-          AppendInt(src.int_values_[r]);
-          break;
-        case ValueDomain::kReal:
-          AppendReal(src.real_values_[r]);
-          break;
-        case ValueDomain::kBinary:
-          AppendBinary(src.bin_values_[r]);
-          break;
-      }
-      break;
-    case 1: {
-      auto [b, e] = src.ListRange(r);
-      switch (domain()) {
-        case ValueDomain::kInt:
-          AppendIntList(std::vector<int64_t>(src.int_values_.begin() + b,
-                                             src.int_values_.begin() + e));
-          break;
-        case ValueDomain::kReal:
-          AppendRealList(std::vector<double>(src.real_values_.begin() + b,
-                                             src.real_values_.begin() + e));
-          break;
-        case ValueDomain::kBinary:
-          AppendBinaryList(std::vector<std::string>(
-              src.bin_values_.begin() + b, src.bin_values_.begin() + e));
-          break;
-      }
-      break;
-    }
-    default: {
-      int64_t ib = src.offsets_[0][r];
-      int64_t ie = src.offsets_[0][r + 1];
-      std::vector<std::vector<int64_t>> row;
-      for (int64_t j = ib; j < ie; ++j) {
-        int64_t vb = src.offsets_[1][j];
-        int64_t ve = src.offsets_[1][j + 1];
-        row.push_back(std::vector<int64_t>(src.int_values_.begin() + vb,
-                                           src.int_values_.begin() + ve));
-      }
-      AppendIntListList(row);
-      break;
-    }
-  }
-}
-
-void ColumnVector::AppendAllFrom(const ColumnVector& src) {
-  // Bulk-append the value and offset arrays directly: concatenating
-  // per-group decodes must not re-copy row by row (ReadFullColumn on a
-  // large column would double its allocations otherwise).
-  const size_t rows_before = num_rows();
-  if (!src.validity_.empty()) {
-    if (validity_.empty()) validity_.assign(rows_before, 1);
-    validity_.insert(validity_.end(), src.validity_.begin(),
-                     src.validity_.end());
-  } else if (!validity_.empty()) {
-    validity_.resize(validity_.size() + src.num_rows(), 1);
-  }
-  int64_t leaf_base = static_cast<int64_t>(LeafCount());
-  int_values_.insert(int_values_.end(), src.int_values_.begin(),
-                     src.int_values_.end());
-  real_values_.insert(real_values_.end(), src.real_values_.begin(),
-                      src.real_values_.end());
-  bin_values_.insert(bin_values_.end(), src.bin_values_.begin(),
-                     src.bin_values_.end());
-  if (list_depth_ == 0) return;
-  // Inner-most offsets index leaf values; outer levels index the
-  // items of the level below. Rebase each level by the item count it
-  // held before the append (offset arrays carry a leading 0 sentinel).
-  std::vector<int64_t> bases(list_depth_);
-  bases[list_depth_ - 1] = leaf_base;
-  for (int level = list_depth_ - 2; level >= 0; --level) {
-    bases[level] = static_cast<int64_t>(offsets_[level + 1].size()) - 1;
-  }
-  for (int level = 0; level < list_depth_; ++level) {
-    const auto& from = src.offsets_[level];
-    for (size_t i = 1; i < from.size(); ++i) {
-      offsets_[level].push_back(bases[level] + from[i]);
-    }
-  }
 }
 
 namespace {
@@ -367,25 +243,6 @@ Status FilterMatchMask(const ColumnVector& col, const Filter& filter,
     double x = col_is_int ? static_cast<double>(col.int_values()[r])
                           : col.real_values()[r];
     if (CompareRow<double>(x, filter.op, c)) (*match)[r] = 1;
-  }
-  return Status::OK();
-}
-
-Status UpdatePredicateMask(const ColumnVector& col, CompareOp op,
-                           const FilterValue& value,
-                           std::vector<uint8_t>* mask) {
-  if (mask->size() != col.num_rows()) {
-    return Status::InvalidArgument("predicate mask size mismatch");
-  }
-  if (op == CompareOp::kIn) {
-    return Status::InvalidArgument(
-        "IN needs Filter::values; use FilterMatchMask");
-  }
-  Filter f("", op, value);
-  std::vector<uint8_t> match;
-  BULLION_RETURN_NOT_OK(FilterMatchMask(col, f, &match));
-  for (size_t r = 0; r < mask->size(); ++r) {
-    if (!match[r]) (*mask)[r] = 0;
   }
   return Status::OK();
 }

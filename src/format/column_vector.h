@@ -1,7 +1,8 @@
 // In-memory representation of one leaf column's data for a batch of
 // rows. Values live in one of three domains (int64, double, binary);
-// list nesting (up to 2 levels) is carried by offset arrays, like
-// Arrow's variable-size list layout.
+// list nesting is carried by offset arrays, like Arrow's variable-size
+// list layout. Pages hold every domain at depth 0 and 1 and int at
+// depth 2 (format/page.h); writers refuse any other leaf.
 
 #pragma once
 
@@ -36,9 +37,14 @@ inline ValueDomain DomainOf(PhysicalType t) {
 
 /// \brief Columnar data for one leaf over a row batch.
 ///
-/// offsets[level] has (#items at that level + 1) entries; level 0 is
-/// the row level. For list_depth == 0 there are no offset arrays and
-/// one value per row.
+/// offsets[level] has (#items at that level + 1) entries, starting at
+/// 0, and its last entry is the item count of the level below (the
+/// leaf values for the innermost level); level 0 is the row level. For
+/// list_depth == 0 there are no offset arrays and one value per row.
+///
+/// AppendRows is the one row copy: every gather, slice, concatenation
+/// and realignment goes through it, so the offset rebasing lives in
+/// one place.
 class ColumnVector {
  public:
   ColumnVector() = default;
@@ -77,23 +83,36 @@ class ColumnVector {
 
   // -- Appending (writer side) ---------------------------------------------
 
-  /// Appends a scalar row (list_depth must be 0).
-  void AppendInt(int64_t v) { int_values_.push_back(v); }
-  void AppendReal(double v) { real_values_.push_back(v); }
-  void AppendBinary(std::string v) { bin_values_.push_back(std::move(v)); }
+  /// Appends a scalar row (list_depth must be 0). Like every append,
+  /// extends a materialized validity bitmap with a 1 (valid).
+  void AppendInt(int64_t v) {
+    int_values_.push_back(v);
+    MarkRowValid();
+  }
+  void AppendReal(double v) {
+    real_values_.push_back(v);
+    MarkRowValid();
+  }
+  void AppendBinary(std::string v) {
+    bin_values_.push_back(std::move(v));
+    MarkRowValid();
+  }
 
   /// Appends a list<int> row (list_depth must be 1).
   void AppendIntList(const std::vector<int64_t>& v) {
     int_values_.insert(int_values_.end(), v.begin(), v.end());
     offsets_[0].push_back(static_cast<int64_t>(int_values_.size()));
+    MarkRowValid();
   }
   void AppendRealList(const std::vector<double>& v) {
     real_values_.insert(real_values_.end(), v.begin(), v.end());
     offsets_[0].push_back(static_cast<int64_t>(real_values_.size()));
+    MarkRowValid();
   }
   void AppendBinaryList(const std::vector<std::string>& v) {
     bin_values_.insert(bin_values_.end(), v.begin(), v.end());
     offsets_[0].push_back(static_cast<int64_t>(bin_values_.size()));
+    MarkRowValid();
   }
 
   /// Appends a list<list<int>> row (list_depth must be 2).
@@ -103,14 +122,18 @@ class ColumnVector {
       offsets_[1].push_back(static_cast<int64_t>(int_values_.size()));
     }
     offsets_[0].push_back(static_cast<int64_t>(offsets_[1].size() - 1));
+    MarkRowValid();
   }
 
-  /// Appends one null row: a zero/empty placeholder value plus a 0 bit
-  /// in the validity bitmap. Used by schema-evolution back-fill — a
-  /// shard written before a nullable trailing column existed reads that
-  /// column as all-null (dataset/evolution.h). Materializes the bitmap
-  /// on first use, so dense (never-null) vectors pay no storage.
-  void AppendNullRow();
+  /// Appends one zero/empty row: 0, 0.0, "" or an empty list. A null
+  /// row also gets a 0 bit in the validity bitmap, which materializes
+  /// on the first null, so dense (never-null) vectors pay no storage.
+  /// Null rows are schema-evolution back-fill — a shard written before
+  /// a nullable trailing column existed reads that column as all-null
+  /// (dataset/evolution.h). Valid zero rows stand in for physically
+  /// erased rows when the reader realigns a page (§2.1).
+  void AppendPlaceholderRow(bool null);
+  void AppendNullRow() { AppendPlaceholderRow(/*null=*/true); }
 
   // -- Validity (nullable columns) -----------------------------------------
 
@@ -158,18 +181,24 @@ class ColumnVector {
 
   /// Gathers rows so out[i] = in[perm[i]]. perm may be any row-index
   /// sequence (a permutation for quality-aware reordering §2.5, or a
-  /// subset for survivor selection in delete-by-rewrite).
+  /// subset for survivor selection in delete-by-rewrite); each run of
+  /// consecutive indices is one AppendRows. An index past the last row
+  /// returns InvalidArgument.
   Result<ColumnVector> Permute(const std::vector<uint32_t>& perm) const;
 
-  /// Appends row `src_row` of `src` (same physical type / list depth).
-  /// A negative src_row appends a zero/empty placeholder — used by the
-  /// reader to stand in for physically erased rows (§2.1).
-  void AppendRowFrom(const ColumnVector& src, int64_t src_row);
+  /// Appends rows [begin, end) of `src`, another vector of this one's
+  /// physical type and list depth, with begin <= end <= src.num_rows().
+  /// Values, validity and every level's offsets are copied in bulk:
+  /// the list levels are walked outside-in, each level's row or item
+  /// range selecting the next level's, and each copied offset is
+  /// rebased onto this vector's item count. Works for any domain at
+  /// any depth; values `src` holds past its last offset are not copied.
+  void AppendRows(const ColumnVector& src, size_t begin, size_t end);
 
-  /// Appends every row of `src` (same physical type / list depth).
-  /// Concatenating per-group decodes with this yields the same logical
-  /// content as decoding sequentially into one vector.
-  void AppendAllFrom(const ColumnVector& src);
+  /// Appends every row of `src`: AppendRows over its whole range.
+  void AppendAllFrom(const ColumnVector& src) {
+    AppendRows(src, 0, src.num_rows());
+  }
 
   bool operator==(const ColumnVector& o) const {
     return physical_ == o.physical_ && list_depth_ == o.list_depth_ &&
@@ -183,8 +212,10 @@ class ColumnVector {
   /// one, so a vector that never saw a null compares equal regardless
   /// of whether the bitmap was ever materialized.
   bool SameValidity(const ColumnVector& o) const;
-  /// Materializes validity_ as all-ones for the rows present so far.
-  void EnsureValidity();
+  /// Keeps a materialized bitmap one entry per row after a valid row.
+  void MarkRowValid() {
+    if (!validity_.empty()) validity_.push_back(1);
+  }
 
   PhysicalType physical_ = PhysicalType::kInt64;
   int list_depth_ = 0;
@@ -218,15 +249,6 @@ std::vector<uint32_t> SortPermutationDescending(
 /// kEq/kNe/kIn with byte-string constants.
 Status FilterMatchMask(const ColumnVector& col, const Filter& filter,
                        std::vector<uint8_t>* match);
-
-/// ANDs `mask` (one byte per row, 1 = still selected) with
-/// `col <op> value` evaluated per row. `mask->size()` must equal
-/// `col.num_rows()`. Accepts the same column/op matrix as
-/// FilterMatchMask except kIn (which needs Filter::values — build a
-/// Filter and use FilterMatchMask).
-Status UpdatePredicateMask(const ColumnVector& col, CompareOp op,
-                           const FilterValue& value,
-                           std::vector<uint8_t>* mask);
 
 /// ANDs `mask` with the disjunction of `clause.any_of` evaluated per
 /// row: `cols[i]` carries the data of `clause.any_of[i]`'s column (the

@@ -121,69 +121,11 @@ Status EncodeDeletableIntValues(std::span<const int64_t> values,
   return Status::OK();
 }
 
-namespace {
-
-/// Slices one row range out of a ColumnVector as a standalone batch.
-ColumnVector SliceRows(const ColumnVector& col, size_t row_begin,
-                       size_t row_end) {
-  ColumnVector out(col.physical(), col.list_depth());
-  for (size_t r = row_begin; r < row_end; ++r) {
-    switch (col.list_depth()) {
-      case 0:
-        switch (col.domain()) {
-          case ValueDomain::kInt:
-            out.AppendInt(col.int_values()[r]);
-            break;
-          case ValueDomain::kReal:
-            out.AppendReal(col.real_values()[r]);
-            break;
-          case ValueDomain::kBinary:
-            out.AppendBinary(col.bin_values()[r]);
-            break;
-        }
-        break;
-      case 1: {
-        auto [b, e] = col.ListRange(r);
-        switch (col.domain()) {
-          case ValueDomain::kInt:
-            out.AppendIntList(std::vector<int64_t>(
-                col.int_values().begin() + b, col.int_values().begin() + e));
-            break;
-          case ValueDomain::kReal:
-            out.AppendRealList(std::vector<double>(
-                col.real_values().begin() + b, col.real_values().begin() + e));
-            break;
-          case ValueDomain::kBinary:
-            out.AppendBinaryList(std::vector<std::string>(
-                col.bin_values().begin() + b, col.bin_values().begin() + e));
-            break;
-        }
-        break;
-      }
-      default: {
-        int64_t ib = col.offsets()[0][r];
-        int64_t ie = col.offsets()[0][r + 1];
-        std::vector<std::vector<int64_t>> row;
-        for (int64_t j = ib; j < ie; ++j) {
-          int64_t vb = col.offsets()[1][j];
-          int64_t ve = col.offsets()[1][j + 1];
-          row.push_back(std::vector<int64_t>(col.int_values().begin() + vb,
-                                             col.int_values().begin() + ve));
-        }
-        out.AppendIntListList(row);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<EncodedPage> EncodePage(const ColumnVector& col, size_t row_begin,
                                size_t row_end,
                                const PageEncodeOptions& options) {
-  ColumnVector page_rows = SliceRows(col, row_begin, row_end);
+  ColumnVector page_rows(col.physical(), col.list_depth());
+  page_rows.AppendRows(col, row_begin, row_end);
   uint32_t row_count = static_cast<uint32_t>(row_end - row_begin);
   BufferBuilder out;
 
@@ -253,58 +195,20 @@ Result<EncodedPage> EncodePage(const ColumnVector& col, size_t row_begin,
   return EncodedPage{out.Finish(), row_count, encoding};
 }
 
-Status DecodePage(Slice page, ColumnVector* out) {
-  SliceReader in(page);
-  if (in.remaining() < 1) return Status::Corruption("empty page");
-  PageFormat format = static_cast<PageFormat>(in.Read<uint8_t>());
+namespace {
 
-  if (format == PageFormat::kSparseDelta) {
-    if (out->list_depth() != 1 || out->domain() != ValueDomain::kInt) {
-      return Status::Corruption("sparse-delta page needs int list column");
-    }
-    std::vector<int64_t> offsets, values;
-    BULLION_RETURN_NOT_OK(DecodeSparseDeltaColumn(
-        page.SubSlice(1, page.size() - 1), &offsets, &values));
-    if (offsets.empty() || offsets.front() != 0) {
-      return Status::Corruption("sparse-delta offsets must start at 0");
-    }
-    for (size_t r = 1; r < offsets.size(); ++r) {
-      if (offsets[r] < offsets[r - 1]) {
-        return Status::Corruption("sparse-delta offsets not monotone");
-      }
-    }
-    if (offsets.back() > static_cast<int64_t>(values.size())) {
-      return Status::Corruption("sparse-delta offsets exceed value count");
-    }
-    // Bulk move: values land in storage once; each row becomes one
-    // rebased offset entry instead of a per-row vector copy.
-    std::vector<int64_t>& vals = out->mutable_int_values();
-    const int64_t base_vals = static_cast<int64_t>(vals.size());
-    vals.insert(vals.end(), values.begin(), values.begin() + offsets.back());
-    std::vector<int64_t>& offs0 = out->mutable_offsets()[0];
-    for (size_t r = 1; r < offsets.size(); ++r) {
-      offs0.push_back(base_vals + offsets[r]);
-    }
-    return Status::OK();
-  }
-  if (format != PageFormat::kGeneric) {
-    return Status::Corruption("unknown page format");
-  }
-  if (in.remaining() < 1) return Status::Corruption("page missing depth");
-  int depth = in.Read<uint8_t>();
-  if (depth != out->list_depth()) {
-    return Status::Corruption("page list depth mismatch");
-  }
-
-  std::vector<std::vector<int64_t>> offsets(static_cast<size_t>(depth));
-  for (int level = 0; level < depth; ++level) {
-    BULLION_RETURN_NOT_OK(DecodeIntBlock(&in, &offsets[level]));
-  }
-
-  // Validate offset arrays before indexing through them (decoded bytes
-  // may be corrupt; see tests/robustness_test.cc).
-  auto validate_offsets = [](const std::vector<int64_t>& offs,
-                             int64_t upper) -> Status {
+/// Checks a decoded page's offset levels before anything indexes
+/// through them (decoded bytes may be corrupt; see
+/// tests/robustness_test.cc), then drops what no row references. The
+/// check runs inside-out: the innermost level indexes the leaf values,
+/// each outer level the items of the level below.
+Status CheckListLevels(ColumnVector* col) {
+  const int depth = col->list_depth();
+  if (depth == 0) return Status::OK();
+  std::vector<std::vector<int64_t>>& offsets = col->mutable_offsets();
+  int64_t upper = static_cast<int64_t>(col->LeafCount());
+  for (int level = depth - 1; level >= 0; --level) {
+    const std::vector<int64_t>& offs = offsets[level];
     if (offs.empty() || offs.front() != 0) {
       return Status::Corruption("page offsets must start at 0");
     }
@@ -316,92 +220,82 @@ Status DecodePage(Slice page, ColumnVector* out) {
     if (offs.back() > upper) {
       return Status::Corruption("page offsets exceed value count");
     }
-    return Status::OK();
-  };
-
-  // Values decode straight into the ColumnVector's backing storage
-  // (one resize, kernel decode into the tail); list structure is
-  // rebuilt by rebasing the page-local offsets onto the rows already
-  // present — no per-row vector materialization.
-  switch (out->domain()) {
-    case ValueDomain::kInt: {
-      std::vector<int64_t>& vals = out->mutable_int_values();
-      const size_t base_vals = vals.size();
-      BULLION_RETURN_NOT_OK(DecodeIntBlockAppend(&in, &vals));
-      const int64_t n_vals = static_cast<int64_t>(vals.size() - base_vals);
-      if (depth == 2) {
-        BULLION_RETURN_NOT_OK(validate_offsets(offsets[1], n_vals));
-        BULLION_RETURN_NOT_OK(validate_offsets(
-            offsets[0], static_cast<int64_t>(offsets[1].size()) - 1));
-        // Rows reference inner lists [0, offsets[0].back()) which in
-        // turn reference values [0, offsets[1][used_inner]); anything
-        // past that is unreferenced padding — drop it, matching the
-        // row-wise decoder this replaces.
-        const int64_t used_inner = offsets[0].back();
-        const int64_t used_vals =
-            offsets[1][static_cast<size_t>(used_inner)];
-        vals.resize(base_vals + static_cast<size_t>(used_vals));
-        std::vector<int64_t>& offs0 = out->mutable_offsets()[0];
-        std::vector<int64_t>& offs1 = out->mutable_offsets()[1];
-        const int64_t base_inner = static_cast<int64_t>(offs1.size()) - 1;
-        for (int64_t j = 1; j <= used_inner; ++j) {
-          offs1.push_back(static_cast<int64_t>(base_vals) +
-                          offsets[1][static_cast<size_t>(j)]);
-        }
-        for (size_t r = 1; r < offsets[0].size(); ++r) {
-          offs0.push_back(base_inner + offsets[0][r]);
-        }
-      } else if (depth == 1) {
-        BULLION_RETURN_NOT_OK(validate_offsets(offsets[0], n_vals));
-        vals.resize(base_vals + static_cast<size_t>(offsets[0].back()));
-        std::vector<int64_t>& offs0 = out->mutable_offsets()[0];
-        for (size_t r = 1; r < offsets[0].size(); ++r) {
-          offs0.push_back(static_cast<int64_t>(base_vals) + offsets[0][r]);
-        }
-      }
-      break;
-    }
-    case ValueDomain::kReal: {
-      std::vector<double> values;
-      BULLION_RETURN_NOT_OK(DecodeDoubleBlock(&in, &values));
-      std::vector<double>& vals = out->mutable_real_values();
-      const size_t base_vals = vals.size();
-      if (depth == 0) {
-        vals.insert(vals.end(), values.begin(), values.end());
-      } else {
-        BULLION_RETURN_NOT_OK(validate_offsets(
-            offsets[0], static_cast<int64_t>(values.size())));
-        vals.insert(vals.end(), values.begin(),
-                    values.begin() + offsets[0].back());
-        std::vector<int64_t>& offs0 = out->mutable_offsets()[0];
-        for (size_t r = 1; r < offsets[0].size(); ++r) {
-          offs0.push_back(static_cast<int64_t>(base_vals) + offsets[0][r]);
-        }
-      }
-      break;
-    }
-    case ValueDomain::kBinary: {
-      std::vector<std::string> values;
-      BULLION_RETURN_NOT_OK(DecodeStringBlock(&in, &values));
-      std::vector<std::string>& vals = out->mutable_bin_values();
-      const size_t base_vals = vals.size();
-      if (depth == 0) {
-        vals.insert(vals.end(), std::make_move_iterator(values.begin()),
-                    std::make_move_iterator(values.end()));
-      } else {
-        BULLION_RETURN_NOT_OK(validate_offsets(
-            offsets[0], static_cast<int64_t>(values.size())));
-        vals.insert(vals.end(), std::make_move_iterator(values.begin()),
-                    std::make_move_iterator(values.begin() +
-                                            offsets[0].back()));
-        std::vector<int64_t>& offs0 = out->mutable_offsets()[0];
-        for (size_t r = 1; r < offsets[0].size(); ++r) {
-          offs0.push_back(static_cast<int64_t>(base_vals) + offsets[0][r]);
-        }
-      }
-      break;
-    }
+    upper = static_cast<int64_t>(offs.size()) - 1;
   }
+  // Rows reference items [0, offsets[0].back()) of the level below,
+  // and so on down to the values; the rest is unreferenced padding.
+  for (int level = 0; level + 1 < depth; ++level) {
+    offsets[level + 1].resize(static_cast<size_t>(offsets[level].back()) + 1);
+  }
+  const size_t used = static_cast<size_t>(offsets[depth - 1].back());
+  switch (col->domain()) {
+    case ValueDomain::kInt:
+      col->mutable_int_values().resize(used);
+      break;
+    case ValueDomain::kReal:
+      col->mutable_real_values().resize(used);
+      break;
+    case ValueDomain::kBinary:
+      col->mutable_bin_values().resize(used);
+      break;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status DecodePage(Slice page, ColumnVector* out) {
+  if (out->num_rows() != 0 || out->LeafCount() != 0) {
+    return Status::InvalidArgument("DecodePage needs an empty column");
+  }
+  const int depth = out->list_depth();
+  if (!PageLayoutHolds(out->domain(), depth)) {
+    return Status::Corruption("no page layout for list depth " +
+                              std::to_string(depth) +
+                              (depth == 2 ? " of non-int values" : ""));
+  }
+  SliceReader in(page);
+  if (in.remaining() < 1) return Status::Corruption("empty page");
+  PageFormat format = static_cast<PageFormat>(in.Read<uint8_t>());
+
+  // Offsets and values decode straight into a page-local column's
+  // storage; once checked, they move into *out as they are, so *out
+  // stays empty on any error.
+  ColumnVector col(out->physical(), depth);
+  std::vector<std::vector<int64_t>>& offsets = col.mutable_offsets();
+  if (format == PageFormat::kSparseDelta) {
+    if (depth != 1 || col.domain() != ValueDomain::kInt) {
+      return Status::Corruption("sparse-delta page needs int list column");
+    }
+    BULLION_RETURN_NOT_OK(DecodeSparseDeltaColumn(
+        page.SubSlice(1, page.size() - 1), &offsets[0],
+        &col.mutable_int_values()));
+  } else if (format == PageFormat::kGeneric) {
+    if (in.remaining() < 1) return Status::Corruption("page missing depth");
+    if (in.Read<uint8_t>() != depth) {
+      return Status::Corruption("page list depth mismatch");
+    }
+    for (int level = 0; level < depth; ++level) {
+      BULLION_RETURN_NOT_OK(DecodeIntBlock(&in, &offsets[level]));
+    }
+    switch (col.domain()) {
+      case ValueDomain::kInt:
+        BULLION_RETURN_NOT_OK(DecodeIntBlock(&in, &col.mutable_int_values()));
+        break;
+      case ValueDomain::kReal:
+        BULLION_RETURN_NOT_OK(
+            DecodeDoubleBlock(&in, &col.mutable_real_values()));
+        break;
+      case ValueDomain::kBinary:
+        BULLION_RETURN_NOT_OK(
+            DecodeStringBlock(&in, &col.mutable_bin_values()));
+        break;
+    }
+  } else {
+    return Status::Corruption("unknown page format");
+  }
+  BULLION_RETURN_NOT_OK(CheckListLevels(&col));
+  *out = std::move(col);
   return Status::OK();
 }
 

@@ -7,6 +7,8 @@
 //   [format: u8]   0 = generic, 1 = sparse-delta (whole page jointly)
 //   generic: [list_depth: u8][offset block]*depth [values block]
 //   sparse-delta: [sparse-delta block] (list<int64> only)
+// Generic pages hold every value domain at list depth 0 and 1, and int
+// values at depth 2 (PageLayoutHolds).
 //
 // Deletable pages (§2.1, compliance level 2) restrict the values block
 // to in-place maskable encodings chosen by a deterministic decision
@@ -60,13 +62,26 @@ struct EncodedPage {
   std::vector<uint64_t> key_hashes;
 };
 
+/// Whether pages hold a leaf of this shape: any domain at list depth 0
+/// or 1, ints at depth 2. Writers refuse every other leaf
+/// (ValidateWriterOptions), and DecodePage reports one as Corruption.
+inline bool PageLayoutHolds(ValueDomain domain, int list_depth) {
+  return list_depth <= 1 || (list_depth == 2 && domain == ValueDomain::kInt);
+}
+
 /// Encodes rows [row_begin, row_end) of `col` into one page.
 Result<EncodedPage> EncodePage(const ColumnVector& col, size_t row_begin,
                                size_t row_end,
                                const PageEncodeOptions& options);
 
-/// Decodes a page and appends its rows to `out` (which must match the
-/// leaf's physical/list shape).
+/// Decodes a page into `out`, which must be empty: its physical type
+/// and list depth (the leaf's) give the page shape, and on success it
+/// holds exactly the page's rows. The offsets are checked and then
+/// moved in unchanged; callers that gather pages into one column append
+/// each decoded page (ColumnVector::AppendRows). A non-empty `out` is
+/// InvalidArgument; a shape PageLayoutHolds rejects, or bytes that do
+/// not decode to well-formed offsets and values, are Corruption, and
+/// leave `out` empty.
 Status DecodePage(Slice page, ColumnVector* out);
 
 /// Encodes a deletable int values block using the deterministic

@@ -102,38 +102,49 @@ Status TableReader::DecodePages(uint32_t g, uint32_t c, uint32_t page_begin,
                          rec.list_depth);
     BULLION_RETURN_NOT_OK(DecodePage(page, &decoded));
 
-    uint32_t expected = f.page_row_count(p);
-    size_t got = decoded.num_rows();
-    if (got == expected) {
-      if (!options.filter_deleted ||
-          !f.AnyDeleted(g, row0, row0 + expected)) {
-        out->AppendAllFrom(decoded);
-      } else {
-        for (uint32_t r = 0; r < expected; ++r) {
-          if (f.IsDeleted(g, row0 + r)) continue;
-          out->AppendRowFrom(decoded, static_cast<int64_t>(r));
-        }
-      }
-    } else if (got < expected) {
-      // Rows physically removed by in-place deletion (§2.1 RLE path):
-      // re-align using the deletion vector. In a group without deletes
-      // the values run out first: a shortened page there is corrupt.
-      size_t ti = 0;
-      for (uint32_t r = 0; r < expected; ++r) {
-        if (f.IsDeleted(g, row0 + r)) {
-          if (!options.filter_deleted) out->AppendRowFrom(decoded, -1);
-          continue;
-        }
-        if (ti >= got) {
-          return Status::Corruption("page realign: values exhausted");
-        }
-        out->AppendRowFrom(decoded, static_cast<int64_t>(ti++));
-      }
-      if (ti != got) {
-        return Status::Corruption("page realign: trailing values");
-      }
-    } else {
+    const uint32_t expected = f.page_row_count(p);
+    const size_t got = decoded.num_rows();
+    if (got > expected) {
       return Status::Corruption("page decoded more rows than recorded");
+    }
+    if (got == expected && (!options.filter_deleted ||
+                            !f.AnyDeleted(g, row0, row0 + expected))) {
+      out->AppendAllFrom(decoded);
+      row0 += expected;
+      continue;
+    }
+    // Realign against the deletion vector, one run of live rows at a
+    // time. A full page still holds its masked rows, which a filtered
+    // read skips. A shortened page lost its erased rows (§2.1 RLE
+    // path), and an unfiltered read stands a valid zero in for each. In
+    // a group without deletes the values run out first: a shortened
+    // page there is corrupt.
+    const bool shortened = got < expected;
+    size_t ti = 0;  // next decoded row
+    for (uint32_t r = 0; r < expected;) {
+      if (f.IsDeleted(g, row0 + r)) {
+        if (!shortened) {
+          ++ti;
+        } else if (!options.filter_deleted) {
+          out->AppendPlaceholderRow(/*null=*/false);
+        }
+        ++r;
+        continue;
+      }
+      uint32_t live_end = r + 1;
+      while (live_end < expected && !f.IsDeleted(g, row0 + live_end)) {
+        ++live_end;
+      }
+      const size_t n = live_end - r;
+      if (ti + n > got) {
+        return Status::Corruption("page realign: values exhausted");
+      }
+      out->AppendRows(decoded, ti, ti + n);
+      ti += n;
+      r = live_end;
+    }
+    if (ti != got) {
+      return Status::Corruption("page realign: trailing values");
     }
     row0 += expected;
   }

@@ -76,6 +76,13 @@ Status ValidateWriterOptions(const WriterOptions& options,
           schema.num_leaves()) {
     return Status::InvalidArgument("quality sort column out of range");
   }
+  for (const LeafColumn& leaf : schema.leaves()) {
+    if (!PageLayoutHolds(DomainOf(leaf.physical), leaf.list_depth)) {
+      return Status::InvalidArgument(
+          "leaf '" + leaf.name + "' has no page layout: pages hold list "
+          "depth 0 and 1 of any type and depth 2 of ints only");
+    }
+  }
   return Status::OK();
 }
 

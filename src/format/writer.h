@@ -100,8 +100,10 @@ struct WriterOptions {
 
 /// Checks a WriterOptions against a schema: positive rows_per_page,
 /// column_order a permutation of the leaf indices, quality sort column
-/// in range. Writers run this up front so misconfiguration is a clear
-/// Status instead of downstream misbehavior.
+/// in range, and every leaf a shape pages can hold (list depth at most
+/// 1, or 2 over int values; format/page.h). Writers run this up front
+/// so misconfiguration is a clear Status instead of downstream
+/// misbehavior.
 Status ValidateWriterOptions(const WriterOptions& options,
                              const Schema& schema);
 

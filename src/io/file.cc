@@ -87,7 +87,9 @@ Status InMemoryReadableFile::Read(uint64_t offset, size_t len,
                               ", only " + std::to_string(n) + " available");
   }
   out->Resize(n);
-  std::memcpy(out->mutable_data(), file_->data.data() + offset, n);
+  // An empty file's storage may be null, which memcpy must not see
+  // even for zero bytes.
+  if (n > 0) std::memcpy(out->mutable_data(), file_->data.data() + offset, n);
   AccountRead(stats_, offset, n, &last_end_);
   return Status::OK();
 }

@@ -1,6 +1,6 @@
 // I/O accounting: every file wrapper in src/io reports into an IoStats
 // so benches can report hardware-independent metrics (ops, bytes,
-// distinct ranges) alongside modeled device time (simulated_device.h).
+// distinct ranges) next to their measured wall time.
 //
 // Counters are atomic so one IoStats can be shared by every file
 // handle of an InMemoryFileSystem while a parallel scan (src/exec)
@@ -38,8 +38,7 @@ namespace bullion {
 ///    pages share a physical block.
 ///  - write_calls: physical write syscalls that hit the device (one
 ///    per block an AggregatedWriteBuffer flushed, or per direct
-///    write). write_ops / write_calls is the write-batching factor;
-///    modeled device time charges per-op cost against this counter.
+///    write). write_ops / write_calls is the write-batching factor.
 ///  - bytes_written: bytes those write requests carried.
 ///  - seeks: reads/writes not contiguous with the previous operation
 ///    (proxy for seeks on spinning/flash media).

@@ -380,10 +380,8 @@ struct DatasetFixture {
       for (const LeafColumn& leaf : schema.leaves()) {
         g.push_back(ColumnVector::ForLeaf(leaf));
       }
-      for (size_t i = r; i < std::min(total_rows, r + rows_per_group); ++i) {
-        for (size_t c = 0; c < g.size(); ++c) {
-          g[c].AppendRowFrom(all[c], static_cast<int64_t>(i));
-        }
+      for (size_t c = 0; c < g.size(); ++c) {
+        g[c].AppendRows(all[c], r, std::min(total_rows, r + rows_per_group));
       }
       groups.push_back(std::move(g));
     }

@@ -218,7 +218,7 @@ TEST(Deletion, FilterAtUnalignedPageEdges) {
     for (size_t r = 0; r < fx.data[c].num_rows(); ++r) {
       if (std::find(to_delete.begin(), to_delete.end(), r) ==
           to_delete.end()) {
-        want.AppendRowFrom(fx.data[c], static_cast<int64_t>(r));
+        want.AppendRows(fx.data[c], r, r + 1);
       }
     }
     EXPECT_TRUE(got == want) << "column " << c;

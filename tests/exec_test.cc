@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <string>
@@ -233,37 +234,188 @@ TEST(Scanner, ConcatColumnMatchesPerChunkReads) {
   }
 }
 
-TEST(ColumnVector, BulkAppendAllFromMatchesPerRowAppend) {
-  Schema schema = MakeMixedSchema();
-  std::vector<ColumnVector> a = MakeMixedData(schema, 120, 1);
-  std::vector<ColumnVector> b = MakeMixedData(schema, 75, 2);
-  for (size_t c = 0; c < a.size(); ++c) {
-    ColumnVector bulk(a[c].physical(), a[c].list_depth());
-    bulk.AppendAllFrom(a[c]);
-    bulk.AppendAllFrom(b[c]);
-    ColumnVector per_row(a[c].physical(), a[c].list_depth());
-    for (const ColumnVector* src : {&a[c], &b[c]}) {
-      for (size_t r = 0; r < src->num_rows(); ++r) {
-        per_row.AppendRowFrom(*src, static_cast<int64_t>(r));
+// ------------------------------------------------- one row copy
+
+/// One logical row of any column shape; the member the shape uses
+/// holds the row. A null row holds nothing.
+struct ModelRow {
+  bool null = false;
+  int64_t i = 0;
+  double d = 0;
+  std::string b;
+  std::vector<int64_t> il;
+  std::vector<double> dl;
+  std::vector<std::string> bl;
+  std::vector<std::vector<int64_t>> ill;
+};
+
+ModelRow RandomModelRow(const ColumnVector& shape, bool with_nulls,
+                        Random* rng) {
+  ModelRow row;
+  if (with_nulls && rng->Bernoulli(0.2)) {
+    row.null = true;
+    return row;
+  }
+  auto len = [rng] { return static_cast<size_t>(rng->UniformRange(0, 4)); };
+  row.i = rng->UniformRange(-1000, 1000);
+  row.d = rng->NextGaussian();
+  row.b = std::string(len(), static_cast<char>('a' + rng->Uniform(26)));
+  for (size_t k = len(); k > 0; --k) {
+    row.il.push_back(rng->UniformRange(-50, 50));
+    row.dl.push_back(rng->NextGaussian());
+    row.bl.push_back(std::to_string(rng->Uniform(100)));
+  }
+  if (shape.list_depth() == 2) {
+    for (size_t k = len(); k > 0; --k) {
+      std::vector<int64_t> inner(len());
+      for (int64_t& x : inner) x = rng->UniformRange(0, 9);
+      row.ill.push_back(std::move(inner));
+    }
+  }
+  return row;
+}
+
+/// The reference: builds a column one row at a time through the
+/// per-shape append helpers only, never through a row copy.
+ColumnVector BuildModel(const ColumnVector& shape,
+                        const std::vector<ModelRow>& rows) {
+  ColumnVector out(shape.physical(), shape.list_depth());
+  for (const ModelRow& row : rows) {
+    if (row.null) {
+      out.AppendNullRow();
+      continue;
+    }
+    // One case per shape: list depth * 3 + value domain.
+    switch (shape.list_depth() * 3 + static_cast<int>(shape.domain())) {
+      case 0:
+        out.AppendInt(row.i);
+        break;
+      case 1:
+        out.AppendReal(row.d);
+        break;
+      case 2:
+        out.AppendBinary(row.b);
+        break;
+      case 3:
+        out.AppendIntList(row.il);
+        break;
+      case 4:
+        out.AppendRealList(row.dl);
+        break;
+      case 5:
+        out.AppendBinaryList(row.bl);
+        break;
+      default:
+        out.AppendIntListList(row.ill);
+        break;
+    }
+  }
+  return out;
+}
+
+std::vector<ModelRow> Concat(std::vector<ModelRow> a,
+                             const std::vector<ModelRow>& b, size_t begin,
+                             size_t end) {
+  a.insert(a.end(), b.begin() + begin, b.begin() + end);
+  return a;
+}
+
+TEST(ColumnVector, RowCopiesMatchAPerRowReference) {
+  const std::vector<ColumnVector> shapes = {
+      ColumnVector(PhysicalType::kInt64, 0),
+      ColumnVector(PhysicalType::kFloat64, 0),
+      ColumnVector(PhysicalType::kBinary, 0),
+      ColumnVector(PhysicalType::kInt32, 1),
+      ColumnVector(PhysicalType::kFloat32, 1),
+      ColumnVector(PhysicalType::kBinary, 1),
+      ColumnVector(PhysicalType::kInt64, 2),
+  };
+  Random rng(27);
+  for (const ColumnVector& shape : shapes) {
+    for (bool with_nulls : {false, true}) {
+      for (int trial = 0; trial < 25; ++trial) {
+        SCOPED_TRACE("physical " +
+                     std::to_string(static_cast<int>(shape.physical())) +
+                     " depth " + std::to_string(shape.list_depth()) +
+                     (with_nulls ? " with nulls" : "") + " trial " +
+                     std::to_string(trial));
+        std::vector<ModelRow> src_rows(rng.Uniform(40));
+        for (ModelRow& row : src_rows) {
+          row = RandomModelRow(shape, with_nulls, &rng);
+        }
+        std::vector<ModelRow> dst_rows(trial % 2 == 0 ? 0 : rng.Uniform(6) + 1);
+        for (ModelRow& row : dst_rows) {
+          row = RandomModelRow(shape, with_nulls, &rng);
+        }
+        const ColumnVector src = BuildModel(shape, src_rows);
+        const ColumnVector dst = BuildModel(shape, dst_rows);
+        ASSERT_EQ(src.num_rows(), src_rows.size());
+        const size_t n = src_rows.size();
+
+        // Empty at both ends, single rows, the whole vector, a random
+        // range; each onto an empty or a non-empty destination.
+        std::vector<std::pair<size_t, size_t>> ranges = {{0, 0}, {n, n},
+                                                         {0, n}};
+        if (n > 0) {
+          const size_t r = rng.Uniform(n);
+          ranges.push_back({r, r + 1});
+          ranges.push_back({n - 1, n});
+          size_t b = rng.Uniform(n + 1), e = rng.Uniform(n + 1);
+          if (b > e) std::swap(b, e);
+          ranges.push_back({b, e});
+        }
+        for (auto [b, e] : ranges) {
+          ColumnVector got = dst;
+          got.AppendRows(src, b, e);
+          EXPECT_EQ(got, BuildModel(shape, Concat(dst_rows, src_rows, b, e)))
+              << "AppendRows [" << b << ", " << e << ")";
+        }
+        ColumnVector all = dst;
+        all.AppendAllFrom(src);
+        EXPECT_EQ(all, BuildModel(shape, Concat(dst_rows, src_rows, 0, n)));
+
+        // A valid zero row (the reader's stand-in for an erased row) is
+        // the shape's zero value, not a null.
+        ColumnVector zero = dst;
+        zero.AppendPlaceholderRow(/*null=*/false);
+        std::vector<ModelRow> zero_rows = dst_rows;
+        zero_rows.emplace_back();
+        EXPECT_EQ(zero, BuildModel(shape, zero_rows));
+
+        // Permute: a run, a singleton, a duplicate, a descending pair
+        // and random picks.
+        std::vector<uint32_t> perm;
+        if (n > 0) {
+          const uint32_t run = static_cast<uint32_t>(rng.Uniform(n));
+          const uint32_t run_end = static_cast<uint32_t>(
+              std::min<size_t>(n, run + 1 + rng.Uniform(5)));
+          for (uint32_t k = run; k < run_end; ++k) perm.push_back(k);
+          perm.push_back(static_cast<uint32_t>(rng.Uniform(n)));
+          perm.push_back(perm.back());
+          perm.push_back(static_cast<uint32_t>(n - 1));
+          perm.push_back(0);
+          for (int k = 0; k < 6; ++k) {
+            perm.push_back(static_cast<uint32_t>(rng.Uniform(n)));
+          }
+        }
+        std::vector<ModelRow> perm_rows;
+        for (uint32_t p : perm) perm_rows.push_back(src_rows[p]);
+        auto permuted = src.Permute(perm);
+        ASSERT_TRUE(permuted.ok()) << permuted.status().ToString();
+        EXPECT_EQ(*permuted, BuildModel(shape, perm_rows));
+
+        // An index one past the end fails, alone or ending a run.
+        const uint32_t past = static_cast<uint32_t>(n);
+        for (const std::vector<uint32_t>& bad :
+             {std::vector<uint32_t>{past},
+              n > 0 ? std::vector<uint32_t>{past - 1, past}
+                    : std::vector<uint32_t>{past, past + 1}}) {
+          auto st = src.Permute(bad).status();
+          EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+        }
       }
     }
-    EXPECT_EQ(bulk, per_row) << "column " << c;
   }
-  // Depth-2 list<list<int>> exercises multi-level offset rebasing.
-  ColumnVector d2a(PhysicalType::kInt64, 2), d2b(PhysicalType::kInt64, 2);
-  d2a.AppendIntListList({{1, 2}, {3}});
-  d2a.AppendIntListList({});
-  d2b.AppendIntListList({{4}, {}, {5, 6, 7}});
-  ColumnVector bulk(PhysicalType::kInt64, 2);
-  bulk.AppendAllFrom(d2a);
-  bulk.AppendAllFrom(d2b);
-  ColumnVector per_row(PhysicalType::kInt64, 2);
-  for (const ColumnVector* src : {&d2a, &d2b}) {
-    for (size_t r = 0; r < src->num_rows(); ++r) {
-      per_row.AppendRowFrom(*src, static_cast<int64_t>(r));
-    }
-  }
-  EXPECT_EQ(bulk, per_row);
 }
 
 TEST(Scanner, WellFormedEmptyRowGroupRangePastEndSucceeds) {

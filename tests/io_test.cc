@@ -1,5 +1,5 @@
 // I/O substrate tests: in-memory FS accounting, POSIX files, in-place
-// update discipline, device cost models.
+// update discipline.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <string>
 
 #include "io/file.h"
-#include "io/simulated_device.h"
 
 namespace bullion {
 namespace {
@@ -151,39 +150,6 @@ TEST(RandomAccessFile, ShortReadPastEofIsOutOfRange) {
 
 TEST(PosixFile, MissingFileFails) {
   EXPECT_FALSE(OpenPosixReadableFile("/nonexistent/zzz").ok());
-}
-
-TEST(DeviceModel, SeekVsBandwidthTradeoffs) {
-  IoStatsSnapshot scattered;
-  scattered.read_ops = 100;
-  scattered.bytes_read = 100 * 4096;
-  scattered.seeks = 100;
-  IoStatsSnapshot sequential;
-  sequential.read_ops = 1;
-  sequential.bytes_read = 100 * 4096;
-  sequential.seeks = 1;
-
-  // On HDD the seek gap is enormous; on NVMe it is small.
-  double hdd_ratio = ModeledTimeUs(scattered, DeviceModel::Hdd()) /
-                     ModeledTimeUs(sequential, DeviceModel::Hdd());
-  double nvme_ratio = ModeledTimeUs(scattered, DeviceModel::Nvme()) /
-                      ModeledTimeUs(sequential, DeviceModel::Nvme());
-  EXPECT_GT(hdd_ratio, 50.0);
-  EXPECT_LT(nvme_ratio, 10.0);
-  EXPECT_GT(nvme_ratio, 1.0);
-}
-
-TEST(DeviceModel, MoreBytesCostMore) {
-  IoStatsSnapshot small, large;
-  small.read_ops = large.read_ops = 1;
-  small.seeks = large.seeks = 1;
-  small.bytes_read = 1 << 20;
-  large.bytes_read = 64 << 20;
-  for (const DeviceModel& m :
-       {DeviceModel(), DeviceModel::Nvme(), DeviceModel::Hdd(),
-        DeviceModel::ObjectStore()}) {
-    EXPECT_GT(ModeledTimeUs(large, m), ModeledTimeUs(small, m));
-  }
 }
 
 }  // namespace

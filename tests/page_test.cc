@@ -191,6 +191,33 @@ TEST(Page, DepthMismatchRejected) {
   ASSERT_TRUE(page.ok());
   ColumnVector wrong_depth(PhysicalType::kInt64, 1);
   EXPECT_FALSE(DecodePage(page->data.AsSlice(), &wrong_depth).ok());
+
+  // Shapes no page layout holds: a file whose column record declares
+  // list<list<float64>> or list<list<list<int64>>> is corrupt, even when
+  // the page itself carries that many offset levels.
+  ColumnVector floats2(PhysicalType::kFloat64, 2);  // [[0.5, 1.5], [2.5]]
+  floats2.mutable_offsets() = {{0, 2}, {0, 2, 3}};
+  floats2.mutable_real_values() = {0.5, 1.5, 2.5};
+  ColumnVector ints3(PhysicalType::kInt64, 3);  // [[[1, 2], [3]]]
+  ints3.mutable_offsets() = {{0, 1}, {0, 2}, {0, 2, 3}};
+  ints3.mutable_int_values() = {1, 2, 3};
+  for (const ColumnVector& shape : {floats2, ints3}) {
+    auto nested = EncodePage(shape, 0, 1, {});
+    ASSERT_TRUE(nested.ok());
+    ColumnVector out(shape.physical(), shape.list_depth());
+    Status st = DecodePage(nested->data.AsSlice(), &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_EQ(out.num_rows(), 0u);
+  }
+}
+
+TEST(Page, DecodeNeedsAnEmptyColumn) {
+  auto page = EncodePage(IntColumn({1, 2, 3}), 0, 3, {});
+  ASSERT_TRUE(page.ok());
+  ColumnVector out = IntColumn({9});
+  Status st = DecodePage(page->data.AsSlice(), &out);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(out, IntColumn({9}));
 }
 
 }  // namespace

@@ -239,6 +239,78 @@ TEST(WriterValidation, RejectsColumnsThatDisagreeWithTheirLeaf) {
   }
 }
 
+TEST(WriterValidation, RefusesLeavesNoPageLayoutHolds) {
+  // Pages hold list<list<...>> only over ints, and nothing deeper
+  // (format/page.h). A list<list<float64>> batch used to crash the
+  // encode and a list<list<list<int64>>> one to write a file that read
+  // back as Corruption; every writer now refuses either schema before
+  // it stages a row or opens a file.
+  auto schema_with = [](DataType nested) {
+    return Schema({Field{"uid", DataType::Primitive(PhysicalType::kInt64),
+                         LogicalType::kPlain, false},
+                   Field{"nested", std::move(nested), LogicalType::kPlain,
+                         false}});
+  };
+  auto list_of = [](PhysicalType t, int depth) {
+    DataType type = DataType::Primitive(t);
+    for (int d = 0; d < depth; ++d) type = DataType::List(std::move(type));
+    return type;
+  };
+  ColumnVector uid(PhysicalType::kInt64, 0);
+  uid.AppendInt(7);
+  ColumnVector floats2(PhysicalType::kFloat64, 2);  // [[0.5, 1.5], [2.5]]
+  floats2.mutable_offsets() = {{0, 2}, {0, 2, 3}};
+  floats2.mutable_real_values() = {0.5, 1.5, 2.5};
+  ColumnVector ints3(PhysicalType::kInt64, 3);  // [[[1, 2], [3]]]
+  ints3.mutable_offsets() = {{0, 1}, {0, 2}, {0, 2, 3}};
+  ints3.mutable_int_values() = {1, 2, 3};
+  struct Case {
+    Schema schema;
+    std::vector<ColumnVector> batch;
+  };
+  const std::vector<Case> cases = {
+      {schema_with(list_of(PhysicalType::kFloat64, 2)), {uid, floats2}},
+      {schema_with(list_of(PhysicalType::kInt64, 3)), {uid, ints3}},
+  };
+  auto expect_refused = [](const Status& st) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  };
+  ThreadPool pool(2);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.schema.leaves()[1].name + " depth " +
+                 std::to_string(c.schema.leaves()[1].list_depth));
+    ASSERT_TRUE(ValidateBatch(c.schema, c.batch).ok());
+    expect_refused(ValidateWriterOptions({}, c.schema));
+
+    // TableWriter, without and with a pool: nothing reaches the file.
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      InMemoryFileSystem fs;
+      auto f = fs.NewWritableFile("t");
+      TableWriter writer(c.schema, f->get(), {}, p);
+      expect_refused(writer.WriteRowGroup(c.batch));
+      EXPECT_FALSE(writer.Finish().ok());
+      EXPECT_TRUE(FileBytes(fs, "t").empty());
+    }
+
+    // ShardedTableWriter and DatasetAppender open no shard file.
+    InMemoryFileSystem fs;
+    size_t opened = 0;
+    auto opener = [&](const std::string& name) {
+      ++opened;
+      return fs.NewWritableFile(name);
+    };
+    ShardedTableWriter sharded(c.schema, {}, opener);
+    expect_refused(sharded.Append(c.batch));
+    EXPECT_FALSE(sharded.Finish().ok());
+    expect_refused(ShardedWriteBuilder(c.schema, opener).Build().status());
+    auto appender = DatasetAppender::Open(
+        ShardManifest(), c.schema,
+        [&](const std::string& n) { return fs.NewReadableFile(n); }, opener);
+    expect_refused(appender.status());
+    EXPECT_EQ(opened, 0u);
+  }
+}
+
 // ---------------------------------------------------------------- stage
 
 TEST(StageRowGroup, SlicesPlacementMajorPageTasks) {
