@@ -103,11 +103,20 @@ void PrintFloatStringTable() {
       cur += rng.NextGaussian() * 0.01;
       x = cur;
     }
+    // Monotone timestamps stored as doubles: their low planes look
+    // random per value yet deflate well, the case the split block's
+    // all-deflated variant exists for.
+    std::vector<double> stamps(8192);
+    double t = 1.7e9;
+    for (auto& x : stamps) {
+      t += rng.UniformRange(1, 1000) / 1000.0;
+      x = t;
+    }
     const EncodingType kFloatEnc[] = {
         EncodingType::kTrivial, EncodingType::kGorilla,
         EncodingType::kChimp,   EncodingType::kPseudodecimal,
         EncodingType::kAlp,     EncodingType::kBitShuffle,
-        EncodingType::kChunked};
+        EncodingType::kBitShuffleSplit, EncodingType::kChunked};
     auto row = [&](const char* name, const std::vector<double>& data) {
       std::printf("%-14s", name);
       for (EncodingType t : kFloatEnc) {
@@ -131,12 +140,20 @@ void PrintFloatStringTable() {
     };
     std::printf("%-14s", "class(float)");
     for (EncodingType t : kFloatEnc) {
-      std::printf(" %9.9s", std::string(EncodingTypeName(t)).c_str());
+      // Both bit-plane names start "BitShuffl"; label by tag instead.
+      std::printf(" %9.9s",
+                  t == EncodingType::kBitShuffle        ? "BitSh(13)"
+                  : t == EncodingType::kBitShuffleSplit ? "Split(28)"
+                      : std::string(EncodingTypeName(t)).c_str());
     }
     std::printf(" %9s %12s\n", "cascade", "chosen");
     row("embeddings", emb);
+    // One page of embeddings: train_scan's list<float> pages hold 64 to
+    // 512 values, serve_lookup's 256.
+    row("emb_page256", std::vector<double>(emb.begin(), emb.begin() + 256));
     row("decimal2", metrics);
     row("sensor", sensor);
+    row("timestamps8k", stamps);
   }
   {
     Random rng(43);

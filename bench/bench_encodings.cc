@@ -256,7 +256,7 @@ void RunCodecKernelTier(const std::string& name, EncodingType type,
     rows->push_back({name, "encode", kernel, ToBytesPerSec(bytes, enc_us)});
     rows->push_back({name, "decode", kernel, ToBytesPerSec(bytes, dec_us[t])});
   }
-  std::printf("  %-14s decode %7.2f -> %7.2f GB/s (%5.2fx %s over scalar)\n",
+  std::printf("  %-19s decode %7.2f -> %7.2f GB/s (%5.2fx %s over scalar)\n",
               name.c_str(), ToBytesPerSec(bytes, dec_us[0]) / 1e9,
               ToBytesPerSec(bytes, dec_us[1]) / 1e9,
               dec_us[1] > 0 ? dec_us[0] / dec_us[1] : 0,
@@ -297,7 +297,7 @@ void RunFp16KernelTier(std::vector<TierRow>* rows) {
     rows->push_back({"Fp16Quantize", "decode", kernel,
                      ToBytesPerSec(bytes, dec_us[t])});
   }
-  std::printf("  %-14s decode %7.2f -> %7.2f GB/s (%5.2fx %s over scalar)\n",
+  std::printf("  %-19s decode %7.2f -> %7.2f GB/s (%5.2fx %s over scalar)\n",
               "Fp16Quantize", ToBytesPerSec(bytes, dec_us[0]) / 1e9,
               ToBytesPerSec(bytes, dec_us[1]) / 1e9,
               dec_us[1] > 0 ? dec_us[0] / dec_us[1] : 0,
@@ -323,8 +323,11 @@ void RunKernelTierReport() {
     RunCodecKernelTier(std::string(EncodingTypeName(type)), type, data,
                        &rows);
   }
-  // The float columns of the ads table decode through BitShuffle.
+  // The float columns of the ads table decode through BitShuffleSplit;
+  // files written before it hold BitShuffle blocks.
   RunCodecKernelTier("BitShuffle-f64", EncodingType::kBitShuffle,
+                     FloatData(), &rows);
+  RunCodecKernelTier("BitShuffleSplit-f64", EncodingType::kBitShuffleSplit,
                      FloatData(), &rows);
   RunFp16KernelTier(&rows);
 

@@ -164,14 +164,6 @@ Status DecodeIntBlockInto(SliceReader* in, std::span<int64_t> out) {
   return DecodeIntPayloadInto(header.type, in, out.size(), out.data());
 }
 
-Status DecodeIntBlockAppend(SliceReader* in, std::vector<int64_t>* out) {
-  BULLION_ASSIGN_OR_RETURN(BlockHeader header, ReadBlockHeader(in));
-  size_t old_size = out->size();
-  out->resize(old_size + header.count);
-  return DecodeIntPayloadInto(header.type, in, header.count,
-                              out->data() + old_size);
-}
-
 Status EncodeDoubleBlockAs(EncodingType type, std::span<const double> values,
                            CascadeContext* ctx, BufferBuilder* out) {
   WriteBlockHeader(type, values.size(), out);
@@ -190,6 +182,8 @@ Status EncodeDoubleBlockAs(EncodingType type, std::span<const double> values,
       return floatcodec::EncodeChunked(values, out);
     case EncodingType::kBitShuffle:
       return floatcodec::EncodeBitShuffle(values, out);
+    case EncodingType::kBitShuffleSplit:
+      return floatcodec::EncodeBitShuffleSplit(values, out);
     default:
       return Status::InvalidArgument(
           "encoding not available in double domain: " +
@@ -215,6 +209,8 @@ Status DecodeDoubleBlock(SliceReader* in, std::vector<double>* out) {
       return floatcodec::DecodeChunked(in, n, out);
     case EncodingType::kBitShuffle:
       return floatcodec::DecodeBitShuffle(in, n, out);
+    case EncodingType::kBitShuffleSplit:
+      return floatcodec::DecodeBitShuffleSplit(in, n, out);
     default:
       return Status::Corruption("unexpected encoding in double block: " +
                                 std::string(EncodingTypeName(header.type)));
@@ -356,7 +352,7 @@ std::vector<EncodingType> DoubleCandidates(const FloatStats& s,
   c.push_back(EncodingType::kChimp);
   if (s.decimal_fraction >= 0.9) c.push_back(EncodingType::kAlp);
   if (s.decimal_fraction >= 0.5) c.push_back(EncodingType::kPseudodecimal);
-  c.push_back(EncodingType::kBitShuffle);
+  c.push_back(EncodingType::kBitShuffleSplit);
   c.push_back(EncodingType::kChunked);
   c.push_back(EncodingType::kTrivial);
   std::vector<EncodingType> filtered;

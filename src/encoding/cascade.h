@@ -82,11 +82,6 @@ Status DecodeBoolBlock(SliceReader* in, std::vector<uint8_t>* out);
 /// dispatched block kernels with no intermediate vector.
 Status DecodeIntBlockInto(SliceReader* in, std::span<int64_t> out);
 
-/// Decodes an int block appended to `out`: one resize by the header
-/// count, then payload decode straight into the new tail. Lets page
-/// decode land values directly in ColumnVector storage.
-Status DecodeIntBlockAppend(SliceReader* in, std::vector<int64_t>* out);
-
 // ---------------------------------------------------------------------------
 // Cascade entry points: select + encode.
 // ---------------------------------------------------------------------------

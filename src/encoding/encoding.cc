@@ -60,6 +60,8 @@ std::string_view EncodingTypeName(EncodingType t) {
       return "BoolRLE";
     case EncodingType::kSparseDelta:
       return "SparseDelta";
+    case EncodingType::kBitShuffleSplit:
+      return "BitShuffleSplit";
     case EncodingType::kNumEncodings:
       break;
   }
@@ -104,6 +106,12 @@ EncodingCost GetEncodingCost(EncodingType t) {
       return {8.0};
     case EncodingType::kBitShuffle:
       return {8.0};
+    case EncodingType::kBitShuffleSplit:
+      // BitShuffle's 8.0 times the decode-throughput ratio of
+      // bench_encodings' BitShuffle-f64 and BitShuffleSplit-f64 rows
+      // (65536 values per block, where the untranspose dominates;
+      // embedding pages of 64-512 values decode 3-5x faster).
+      return {7.4};
     case EncodingType::kFsst:
       return {4.0};
     case EncodingType::kGorilla:

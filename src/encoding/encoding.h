@@ -65,7 +65,8 @@ enum class EncodingType : uint8_t {
   kStringTrivial = 25,  // length-prefixed raw strings
   kBoolRle = 26,        // run-length over bools
   kSparseDelta = 27,    // sliding-window delta for sequence features (§2.2)
-  kNumEncodings = 28,
+  kBitShuffleSplit = 28,  // double bit planes: constant, raw or deflated
+  kNumEncodings = 29,
 };
 
 std::string_view EncodingTypeName(EncodingType t);

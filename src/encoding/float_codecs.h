@@ -50,9 +50,24 @@ Status EncodeChunked(std::span<const double> v, BufferBuilder* out);
 Status DecodeChunked(SliceReader* in, size_t n, std::vector<double>* out);
 
 // kBitShuffle: bit-plane transpose + deflate (same transform as the int
-// domain, applied to the IEEE754 bit patterns).
+// domain, applied to the IEEE754 bit patterns). Decode-only for
+// doubles: the cascade writes kBitShuffleSplit instead, and the encoder
+// stays to write the blocks the compatibility tests decode.
 Status EncodeBitShuffle(std::span<const double> v, BufferBuilder* out);
 Status DecodeBitShuffle(SliceReader* in, size_t n, std::vector<double>* out);
+
+// kBitShuffleSplit: BitShuffle's 64 planes, each stored by class.
+//   [class map: 16 bytes, plane p at bits 2*(p%4) of byte p/4]
+//   [raw planes, plane order, ceil(n/8) bytes each]
+//   [one Chunked stream of the deflated planes, if there are any]
+// Classes: 0 = every value bit 0, 1 = every value bit 1, 2 = raw,
+// 3 = deflated. A non-constant plane is raw when its set-bit density
+// lies strictly inside (0.4, 0.6): deflate barely shrinks such planes
+// and inflating them dominated decode. The encoder also builds the
+// variant that deflates every non-constant plane and keeps the smaller.
+Status EncodeBitShuffleSplit(std::span<const double> v, BufferBuilder* out);
+Status DecodeBitShuffleSplit(SliceReader* in, size_t n,
+                             std::vector<double>* out);
 
 /// Finds the best decimal exponent for ALP on a sample; returns the
 /// fraction of values that round-trip at that exponent.

@@ -1,8 +1,10 @@
 // Decimal-origin float codecs (Pseudodecimal, ALP) plus Trivial,
-// Chunked, and BitShuffle for the double domain.
+// Chunked, BitShuffle and BitShuffleSplit for the double domain.
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <memory>
 
 #include "common/bit_util.h"
 #include "common/varint.h"
@@ -219,12 +221,64 @@ Status DecodeChunked(SliceReader* in, size_t n, std::vector<double>* out) {
       in, n * sizeof(double), reinterpret_cast<uint8_t*>(out->data()));
 }
 
-Status EncodeBitShuffle(std::span<const double> v, BufferBuilder* out) {
+namespace {
+
+/// The IEEE-754 bit patterns of v as BitShuffle's 64 bit planes.
+std::vector<uint8_t> TransposeDoubles(std::span<const double> v) {
   const size_t n = v.size();
   std::vector<uint64_t> bits(n);
   if (n > 0) std::memcpy(bits.data(), v.data(), n * sizeof(double));
   std::vector<uint8_t> planes(blockcodec::BitPlaneBytes(n));
   blockcodec::ActiveKernels().transpose_bits(bits.data(), n, planes.data());
+  return planes;
+}
+
+/// Inverse of TransposeDoubles: out receives exactly n values.
+void UntransposeDoubles(const uint8_t* planes, size_t n,
+                        std::vector<double>* out) {
+  std::unique_ptr<uint64_t[]> bits(new uint64_t[n]);
+  blockcodec::ActiveKernels().untranspose_bits(planes, n, bits.get());
+  out->resize(n);
+  if (n > 0) std::memcpy(out->data(), bits.get(), n * sizeof(double));
+}
+
+// BitShuffleSplit plane classes, 2 bits per plane in a 16-byte map.
+constexpr uint8_t kPlaneZeros = 0;
+constexpr uint8_t kPlaneOnes = 1;
+constexpr uint8_t kPlaneRaw = 2;
+constexpr uint8_t kPlaneDeflated = 3;
+constexpr size_t kPlaneMapBytes = 16;
+
+uint8_t PlaneClass(const uint8_t* map, size_t p) {
+  return (map[p / 4] >> (2 * (p % 4))) & 3;
+}
+
+/// Writes one BitShuffleSplit payload: the class map, the raw planes in
+/// plane order, then one Chunked stream of the deflated planes.
+Status WriteSplitPayload(const std::vector<uint8_t>& planes, size_t plane_bytes,
+                         const uint8_t (&classes)[64], BufferBuilder* out) {
+  uint8_t map[kPlaneMapBytes] = {};
+  for (size_t p = 0; p < 64; ++p) {
+    map[p / 4] |= static_cast<uint8_t>(classes[p] << (2 * (p % 4)));
+  }
+  out->AppendBytes(map, kPlaneMapBytes);
+  std::vector<uint8_t> deflated;
+  for (size_t p = 0; p < 64; ++p) {
+    const uint8_t* plane = planes.data() + p * plane_bytes;
+    if (classes[p] == kPlaneRaw) out->AppendBytes(plane, plane_bytes);
+    if (classes[p] == kPlaneDeflated) {
+      deflated.insert(deflated.end(), plane, plane + plane_bytes);
+    }
+  }
+  if (deflated.empty()) return Status::OK();
+  return deflate_util::CompressChunked(Slice(deflated.data(), deflated.size()),
+                                       out);
+}
+
+}  // namespace
+
+Status EncodeBitShuffle(std::span<const double> v, BufferBuilder* out) {
+  std::vector<uint8_t> planes = TransposeDoubles(v);
   return deflate_util::CompressChunked(Slice(planes.data(), planes.size()),
                                        out);
 }
@@ -233,10 +287,102 @@ Status DecodeBitShuffle(SliceReader* in, size_t n, std::vector<double>* out) {
   std::vector<uint8_t> planes(blockcodec::BitPlaneBytes(n));
   BULLION_RETURN_NOT_OK(
       deflate_util::DecompressChunked(in, planes.size(), planes.data()));
-  std::vector<uint64_t> bits(n);
-  blockcodec::ActiveKernels().untranspose_bits(planes.data(), n, bits.data());
-  out->resize(n);
-  if (n > 0) std::memcpy(out->data(), bits.data(), n * sizeof(double));
+  UntransposeDoubles(planes.data(), n, out);
+  return Status::OK();
+}
+
+Status EncodeBitShuffleSplit(std::span<const double> v, BufferBuilder* out) {
+  const size_t n = v.size();
+  const size_t plane_bytes = (n + 7) / 8;
+  std::vector<uint8_t> planes = TransposeDoubles(v);
+  // `split` stores near-random planes raw; `all_deflated` deflates every
+  // non-constant plane, which wins when the raw planes still hold
+  // structure deflate finds (random-walk and timestamp mantissas).
+  uint8_t split[64] = {}, all_deflated[64] = {};
+  bool any_raw = false;
+  for (size_t p = 0; p < 64; ++p) {
+    size_t ones = 0;  // pad bits are zero
+    for (size_t b = 0; b < plane_bytes; ++b) {
+      ones += static_cast<size_t>(std::popcount(planes[p * plane_bytes + b]));
+    }
+    if (ones == 0 || ones == n) {
+      split[p] = all_deflated[p] = ones == 0 ? kPlaneZeros : kPlaneOnes;
+      continue;
+    }
+    all_deflated[p] = kPlaneDeflated;
+    // Raw when the set-bit density lies strictly inside (0.4, 0.6).
+    const bool raw = 5 * ones > 2 * n && 5 * ones < 3 * n;
+    split[p] = raw ? kPlaneRaw : kPlaneDeflated;
+    any_raw = any_raw || raw;
+  }
+  BufferBuilder split_payload;
+  BULLION_RETURN_NOT_OK(
+      WriteSplitPayload(planes, plane_bytes, split, &split_payload));
+  if (any_raw) {
+    BufferBuilder deflated_payload;
+    BULLION_RETURN_NOT_OK(WriteSplitPayload(planes, plane_bytes, all_deflated,
+                                            &deflated_payload));
+    if (deflated_payload.size() < split_payload.size()) {
+      out->AppendSlice(deflated_payload.AsSlice());
+      return Status::OK();
+    }
+  }
+  out->AppendSlice(split_payload.AsSlice());
+  return Status::OK();
+}
+
+Status DecodeBitShuffleSplit(SliceReader* in, size_t n,
+                             std::vector<double>* out) {
+  if (in->remaining() < kPlaneMapBytes) {
+    return Status::Corruption("bitshuffle-split plane map truncated");
+  }
+  Slice map = in->ReadBytes(kPlaneMapBytes);
+  const size_t plane_bytes = (n + 7) / 8;
+  size_t n_raw = 0, n_deflated = 0;
+  for (size_t p = 0; p < 64; ++p) {
+    n_raw += PlaneClass(map.data(), p) == kPlaneRaw;
+    n_deflated += PlaneClass(map.data(), p) == kPlaneDeflated;
+  }
+  // Both checks come before any allocation sized from n.
+  if (n_raw * plane_bytes > in->remaining()) {
+    return Status::Corruption("bitshuffle-split raw planes truncated");
+  }
+  Slice raw = in->ReadBytes(n_raw * plane_bytes);
+  const size_t deflated_bytes = n_deflated * plane_bytes;
+  if (deflated_bytes > deflate_util::kMaxInflateRatio * in->remaining()) {
+    return Status::Corruption("bitshuffle-split deflated planes truncated");
+  }
+  // Every plane byte is written below. The deflated planes inflate
+  // packed at the front; walking down from plane 63, each plane's slot
+  // lies above every packed plane still to move.
+  std::unique_ptr<uint8_t[]> planes(new uint8_t[blockcodec::BitPlaneBytes(n)]);
+  if (n_deflated > 0) {
+    BULLION_RETURN_NOT_OK(
+        deflate_util::DecompressChunked(in, deflated_bytes, planes.get()));
+  }
+  size_t packed = n_deflated;
+  const uint8_t* raw_end = raw.data() + raw.size();
+  for (size_t p = 64; p-- > 0 && plane_bytes > 0;) {
+    uint8_t* plane = planes.get() + p * plane_bytes;
+    switch (PlaneClass(map.data(), p)) {
+      case kPlaneZeros:
+        std::memset(plane, 0, plane_bytes);
+        break;
+      case kPlaneOnes:
+        std::memset(plane, 0xFF, plane_bytes);  // pad bits are ignored
+        break;
+      case kPlaneRaw:
+        raw_end -= plane_bytes;
+        std::memcpy(plane, raw_end, plane_bytes);
+        break;
+      case kPlaneDeflated:
+        if (--packed != p) {
+          std::memcpy(plane, planes.get() + packed * plane_bytes, plane_bytes);
+        }
+        break;
+    }
+  }
+  UntransposeDoubles(planes.get(), n, out);
   return Status::OK();
 }
 

@@ -178,6 +178,16 @@ bool GroupProvablyEmpty(const FooterView& footer, uint32_t local_group,
 Result<std::unique_ptr<BatchStream>> OpenScanStream(
     std::vector<ScanShard> shards, const ScanStreamSpec& spec,
     DecodedChunkCache* cache) {
+  // Planning runs from here until the stream, whose wall time starts in
+  // its constructor, exists.
+  const uint64_t plan_start_ns = spec.report != nullptr ? obs::NowNs() : 0;
+  auto new_stream = [&] {
+    if (spec.report != nullptr) {
+      spec.report->plan_ns.fetch_add(obs::NowNs() - plan_start_ns,
+                                     std::memory_order_relaxed);
+    }
+    return std::unique_ptr<BatchStream>(new BatchStream(spec, cache));
+  };
   if (spec.group_begin > spec.group_end) {
     return Status::InvalidArgument("row-group range begin past end");
   }
@@ -191,7 +201,7 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
     if (!spec.column_names.empty() || !spec.filters.empty()) {
       return Status::NotFound("dataset has no shards");
     }
-    return std::unique_ptr<BatchStream>(new BatchStream(spec, cache));
+    return new_stream();
   }
 
   // The newest (last) shard carries the schema; earlier shards are
@@ -231,7 +241,7 @@ Result<std::unique_ptr<BatchStream>> OpenScanStream(
     shard_begin = shard_end;
   }
 
-  auto stream = std::unique_ptr<BatchStream>(new BatchStream(spec, cache));
+  std::unique_ptr<BatchStream> stream = new_stream();
   stream->fetch_records_.reserve(plan.fetch_columns.size());
   for (uint32_t c : plan.fetch_columns) {
     stream->fetch_records_.push_back(ref.column_record(c));

@@ -11,6 +11,7 @@ void PipelineReport::Reset() {
   units.store(0, std::memory_order_relaxed);
   batches.store(0, std::memory_order_relaxed);
   groups_pruned.store(0, std::memory_order_relaxed);
+  plan_ns.store(0, std::memory_order_relaxed);
   prepare_ns.store(0, std::memory_order_relaxed);
   work_ns.store(0, std::memory_order_relaxed);
   emit_ns.store(0, std::memory_order_relaxed);
@@ -35,8 +36,9 @@ std::string PipelineReport::ToString() const {
           groups_pruned.load(std::memory_order_relaxed));
   AppendF(
       &out,
-      "  stages (ms): prepare %.3f | work %.3f (summed over workers) | "
-      "emit %.3f | stall %.3f\n",
+      "  stages (ms): plan %.3f (before wall) | prepare %.3f | work %.3f "
+      "(summed over workers) | emit %.3f | stall %.3f\n",
+      static_cast<double>(plan_ns.load(std::memory_order_relaxed)) / 1e6,
       static_cast<double>(prepare_ns.load(std::memory_order_relaxed)) / 1e6,
       static_cast<double>(work_ns.load(std::memory_order_relaxed)) / 1e6,
       static_cast<double>(emit_ns.load(std::memory_order_relaxed)) / 1e6,
@@ -58,7 +60,8 @@ std::string PipelineReport::ToJson() const {
       ", \"batches\": %" PRIu64 ", \"groups_pruned\": %" PRIu64
       ", \"wall_ns\": %" PRIu64
       ", \"rows_per_sec\": %.0f, \"bytes_per_sec\": %.0f"
-      ", \"prepare_ns\": %" PRIu64 ", \"work_ns\": %" PRIu64
+      ", \"plan_ns\": %" PRIu64 ", \"prepare_ns\": %" PRIu64
+      ", \"work_ns\": %" PRIu64
       ", \"emit_ns\": %" PRIu64 ", \"stall_ns\": %" PRIu64
       ", \"work_hist\": {\"count\": %" PRIu64 ", \"sum\": %" PRIu64
       ", \"min\": %" PRIu64 ", \"max\": %" PRIu64
@@ -69,6 +72,7 @@ std::string PipelineReport::ToJson() const {
       batches.load(std::memory_order_relaxed),
       groups_pruned.load(std::memory_order_relaxed),
       wall_ns.load(std::memory_order_relaxed), rows_per_sec(), bytes_per_sec(),
+      plan_ns.load(std::memory_order_relaxed),
       prepare_ns.load(std::memory_order_relaxed),
       work_ns.load(std::memory_order_relaxed),
       emit_ns.load(std::memory_order_relaxed),

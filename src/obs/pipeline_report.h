@@ -9,6 +9,9 @@
 //
 //   read side  (exec/batch_stream.cc)      write side (format/writer.cc)
 //   ---------------------------------      -----------------------------
+//   plan_ns     OpenScanStream: resolve    (not recorded)
+//               the spec and prune row
+//               groups, before wall_ns
 //   prepare_ns  unit prepare + read plan   stage (validate/sort/slice)
 //   work_ns     fetch + decode, summed     page encode, summed across
 //               across worker threads,     worker threads
@@ -53,6 +56,9 @@ struct PipelineReport {
   /// row could match.
   std::atomic<uint64_t> groups_pruned{0};
 
+  /// Scan planning (spec resolution + row-group pruning) before the
+  /// stream exists; not part of wall_ns.
+  std::atomic<uint64_t> plan_ns{0};
   std::atomic<uint64_t> prepare_ns{0};
   std::atomic<uint64_t> work_ns{0};
   std::atomic<uint64_t> emit_ns{0};

@@ -172,23 +172,10 @@ TEST(CodecFuzzTest, DecodeIntoRejectsCountMismatch) {
   EXPECT_FALSE(DecodeIntBlockInto(&reader, wrong).ok());
 }
 
-TEST(CodecFuzzTest, DecodeAppendExtendsExistingValues) {
-  std::vector<int64_t> data = GenFuzzData("negatives", 300, 2);
-  std::optional<Buffer> encoded =
-      EncodeUnder(EncodingType::kZigZag, data, simd::SimdTier::kScalar);
-  ASSERT_TRUE(encoded.has_value());
-  std::vector<int64_t> dst = {5, 6, 7};
-  SliceReader reader(encoded->AsSlice());
-  ASSERT_TRUE(DecodeIntBlockAppend(&reader, &dst).ok());
-  ASSERT_EQ(dst.size(), 303u);
-  EXPECT_EQ(dst[0], 5);
-  EXPECT_EQ(dst[2], 7);
-  EXPECT_TRUE(std::equal(data.begin(), data.end(), dst.begin() + 3));
-}
-
 // ---------------------------------------------------------------------------
 // Double domain: the float columns of the ads table decode through
-// BitShuffle, so its bytes and bits get the same cross-tier checks.
+// BitShuffleSplit (older files through BitShuffle), so their bytes and
+// bits get the same cross-tier checks.
 // ---------------------------------------------------------------------------
 
 double FromBits(uint64_t bits) {
@@ -236,7 +223,7 @@ const EncodingType kDoubleCodecs[] = {
     EncodingType::kTrivial,       EncodingType::kGorilla,
     EncodingType::kChimp,         EncodingType::kPseudodecimal,
     EncodingType::kAlp,           EncodingType::kBitShuffle,
-    EncodingType::kChunked,
+    EncodingType::kChunked,       EncodingType::kBitShuffleSplit,
 };
 
 Buffer EncodeDoublesUnder(EncodingType type, const std::vector<double>& data,
@@ -276,6 +263,24 @@ TEST(CodecFuzzTest, DoubleCodecsAllTiersByteIdenticalAndBitExact) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(CodecFuzzTest, BitShuffleSplitNeverOutgrowsBitShuffle) {
+  // The split block keeps the smaller of its two variants, and the
+  // all-deflated one is BitShuffle's stream minus its constant planes,
+  // plus the 16-byte class map.
+  uint64_t seed = 0x5B11;
+  for (const char* kind : {"uniform01", "tanh_gaussian", "specials"}) {
+    for (size_t n : kSizes) {
+      SCOPED_TRACE(std::string(kind) + "/n=" + std::to_string(n));
+      std::vector<double> data = GenFuzzDoubles(kind, n, seed++);
+      Buffer shuffled = EncodeDoublesUnder(EncodingType::kBitShuffle, data,
+                                           simd::ActiveSimdTier());
+      Buffer split = EncodeDoublesUnder(EncodingType::kBitShuffleSplit, data,
+                                        simd::ActiveSimdTier());
+      EXPECT_LE(split.size(), shuffled.size() + 16);
     }
   }
 }

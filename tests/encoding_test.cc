@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
 
@@ -265,7 +266,7 @@ const EncodingType kDoubleEncodings[] = {
     EncodingType::kTrivial,       EncodingType::kGorilla,
     EncodingType::kChimp,         EncodingType::kPseudodecimal,
     EncodingType::kAlp,           EncodingType::kChunked,
-    EncodingType::kBitShuffle,
+    EncodingType::kBitShuffle,    EncodingType::kBitShuffleSplit,
 };
 
 class DoubleRoundTrip : public ::testing::TestWithParam<std::string> {};
@@ -369,6 +370,106 @@ TEST(DoubleEncodings, BitShuffleChunkFramingBoundedByBlockSize) {
     short_sum.AppendBytes(chunk.data() + 1, chunk.size() - 1);
   }
   EXPECT_TRUE(DecodeHandBuiltBitShuffle(&short_sum).IsCorruption());
+}
+
+// Hand-built BitShuffleSplit blocks: a 16-byte class map (plane p at
+// bits 2*(p%4) of byte p/4) and then `rest`.
+std::vector<uint8_t> SplitMap(int first, int last, uint8_t plane_class) {
+  std::vector<uint8_t> map(16, 0);
+  for (int p = first; p <= last; ++p) {
+    map[p / 4] |= static_cast<uint8_t>(plane_class << (2 * (p % 4)));
+  }
+  return map;
+}
+
+Status DecodeHandBuiltSplit(uint64_t n, const std::vector<uint8_t>& map,
+                            const std::vector<uint8_t>& rest,
+                            std::vector<double>* decoded) {
+  BufferBuilder block;
+  WriteBlockHeader(EncodingType::kBitShuffleSplit, n, &block);
+  block.AppendBytes(map.data(), map.size());
+  block.AppendBytes(rest.data(), rest.size());
+  Buffer bytes = block.Finish();
+  SliceReader reader(bytes.AsSlice());
+  return DecodeDoubleBlock(&reader, decoded);
+}
+
+std::vector<uint8_t> ChunkedStream(size_t raw_bytes) {
+  std::vector<uint8_t> raw(raw_bytes, 0x5A);
+  BufferBuilder out;
+  EXPECT_TRUE(
+      deflate_util::CompressChunked(Slice(raw.data(), raw.size()), &out).ok());
+  Buffer stream = out.Finish();
+  return std::vector<uint8_t>(stream.data(), stream.data() + stream.size());
+}
+
+uint64_t DoubleToBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, 8);
+  return bits;
+}
+
+TEST(DoubleEncodings, BitShuffleSplitConstantPlanesDecode) {
+  std::vector<double> decoded = {7.0};
+  // n = 0: an all-zero map and nothing after it.
+  ASSERT_TRUE(DecodeHandBuiltSplit(0, SplitMap(0, -1, 0), {}, &decoded).ok());
+  EXPECT_TRUE(decoded.empty());
+
+  // Planes 52..61 all ones, the rest all zeros: every value is 1.0.
+  ASSERT_TRUE(DecodeHandBuiltSplit(10, SplitMap(52, 61, 1), {}, &decoded).ok());
+  EXPECT_EQ(decoded, std::vector<double>(10, 1.0));
+
+  // The encoder writes a constant column as the map alone.
+  std::vector<double> constant(1000, -2.5);
+  CascadeOptions opts;
+  CascadeContext ctx(opts, 0);
+  BufferBuilder out;
+  ASSERT_TRUE(EncodeDoubleBlockAs(EncodingType::kBitShuffleSplit, constant,
+                                  &ctx, &out)
+                  .ok());
+  Buffer block = out.Finish();
+  EXPECT_EQ(block.size(), 1u + 2u + 16u);  // tag, varint 1000, map
+  SliceReader reader(block.AsSlice());
+  ASSERT_TRUE(DecodeDoubleBlock(&reader, &decoded).ok());
+  EXPECT_EQ(decoded, constant);
+}
+
+TEST(DoubleEncodings, BitShuffleSplitRejectsMalformedBlocks) {
+  // n = 64 throughout: each plane is 8 bytes.
+  std::vector<double> decoded;
+  EXPECT_TRUE(DecodeHandBuiltSplit(64, std::vector<uint8_t>(15, 0), {},
+                                   &decoded)
+                  .IsCorruption());
+
+  // Plane 0 raw: 8 bytes decode (bit 0 set in every even value), 7 do
+  // not.
+  ASSERT_TRUE(DecodeHandBuiltSplit(64, SplitMap(0, 0, 2),
+                                   std::vector<uint8_t>(8, 0x55), &decoded)
+                  .ok());
+  ASSERT_EQ(decoded.size(), 64u);
+  EXPECT_EQ(DoubleToBits(decoded[0]), 1u);
+  EXPECT_EQ(DoubleToBits(decoded[1]), 0u);
+  EXPECT_TRUE(DecodeHandBuiltSplit(64, SplitMap(0, 0, 2),
+                                   std::vector<uint8_t>(7, 0x55), &decoded)
+                  .IsCorruption());
+
+  // Planes 62 and 63 deflated: the stream must inflate to exactly their
+  // 16 bytes (0x5A each: bits 62 and 63 set in value 1, not in value 0).
+  ASSERT_TRUE(
+      DecodeHandBuiltSplit(64, SplitMap(62, 63, 3), ChunkedStream(16), &decoded)
+          .ok());
+  EXPECT_EQ(DoubleToBits(decoded[0]), 0u);
+  EXPECT_EQ(DoubleToBits(decoded[1]), 0xC000000000000000u);
+  EXPECT_TRUE(
+      DecodeHandBuiltSplit(64, SplitMap(62, 63, 3), ChunkedStream(24), &decoded)
+          .IsCorruption());
+  EXPECT_TRUE(
+      DecodeHandBuiltSplit(64, SplitMap(62, 63, 3), ChunkedStream(8), &decoded)
+          .IsCorruption());
+
+  // A deflated plane with no stream at all.
+  EXPECT_TRUE(DecodeHandBuiltSplit(64, SplitMap(62, 63, 3), {}, &decoded)
+                  .IsCorruption());
 }
 
 // ---------------------------------------------------------------------------

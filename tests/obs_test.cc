@@ -613,8 +613,8 @@ TEST(PipelineReport, JsonStaysValidAtExtremeValues) {
   obs::PipelineReport report;
   for (std::atomic<uint64_t>* field :
        {&report.rows, &report.bytes, &report.units, &report.batches,
-        &report.groups_pruned, &report.prepare_ns, &report.work_ns,
-        &report.emit_ns, &report.stall_ns}) {
+        &report.groups_pruned, &report.plan_ns, &report.prepare_ns,
+        &report.work_ns, &report.emit_ns, &report.stall_ns}) {
     field->store(UINT64_MAX);
   }
   report.wall_ns.store(1);
@@ -628,8 +628,12 @@ TEST(PipelineReport, JsonStaysValidAtExtremeValues) {
   EXPECT_NE(report.ToString().find("18446744073709551615 row groups"),
             std::string::npos);
 
+  EXPECT_NE(json.find("\"plan_ns\": 18446744073709551615"), std::string::npos)
+      << json;
+
   report.Reset();
   EXPECT_EQ(report.groups_pruned.load(), 0u);
+  EXPECT_EQ(report.plan_ns.load(), 0u);
 }
 
 TEST(PipelineReport, PopulatedByParallelWrite) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/random.h"
 #include "core/bullion.h"
 
@@ -153,6 +155,42 @@ TEST(Robustness, CorruptEncodedBlocksFailCleanly) {
       // must stay bounded.
       EXPECT_LE(decoded.size(), 1u << 20)
           << EncodingTypeName(t) << " pos " << pos;
+    }
+  }
+}
+
+TEST(Robustness, CorruptDoubleBitPlaneBlocksFailCleanly) {
+  // The double twin of CorruptEncodedBlocksFailCleanly for the two
+  // bit-plane encodings: every byte flipped with 0x01, 0x80 and 0xFF,
+  // and every truncation. No crash, and output stays bounded.
+  Random rng(31);
+  std::vector<double> data(100);
+  for (double& x : data) x = std::tanh(rng.NextGaussian() * 0.5);
+  for (EncodingType t :
+       {EncodingType::kBitShuffle, EncodingType::kBitShuffleSplit}) {
+    CascadeOptions opts;
+    CascadeContext ctx(opts, 0);
+    BufferBuilder out;
+    ASSERT_TRUE(EncodeDoubleBlockAs(t, data, &ctx, &out).ok());
+    Buffer block = out.Finish();
+    for (size_t pos = 0; pos < block.size(); ++pos) {
+      for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+        std::vector<uint8_t> evil(block.data(), block.data() + block.size());
+        evil[pos] ^= mask;
+        std::vector<double> decoded;
+        SliceReader reader(Slice(evil.data(), evil.size()));
+        Status st = DecodeDoubleBlock(&reader, &decoded);
+        EXPECT_LE(decoded.size(), 1u << 20)
+            << EncodingTypeName(t) << " pos " << pos << " mask " << +mask;
+      }
+    }
+    for (size_t cut = 0; cut < block.size(); ++cut) {
+      std::vector<double> decoded;
+      SliceReader reader(block.AsSlice().SubSlice(0, cut));
+      // Every byte of either block is needed: a prefix never decodes.
+      EXPECT_FALSE(DecodeDoubleBlock(&reader, &decoded).ok())
+          << EncodingTypeName(t) << " cut " << cut;
+      EXPECT_LE(decoded.size(), data.size());
     }
   }
 }

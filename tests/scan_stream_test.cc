@@ -423,6 +423,28 @@ TEST(ScanStream, DatasetPredicatePrunesWholeShards) {
   }
 }
 
+TEST(ScanStream, FilteredDatasetScanReportsPlanTime) {
+  // OpenScanStream resolves the spec and prunes row groups before the
+  // stream, and with it wall_ns, starts; plan_ns holds that time.
+  DatasetFixture fx(600, 50, 200);
+  std::map<std::string, std::atomic<uint64_t>> reads;
+  auto ds = OpenCounted(fx.fs, fx.manifest, &reads);
+  ASSERT_NE(ds, nullptr);
+  obs::PipelineReport scan_report;
+  auto stream = Scan(ds.get())
+                    .Columns({"uid"})
+                    .Filter("uid", CompareOp::kLt, 150)
+                    .Report(&scan_report)
+                    .Stream();
+  ASSERT_TRUE(stream.ok());
+  EXPECT_GT(scan_report.plan_ns.load(), 0u);
+  EXPECT_EQ(scan_report.groups_pruned.load(), 9u);
+  EXPECT_EQ(scan_report.wall_ns.load(), 0u);  // recorded when drained
+  EXPECT_EQ(TotalRows(Drain(stream->get())), 150u);
+  EXPECT_GT(scan_report.wall_ns.load(), 0u);
+  EXPECT_NE(scan_report.ToJson().find("\"plan_ns\""), std::string::npos);
+}
+
 TEST(ScanStream, ContradictoryPredicatesYieldEmptyStreamWithSchema) {
   FileFixture fx(600, 50);
   obs::PipelineReport scan_report;
