@@ -80,12 +80,12 @@ void PrintIntClassTable() {
         std::printf(" %9s", "-");
       }
     }
-    SelectionDecision decision;
-    auto block = EncodeInt64ColumnWithDecision(data, {}, &decision);
+    EncodingType chosen = EncodingType::kNumEncodings;
+    auto block = EncodeInt64Column(data, {}, &chosen);
     BULLION_CHECK_OK(block.status());
     std::printf(" %9.3f %12s\n",
                 static_cast<double>(block->size()) / data.size(),
-                std::string(EncodingTypeName(decision.chosen)).c_str());
+                std::string(EncodingTypeName(chosen)).c_str());
   }
 }
 
@@ -131,12 +131,12 @@ void PrintFloatStringTable() {
           std::printf(" %9s", "-");
         }
       }
-      auto block = EncodeDoubleColumn(data);
+      EncodingType chosen = EncodingType::kNumEncodings;
+      auto block = EncodeDoubleColumn(data, {}, &chosen);
       BULLION_CHECK_OK(block.status());
-      auto chosen = PeekEncodingType(block->AsSlice());
       std::printf(" %9.3f %12s\n",
                   static_cast<double>(block->size()) / data.size(),
-                  std::string(EncodingTypeName(*chosen)).c_str());
+                  std::string(EncodingTypeName(chosen)).c_str());
     };
     std::printf("%-14s", "class(float)");
     for (EncodingType t : kFloatEnc) {
@@ -227,14 +227,13 @@ void PrintObjectiveAblation() {
     CascadeOptions decode_heavy;
     decode_heavy.w_size = 0.05;
     decode_heavy.w_decode = 500.0;
-    SelectionDecision a, b;
-    BULLION_CHECK_OK(
-        EncodeInt64ColumnWithDecision(data, size_only, &a).status());
-    BULLION_CHECK_OK(
-        EncodeInt64ColumnWithDecision(data, decode_heavy, &b).status());
+    EncodingType a = EncodingType::kNumEncodings;
+    EncodingType b = EncodingType::kNumEncodings;
+    BULLION_CHECK_OK(EncodeInt64Column(data, size_only, &a).status());
+    BULLION_CHECK_OK(EncodeInt64Column(data, decode_heavy, &b).status());
     std::printf("%-14s %16s %18s\n", kind,
-                std::string(EncodingTypeName(a.chosen)).c_str(),
-                std::string(EncodingTypeName(b.chosen)).c_str());
+                std::string(EncodingTypeName(a)).c_str(),
+                std::string(EncodingTypeName(b)).c_str());
   }
 }
 

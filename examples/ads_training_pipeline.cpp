@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
   {
     WriterOptions wopts;
     wopts.rows_per_page = 512;
-    wopts.enable_sparse_delta = true;  // §2.2 for clk_seq-style columns
     auto f = fs.NewWritableFile("ads");
     Status st = WriteTableFile(f->get(), schema, {data}, wopts);
     if (!st.ok()) {

@@ -31,7 +31,7 @@ enum class LogicalType : uint8_t {
   kPlain = 0,       // the physical type as-is
   kTimestamp = 1,   // int64 micros
   kEmbedding = 2,   // float vector normalized to (-1, 1)
-  kIdSequence = 3,  // sparse-feature id list (clk_seq_cids style)
+  kIdSequence = 3,  // sparse-feature id list (clk_seq_cids style); §2.2 deltas
   kQualityScore = 4,
 };
 

@@ -5,44 +5,15 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/bit_util.h"
 #include "encoding/bool_codecs.h"
+#include "encoding/deflate_util.h"
 #include "encoding/float_codecs.h"
 #include "encoding/int_codecs.h"
 #include "encoding/stats.h"
 #include "encoding/string_codecs.h"
 
 namespace bullion {
-
-namespace {
-
-/// Values the selector trial-encodes from a larger input (full data is
-/// used when smaller than this).
-constexpr size_t kSampleValues = 8192;
-
-/// Takes up to `target` values as up-to-8 evenly spaced contiguous
-/// chunks, preserving local run/delta structure the selector must see.
-template <typename T>
-std::vector<T> SampleChunks(std::span<const T> values, size_t target) {
-  if (values.size() <= target) return std::vector<T>(values.begin(), values.end());
-  size_t n_chunks = 8;
-  size_t chunk = target / n_chunks;
-  std::vector<T> out;
-  out.reserve(chunk * n_chunks);
-  for (size_t c = 0; c < n_chunks; ++c) {
-    size_t start = (values.size() - chunk) * c / (n_chunks - 1);
-    for (size_t i = 0; i < chunk; ++i) out.push_back(values[start + i]);
-  }
-  return out;
-}
-
-double ScoreCost(const CascadeOptions& opts, EncodingType t, size_t est_bytes,
-                 size_t count) {
-  EncodingCost c = GetEncodingCost(t);
-  return opts.w_size * static_cast<double>(est_bytes) +
-         opts.w_decode * c.decode * static_cast<double>(count);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Forced block encoders (header + payload).
@@ -71,8 +42,7 @@ Status EncodeIntBlockAs(EncodingType type, std::span<const int64_t> values,
     case EncodingType::kRle:
       return intcodec::EncodeRle(values, ctx, out);
     case EncodingType::kDictionary:
-      return intcodec::EncodeDictionary(values, ctx,
-                                        /*reserve_mask_entry=*/false, out);
+      return intcodec::EncodeDictionary(values, ctx, out);
     case EncodingType::kHuffman:
       return intcodec::EncodeHuffman(values, out);
     case EncodingType::kFastPFor:
@@ -148,10 +118,55 @@ Status DecodeIntPayloadInto(EncodingType type, SliceReader* in, size_t n,
   }
 }
 
+/// Whether the payload left in `in` can hold `n` values of `type`: false
+/// for a tag no int decoder reads, and for an encoding that needs a
+/// fixed share of bytes per value when the payload is too short.
+/// Checked before DecodeIntBlock sizes its output from a header count;
+/// each decoder still checks the exact bytes it reads.
+bool IntPayloadCanHold(EncodingType type, const SliceReader& in, size_t n) {
+  const size_t avail = in.remaining();
+  switch (type) {
+    case EncodingType::kTrivial:
+      return n <= avail / sizeof(int64_t);
+    case EncodingType::kVarint:
+    case EncodingType::kZigZag:
+      return n <= avail;  // one byte per value at least
+    case EncodingType::kFixedBitWidth: {
+      if (avail < 1) return false;
+      SliceReader width_reader = in;
+      size_t width = width_reader.Read<uint8_t>();
+      return width <= 64 && bit_util::RoundUpToBytes(n * width) <= avail - 1;
+    }
+    case EncodingType::kFastBP128:
+    case EncodingType::kFastPFor:
+      // A base varint and a width byte per 128-value miniblock.
+      return (n + 127) / 128 * 2 <= avail;
+    case EncodingType::kChunked:
+    case EncodingType::kBitShuffle:
+      return n * sizeof(int64_t) <= deflate_util::kMaxInflateRatio * avail;
+    case EncodingType::kForDelta:
+    case EncodingType::kDelta:
+    case EncodingType::kConstant:
+    case EncodingType::kMainlyConstant:
+    case EncodingType::kRle:
+    case EncodingType::kDictionary:
+    case EncodingType::kHuffman:
+    case EncodingType::kSentinel:
+    case EncodingType::kNullable:
+      return true;  // a few bytes can hold any count
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 Status DecodeIntBlock(SliceReader* in, std::vector<int64_t>* out) {
   BULLION_ASSIGN_OR_RETURN(BlockHeader header, ReadBlockHeader(in));
+  if (!IntPayloadCanHold(header.type, *in, header.count)) {
+    return Status::Corruption("int block payload cannot hold its count: " +
+                              std::string(EncodingTypeName(header.type)));
+  }
   out->resize(header.count);
   return DecodeIntPayloadInto(header.type, in, header.count, out->data());
 }
@@ -293,16 +308,58 @@ Status DecodeBoolBlock(SliceReader* in, std::vector<uint8_t>* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Candidate generation, gated on full-data stats so a sampled winner can
-// never fail on the full column.
+// Selection: candidates, then one trial loop per block.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-std::vector<EncodingType> IntCandidates(const IntStats& s,
-                                        const CascadeOptions& opts) {
-  std::vector<EncodingType> c;
+/// Inputs larger than this are trial-encoded on a sample of this size.
+constexpr size_t kSampleValues = 8192;
+
+/// The values the selector trial-encodes: the input itself when it fits
+/// in kSampleValues, else 8 evenly spaced contiguous chunks copied into
+/// `storage`, which keep the local run and delta structure the selector
+/// must see.
+template <typename T>
+std::span<const T> Sample(std::span<const T> values, std::vector<T>* storage) {
+  if (values.size() <= kSampleValues) return values;
+  constexpr size_t kChunks = 8;
+  constexpr size_t kChunk = kSampleValues / kChunks;
+  storage->reserve(kSampleValues);
+  for (size_t c = 0; c < kChunks; ++c) {
+    auto first = values.begin() + (values.size() - kChunk) * c / (kChunks - 1);
+    storage->insert(storage->end(), first, first + kChunk);
+  }
+  return *storage;
+}
+
+double ScoreCost(const CascadeOptions& opts, EncodingType t, size_t est_bytes,
+                 size_t count) {
+  EncodingCost c = GetEncodingCost(t);
+  return opts.w_size * static_cast<double>(est_bytes) +
+         opts.w_decode * c.decode * static_cast<double>(count);
+}
+
+/// Keeps the candidates `opts` allows, in order, or `fallback` alone
+/// when it allows none of them.
+std::vector<EncodingType> KeepAllowed(std::vector<EncodingType> c,
+                                      const CascadeOptions& opts,
+                                      EncodingType fallback) {
+  std::erase_if(c, [&](EncodingType t) { return !opts.IsAllowed(t); });
+  if (c.empty()) c.push_back(fallback);
+  return c;
+}
+
+// Candidate builders, one per domain. Int, string and bool candidates
+// are gated on full-input stats, so a winner picked on a sample can
+// never fail on the full input; double candidates come from the sample.
+
+std::vector<EncodingType> Candidates(std::span<const int64_t> values,
+                                     std::span<const int64_t> /*sample*/,
+                                     const CascadeOptions& opts) {
+  IntStats s = ComputeIntStats(values);
   if (s.count == 0) return {EncodingType::kTrivial};
+  std::vector<EncodingType> c;
   if (s.distinct == 1) {
     c.push_back(EncodingType::kConstant);
   }
@@ -336,17 +393,13 @@ std::vector<EncodingType> IntCandidates(const IntStats& s,
   c.push_back(EncodingType::kBitShuffle);
   c.push_back(EncodingType::kChunked);
   c.push_back(EncodingType::kTrivial);
-
-  std::vector<EncodingType> filtered;
-  for (EncodingType t : c) {
-    if (opts.IsAllowed(t)) filtered.push_back(t);
-  }
-  if (filtered.empty()) filtered.push_back(EncodingType::kTrivial);
-  return filtered;
+  return KeepAllowed(std::move(c), opts, EncodingType::kTrivial);
 }
 
-std::vector<EncodingType> DoubleCandidates(const FloatStats& s,
-                                           const CascadeOptions& opts) {
+std::vector<EncodingType> Candidates(std::span<const double> /*values*/,
+                                     std::span<const double> sample,
+                                     const CascadeOptions& opts) {
+  FloatStats s = ComputeFloatStats(sample);
   std::vector<EncodingType> c;
   c.push_back(EncodingType::kGorilla);
   c.push_back(EncodingType::kChimp);
@@ -355,16 +408,13 @@ std::vector<EncodingType> DoubleCandidates(const FloatStats& s,
   c.push_back(EncodingType::kBitShuffleSplit);
   c.push_back(EncodingType::kChunked);
   c.push_back(EncodingType::kTrivial);
-  std::vector<EncodingType> filtered;
-  for (EncodingType t : c) {
-    if (opts.IsAllowed(t)) filtered.push_back(t);
-  }
-  if (filtered.empty()) filtered.push_back(EncodingType::kTrivial);
-  return filtered;
+  return KeepAllowed(std::move(c), opts, EncodingType::kTrivial);
 }
 
-std::vector<EncodingType> StringCandidates(const StringStats& s,
-                                           const CascadeOptions& opts) {
+std::vector<EncodingType> Candidates(std::span<const std::string> values,
+                                     std::span<const std::string> /*sample*/,
+                                     const CascadeOptions& opts) {
+  StringStats s = ComputeStringStats(values);
   std::vector<EncodingType> c;
   if (!s.DistinctCapped() && s.distinct * 2 <= s.count && s.count > 0) {
     c.push_back(EncodingType::kStringDict);
@@ -372,61 +422,67 @@ std::vector<EncodingType> StringCandidates(const StringStats& s,
   if (s.avg_length >= 4.0) c.push_back(EncodingType::kFsst);
   c.push_back(EncodingType::kChunked);
   c.push_back(EncodingType::kStringTrivial);
-  std::vector<EncodingType> filtered;
-  for (EncodingType t : c) {
-    if (opts.IsAllowed(t)) filtered.push_back(t);
-  }
-  if (filtered.empty()) filtered.push_back(EncodingType::kStringTrivial);
-  return filtered;
+  return KeepAllowed(std::move(c), opts, EncodingType::kStringTrivial);
 }
 
-std::vector<EncodingType> BoolCandidates(const BoolStats& s,
-                                         const CascadeOptions& opts) {
+std::vector<EncodingType> Candidates(std::span<const uint8_t> values,
+                                     std::span<const uint8_t> /*sample*/,
+                                     const CascadeOptions& opts) {
+  BoolStats s = ComputeBoolStats(values);
   std::vector<EncodingType> c;
   if (s.density() <= 0.2) c.push_back(EncodingType::kSparseBool);
   if (s.run_count * 4 <= s.count) c.push_back(EncodingType::kBoolRle);
   c.push_back(EncodingType::kRoaring);
   c.push_back(EncodingType::kTrivial);
-  std::vector<EncodingType> filtered;
-  for (EncodingType t : c) {
-    if (opts.IsAllowed(t)) filtered.push_back(t);
-  }
-  if (filtered.empty()) filtered.push_back(EncodingType::kTrivial);
-  return filtered;
+  return KeepAllowed(std::move(c), opts, EncodingType::kTrivial);
 }
 
-/// Trial-encodes candidates on the sample and returns the argmin-cost
-/// encoding. `encode_fn(type, sample, &builder)` must write a block.
-template <typename T, typename EncodeFn>
-Result<SelectionDecision> SelectBest(std::span<const T> full,
-                                     const std::vector<EncodingType>& cands,
-                                     const CascadeOptions& opts,
-                                     EncodeFn&& encode_fn) {
-  std::vector<T> sample_storage = SampleChunks(full, kSampleValues);
-  std::span<const T> sample(sample_storage);
-  double scale = sample.empty()
-                     ? 1.0
-                     : static_cast<double>(full.size()) /
-                           static_cast<double>(sample.size());
+/// The cascade selector. It trial-encodes each candidate on the input,
+/// or on its sample when the input is larger, scores the trials, and
+/// returns the cheapest one as the block (strict `<`: the first of
+/// equal-cost candidates wins). Only a winner whose trial ran on a
+/// sample is encoded again, on the full input. Trials encode their
+/// child streams at `child_depth`. `encode_as` is the domain's
+/// Encode*BlockAs.
+template <typename T>
+Result<Buffer> SelectBlock(std::span<const T> values,
+                           const CascadeOptions& opts, int child_depth,
+                           Status (*encode_as)(EncodingType,
+                                               std::span<const T>,
+                                               CascadeContext*, BufferBuilder*),
+                           EncodingType* chosen) {
+  std::vector<T> sample_storage;
+  std::span<const T> sample = Sample(values, &sample_storage);
+  double scale = sample.empty() ? 1.0
+                                : static_cast<double>(values.size()) /
+                                      static_cast<double>(sample.size());
 
-  SelectionDecision best{EncodingType::kTrivial,
-                         std::numeric_limits<double>::infinity(), 0};
+  BufferBuilder best;
+  EncodingType best_type = EncodingType::kTrivial;
+  double best_cost = std::numeric_limits<double>::infinity();
   bool found = false;
-  for (EncodingType t : cands) {
+  for (EncodingType t : Candidates(values, sample, opts)) {
     BufferBuilder trial;
-    Status st = encode_fn(t, sample, &trial);
-    if (!st.ok()) continue;  // candidate ineligible on this data
+    CascadeContext trial_ctx(opts, child_depth);
+    // A failed trial means the candidate is ineligible on this data.
+    if (!encode_as(t, sample, &trial_ctx, &trial).ok()) continue;
     size_t est = static_cast<size_t>(static_cast<double>(trial.size()) * scale);
-    double cost = ScoreCost(opts, t, est, full.size());
-    if (cost < best.cost) {
-      best = SelectionDecision{t, cost, trial.size()};
+    double cost = ScoreCost(opts, t, est, values.size());
+    if (cost < best_cost) {
+      best = std::move(trial);
+      best_type = t;
+      best_cost = cost;
       found = true;
     }
   }
-  if (!found) {
-    return Status::Unknown("no eligible encoding candidate");
+  if (!found) return Status::Unknown("no eligible encoding candidate");
+  if (sample.size() < values.size()) {
+    best = BufferBuilder();
+    CascadeContext ctx(opts, child_depth);
+    BULLION_RETURN_NOT_OK(encode_as(best_type, values, &ctx, &best));
   }
-  return best;
+  if (chosen != nullptr) *chosen = best_type;
+  return best.Finish();
 }
 
 }  // namespace
@@ -448,18 +504,11 @@ Status CascadeContext::EncodeIntChild(std::span<const int64_t> values,
     CascadeContext leaf(options_, depth_ + 1);
     return EncodeIntBlockAs(leaf_type, values, &leaf, out);
   }
-  CascadeContext child(options_, depth_ + 1);
-  IntStats stats = ComputeIntStats(values);
-  std::vector<EncodingType> cands = IntCandidates(stats, options_);
   BULLION_ASSIGN_OR_RETURN(
-      SelectionDecision decision,
-      SelectBest<int64_t>(values, cands, options_,
-                          [&](EncodingType t, std::span<const int64_t> s,
-                              BufferBuilder* b) {
-                            CascadeContext trial_ctx(options_, depth_ + 1);
-                            return EncodeIntBlockAs(t, s, &trial_ctx, b);
-                          }));
-  return EncodeIntBlockAs(decision.chosen, values, &child, out);
+      Buffer block,
+      SelectBlock(values, options_, depth_ + 1, &EncodeIntBlockAs, nullptr));
+  out->AppendSlice(block.AsSlice());
+  return Status::OK();
 }
 
 Status CascadeContext::EncodeBoolChild(std::span<const uint8_t> values,
@@ -468,48 +517,21 @@ Status CascadeContext::EncodeBoolChild(std::span<const uint8_t> values,
     CascadeContext leaf(options_, depth_ + 1);
     return EncodeBoolBlockAs(EncodingType::kTrivial, values, &leaf, out);
   }
-  CascadeContext child(options_, depth_ + 1);
-  BoolStats stats = ComputeBoolStats(values);
-  std::vector<EncodingType> cands = BoolCandidates(stats, options_);
   BULLION_ASSIGN_OR_RETURN(
-      SelectionDecision decision,
-      SelectBest<uint8_t>(values, cands, options_,
-                          [&](EncodingType t, std::span<const uint8_t> s,
-                              BufferBuilder* b) {
-                            CascadeContext trial_ctx(options_, depth_ + 1);
-                            return EncodeBoolBlockAs(t, s, &trial_ctx, b);
-                          }));
-  return EncodeBoolBlockAs(decision.chosen, values, &child, out);
+      Buffer block,
+      SelectBlock(values, options_, depth_ + 1, &EncodeBoolBlockAs, nullptr));
+  out->AppendSlice(block.AsSlice());
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Public cascade entry points.
 // ---------------------------------------------------------------------------
 
-Result<Buffer> EncodeInt64ColumnWithDecision(std::span<const int64_t> values,
-                                             const CascadeOptions& options,
-                                             SelectionDecision* decision) {
-  CascadeContext ctx(options, 0);
-  IntStats stats = ComputeIntStats(values);
-  std::vector<EncodingType> cands = IntCandidates(stats, options);
-  BULLION_ASSIGN_OR_RETURN(
-      SelectionDecision best,
-      SelectBest<int64_t>(values, cands, options,
-                          [&](EncodingType t, std::span<const int64_t> s,
-                              BufferBuilder* b) {
-                            CascadeContext trial_ctx(options, 1);
-                            return EncodeIntBlockAs(t, s, &trial_ctx, b);
-                          }));
-  if (decision != nullptr) *decision = best;
-  BufferBuilder out;
-  CascadeContext child(options, 1);
-  BULLION_RETURN_NOT_OK(EncodeIntBlockAs(best.chosen, values, &child, &out));
-  return out.Finish();
-}
-
 Result<Buffer> EncodeInt64Column(std::span<const int64_t> values,
-                                 const CascadeOptions& options) {
-  return EncodeInt64ColumnWithDecision(values, options, nullptr);
+                                 const CascadeOptions& options,
+                                 EncodingType* chosen) {
+  return SelectBlock(values, options, 1, &EncodeIntBlockAs, chosen);
 }
 
 Status DecodeInt64Column(Slice block, std::vector<int64_t>* out) {
@@ -518,22 +540,9 @@ Status DecodeInt64Column(Slice block, std::vector<int64_t>* out) {
 }
 
 Result<Buffer> EncodeDoubleColumn(std::span<const double> values,
-                                  const CascadeOptions& options) {
-  std::vector<double> sample = SampleChunks(values, kSampleValues);
-  FloatStats stats = ComputeFloatStats(sample);
-  std::vector<EncodingType> cands = DoubleCandidates(stats, options);
-  BULLION_ASSIGN_OR_RETURN(
-      SelectionDecision best,
-      SelectBest<double>(values, cands, options,
-                         [&](EncodingType t, std::span<const double> s,
-                             BufferBuilder* b) {
-                           CascadeContext trial_ctx(options, 1);
-                           return EncodeDoubleBlockAs(t, s, &trial_ctx, b);
-                         }));
-  BufferBuilder out;
-  CascadeContext child(options, 1);
-  BULLION_RETURN_NOT_OK(EncodeDoubleBlockAs(best.chosen, values, &child, &out));
-  return out.Finish();
+                                  const CascadeOptions& options,
+                                  EncodingType* chosen) {
+  return SelectBlock(values, options, 1, &EncodeDoubleBlockAs, chosen);
 }
 
 Status DecodeDoubleColumn(Slice block, std::vector<double>* out) {
@@ -542,22 +551,9 @@ Status DecodeDoubleColumn(Slice block, std::vector<double>* out) {
 }
 
 Result<Buffer> EncodeStringColumn(std::span<const std::string> values,
-                                  const CascadeOptions& options) {
-  StringStats stats = ComputeStringStats(values);
-  std::vector<EncodingType> cands = StringCandidates(stats, options);
-  BULLION_ASSIGN_OR_RETURN(
-      SelectionDecision best,
-      SelectBest<std::string>(values, cands, options,
-                              [&](EncodingType t,
-                                  std::span<const std::string> s,
-                                  BufferBuilder* b) {
-                                CascadeContext trial_ctx(options, 1);
-                                return EncodeStringBlockAs(t, s, &trial_ctx, b);
-                              }));
-  BufferBuilder out;
-  CascadeContext child(options, 1);
-  BULLION_RETURN_NOT_OK(EncodeStringBlockAs(best.chosen, values, &child, &out));
-  return out.Finish();
+                                  const CascadeOptions& options,
+                                  EncodingType* chosen) {
+  return SelectBlock(values, options, 1, &EncodeStringBlockAs, chosen);
 }
 
 Status DecodeStringColumn(Slice block, std::vector<std::string>* out) {
@@ -566,21 +562,9 @@ Status DecodeStringColumn(Slice block, std::vector<std::string>* out) {
 }
 
 Result<Buffer> EncodeBoolColumn(std::span<const uint8_t> values,
-                                const CascadeOptions& options) {
-  BoolStats stats = ComputeBoolStats(values);
-  std::vector<EncodingType> cands = BoolCandidates(stats, options);
-  BULLION_ASSIGN_OR_RETURN(
-      SelectionDecision best,
-      SelectBest<uint8_t>(values, cands, options,
-                          [&](EncodingType t, std::span<const uint8_t> s,
-                              BufferBuilder* b) {
-                            CascadeContext trial_ctx(options, 1);
-                            return EncodeBoolBlockAs(t, s, &trial_ctx, b);
-                          }));
-  BufferBuilder out;
-  CascadeContext child(options, 1);
-  BULLION_RETURN_NOT_OK(EncodeBoolBlockAs(best.chosen, values, &child, &out));
-  return out.Finish();
+                                const CascadeOptions& options,
+                                EncodingType* chosen) {
+  return SelectBlock(values, options, 1, &EncodeBoolBlockAs, chosen);
 }
 
 Status DecodeBoolColumn(Slice block, std::vector<uint8_t>* out) {
@@ -608,12 +592,6 @@ Status DecodeNullableInt64Column(Slice block, int64_t null_fill,
   }
   return intcodec::DecodeNullable(&reader, header.count, null_fill, values,
                                   validity);
-}
-
-Result<EncodingType> PeekEncodingType(Slice block) {
-  SliceReader reader(block);
-  BULLION_ASSIGN_OR_RETURN(BlockHeader header, ReadBlockHeader(&reader));
-  return header.type;
 }
 
 }  // namespace bullion

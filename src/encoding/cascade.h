@@ -1,11 +1,15 @@
 // Cascade selector and public entry points of the encoding framework.
 //
 // EncodeInt64Column / EncodeDoubleColumn / EncodeStringColumn /
-// EncodeBoolColumn sample the input, gate candidate encodings on
-// full-data statistics (so a sampled winner can never fail on the full
-// column), trial-encode candidates, score them with the linear
-// objective from CascadeOptions, and emit the winning self-describing
-// block. Child streams recurse through CascadeContext until max_depth.
+// EncodeBoolColumn and the child streams of every nested encoder
+// (CascadeContext) go through one selector. It gates candidate
+// encodings on statistics, trial-encodes each candidate on the input
+// (on an 8192-value sample when the input is larger), scores the trials
+// with the linear objective from CascadeOptions, and keeps the cheapest
+// trial as the self-describing block; only a winner picked on a sample
+// is encoded again, on the full input. Child streams recurse through
+// CascadeContext until max_depth. src/encoding/README.md ("Selection")
+// has the rules.
 
 #pragma once
 
@@ -51,9 +55,8 @@ class CascadeContext {
 
 // ---------------------------------------------------------------------------
 // Forced encoders: write a complete block using one specific encoding.
-// Used by the selector, by ablation benches, and by the format layer
-// when a column must stay in-place deletable (§2.1 restricts deletable
-// pages to maskable encodings).
+// Used by the selector, by ablation benches, and by the sparse-delta
+// codec for its bulk data stream.
 // ---------------------------------------------------------------------------
 
 Status EncodeIntBlockAs(EncodingType type, std::span<const int64_t> values,
@@ -83,24 +86,29 @@ Status DecodeBoolBlock(SliceReader* in, std::vector<uint8_t>* out);
 Status DecodeIntBlockInto(SliceReader* in, std::span<int64_t> out);
 
 // ---------------------------------------------------------------------------
-// Cascade entry points: select + encode.
+// Cascade entry points: select + encode. Each returns the winning block
+// and, when `chosen` is non-null, stores its encoding there (the
+// block's first byte).
 // ---------------------------------------------------------------------------
 
-/// Selects the best encoding for an int64 column and returns the block.
 Result<Buffer> EncodeInt64Column(std::span<const int64_t> values,
-                                 const CascadeOptions& options = {});
+                                 const CascadeOptions& options = {},
+                                 EncodingType* chosen = nullptr);
 Status DecodeInt64Column(Slice block, std::vector<int64_t>* out);
 
 Result<Buffer> EncodeDoubleColumn(std::span<const double> values,
-                                  const CascadeOptions& options = {});
+                                  const CascadeOptions& options = {},
+                                  EncodingType* chosen = nullptr);
 Status DecodeDoubleColumn(Slice block, std::vector<double>* out);
 
 Result<Buffer> EncodeStringColumn(std::span<const std::string> values,
-                                  const CascadeOptions& options = {});
+                                  const CascadeOptions& options = {},
+                                  EncodingType* chosen = nullptr);
 Status DecodeStringColumn(Slice block, std::vector<std::string>* out);
 
 Result<Buffer> EncodeBoolColumn(std::span<const uint8_t> values,
-                                const CascadeOptions& options = {});
+                                const CascadeOptions& options = {},
+                                EncodingType* chosen = nullptr);
 Status DecodeBoolColumn(Slice block, std::vector<uint8_t>* out);
 
 /// Nullable composition: validity (1 = present) + dense non-null values.
@@ -112,20 +120,5 @@ Result<Buffer> EncodeNullableInt64Column(std::span<const int64_t> values,
 Status DecodeNullableInt64Column(Slice block, int64_t null_fill,
                                  std::vector<int64_t>* values,
                                  std::vector<uint8_t>* validity);
-
-/// Selection decision record (exposed for tests/benches/EXPERIMENTS).
-struct SelectionDecision {
-  EncodingType chosen;
-  double cost;
-  size_t trial_bytes;
-};
-
-/// Like EncodeInt64Column but also reports what was chosen and why.
-Result<Buffer> EncodeInt64ColumnWithDecision(std::span<const int64_t> values,
-                                             const CascadeOptions& options,
-                                             SelectionDecision* decision);
-
-/// Peeks the top-level encoding type of an encoded block.
-Result<EncodingType> PeekEncodingType(Slice block);
 
 }  // namespace bullion

@@ -216,6 +216,9 @@ Status EncodeChunked(std::span<const double> v, BufferBuilder* out) {
 }
 
 Status DecodeChunked(SliceReader* in, size_t n, std::vector<double>* out) {
+  if (n * sizeof(double) > deflate_util::kMaxInflateRatio * in->remaining()) {
+    return Status::Corruption("chunked payload too short for its count");
+  }
   out->resize(n);
   return deflate_util::DecompressChunked(
       in, n * sizeof(double), reinterpret_cast<uint8_t*>(out->data()));
@@ -284,6 +287,9 @@ Status EncodeBitShuffle(std::span<const double> v, BufferBuilder* out) {
 }
 
 Status DecodeBitShuffle(SliceReader* in, size_t n, std::vector<double>* out) {
+  if (n * sizeof(double) > deflate_util::kMaxInflateRatio * in->remaining()) {
+    return Status::Corruption("bitshuffle payload too short for its count");
+  }
   std::vector<uint8_t> planes(blockcodec::BitPlaneBytes(n));
   BULLION_RETURN_NOT_OK(
       deflate_util::DecompressChunked(in, planes.size(), planes.data()));

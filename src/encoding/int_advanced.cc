@@ -54,21 +54,19 @@ Status DecodeRleInto(SliceReader* in, size_t n, int64_t* out) {
 }
 
 Status EncodeDictionary(std::span<const int64_t> v, CascadeContext* ctx,
-                        bool reserve_mask_entry, BufferBuilder* out) {
-  // Sorted distinct entries; codes reference them. Code 0 is optionally
-  // reserved as the deletion-mask slot (§2.1).
+                        BufferBuilder* out) {
+  // Sorted distinct entries; codes reference them.
   std::vector<int64_t> entries(v.begin(), v.end());
   std::sort(entries.begin(), entries.end());
   entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
 
   std::unordered_map<int64_t, int64_t> index;
   index.reserve(entries.size());
-  int64_t code_base = reserve_mask_entry ? 1 : 0;
   for (size_t i = 0; i < entries.size(); ++i) {
-    index[entries[i]] = static_cast<int64_t>(i) + code_base;
+    index[entries[i]] = static_cast<int64_t>(i);
   }
 
-  out->Append<uint8_t>(reserve_mask_entry ? 1 : 0);
+  out->Append<uint8_t>(0);  // has_mask
   varint::PutVarint64(out, entries.size());
   BULLION_RETURN_NOT_OK(ctx->EncodeIntChild(entries, out));
 

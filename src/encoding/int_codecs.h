@@ -55,11 +55,12 @@ Status EncodeMainlyConstant(std::span<const int64_t> v, CascadeContext* ctx,
 Status EncodeRle(std::span<const int64_t> v, CascadeContext* ctx,
                  BufferBuilder* out);
 
-// kDictionary: [n_entries][entries child][codes child]. Entries are the
-// sorted distinct values; codes index them. `reserve_mask_entry` makes
-// code 0 a reserved deletion-mask slot (§2.1) shifting real codes by 1.
+// kDictionary: [has_mask][n_entries][entries child][codes child].
+// Entries are the sorted distinct values; codes index them. has_mask = 1
+// makes code 0 a reserved deletion-mask slot (§2.1) shifting real codes
+// by 1; only deletable pages write it (format/page.cc).
 Status EncodeDictionary(std::span<const int64_t> v, CascadeContext* ctx,
-                        bool reserve_mask_entry, BufferBuilder* out);
+                        BufferBuilder* out);
 
 // kSentinel: [sentinel: zigzag varint][values child]. Encodes nullable
 // data in one stream by mapping nulls to an unused value.

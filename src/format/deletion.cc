@@ -9,7 +9,6 @@
 #include "common/bit_util.h"
 #include "common/varint.h"
 #include "encoding/cascade.h"
-#include "encoding/int_codecs.h"
 #include "format/page.h"
 
 namespace bullion {
@@ -253,14 +252,7 @@ Status MaskPageRows(std::vector<uint8_t>* page_bytes,
         if (!drop[i]) kept.push_back(values[i]);
       }
       BufferBuilder rebuilt;
-      WriteBlockHeader(EncodingType::kRle, kept.size(), &rebuilt);
-      // Must match the writer's deletable-RLE child encoding (ZigZag:
-      // per-value independent, hence monotone under deletion).
-      CascadeOptions opts;
-      opts.allowed = {EncodingType::kZigZag};
-      opts.max_depth = 1;
-      CascadeContext ctx(opts, 1);
-      BULLION_RETURN_NOT_OK(intcodec::EncodeRle(kept, &ctx, &rebuilt));
+      BULLION_RETURN_NOT_OK(EncodeDeletableRle(kept, &rebuilt));
       size_t avail = page_bytes->size() - values_pos;
       if (rebuilt.size() > avail) {
         return Status::ResourceExhausted(

@@ -13,23 +13,10 @@ namespace bullion {
 
 namespace {
 
-/// Deletable RLE: children restricted to ZigZag varints. Each value's
-/// encoded size is independent of its neighbours, so deleting rows can
-/// only shrink the re-encoded block: run values become a subset, run
-/// lengths only decrease, run count never grows. (Width-shared layouts
-/// like FOR-delta are NOT monotone here: removing rows can widen the
-/// run-length range and grow the shared bit width.)
-CascadeOptions DeletableRleChildOptions(const CascadeOptions& base) {
-  CascadeOptions opts = base;
-  opts.allowed = {EncodingType::kZigZag};
-  opts.max_depth = 1;
-  return opts;
-}
-
-/// Dictionary with the reserved mask entry and codes forced to
-/// FixedBitWidth (absolute, non-negative codes stay maskable to 0).
+/// Dictionary with the reserved mask entry: sorted distinct entries as
+/// FOR-delta (handles negatives), codes as absolute FixedBitWidth, so a
+/// masked code is 0. Neither child has a child stream of its own.
 Status EncodeDeletableDictionary(std::span<const int64_t> values,
-                                 const CascadeOptions& base,
                                  BufferBuilder* out) {
   WriteBlockHeader(EncodingType::kDictionary, values.size(), out);
   std::vector<int64_t> entries(values.begin(), values.end());
@@ -42,26 +29,29 @@ Status EncodeDeletableDictionary(std::span<const int64_t> values,
   }
   out->Append<uint8_t>(1);  // has_mask
   varint::PutVarint64(out, entries.size());
-  // Entries: FOR-delta (handles negatives, deterministic).
-  CascadeOptions entry_opts = base;
-  entry_opts.allowed = {EncodingType::kForDelta};
-  CascadeContext entry_ctx(entry_opts, 1);
-  BULLION_RETURN_NOT_OK(
-      EncodeIntBlockAs(EncodingType::kForDelta, entries, &entry_ctx, out));
-  // Codes: FixedBitWidth, absolute.
+  WriteBlockHeader(EncodingType::kForDelta, entries.size(), out);
+  BULLION_RETURN_NOT_OK(intcodec::EncodeForDelta(entries, out));
   std::vector<int64_t> codes(values.size());
   for (size_t i = 0; i < values.size(); ++i) codes[i] = index[values[i]];
-  CascadeContext code_ctx(entry_opts, 1);
-  return EncodeIntBlockAs(EncodingType::kFixedBitWidth, codes, &code_ctx,
-                          out);
+  WriteBlockHeader(EncodingType::kFixedBitWidth, codes.size(), out);
+  return intcodec::EncodeFixedBitWidth(codes, out);
 }
 
 }  // namespace
 
+Status EncodeDeletableRle(std::span<const int64_t> values,
+                          BufferBuilder* out) {
+  CascadeOptions opts;
+  opts.allowed = {EncodingType::kZigZag};
+  opts.max_depth = 1;
+  CascadeContext ctx(opts, 1);  // at the depth limit: children are ZigZag
+  WriteBlockHeader(EncodingType::kRle, values.size(), out);
+  return intcodec::EncodeRle(values, &ctx, out);
+}
+
 Status EncodeDeletableIntValues(std::span<const int64_t> values,
                                 bool allow_rle, BufferBuilder* out,
                                 uint8_t* encoding_out) {
-  CascadeOptions base;  // deterministic children only; no sampling needed
   IntStats stats = ComputeIntStats(values);
 
   struct Candidate {
@@ -79,15 +69,12 @@ Status EncodeDeletableIntValues(std::span<const int64_t> values,
   if (!stats.DistinctCapped() && stats.distinct <= 4096 &&
       stats.distinct * 2 <= std::max<size_t>(stats.count, 1)) {
     try_candidate(EncodingType::kDictionary, [&](BufferBuilder* b) {
-      return EncodeDeletableDictionary(values, base, b);
+      return EncodeDeletableDictionary(values, b);
     });
   }
   if (allow_rle && stats.run_count * 2 <= std::max<size_t>(stats.count, 1)) {
     try_candidate(EncodingType::kRle, [&](BufferBuilder* b) {
-      WriteBlockHeader(EncodingType::kRle, values.size(), b);
-      CascadeOptions rle_opts = DeletableRleChildOptions(base);
-      CascadeContext ctx(rle_opts, 1);
-      return intcodec::EncodeRle(values, &ctx, b);
+      return EncodeDeletableRle(values, b);
     });
   }
   if (stats.non_negative) {
@@ -133,12 +120,10 @@ Result<EncodedPage> EncodePage(const ColumnVector& col, size_t row_begin,
   if (options.use_sparse_delta && page_rows.list_depth() == 1 &&
       page_rows.domain() == ValueDomain::kInt) {
     out.Append<uint8_t>(static_cast<uint8_t>(PageFormat::kSparseDelta));
-    SparseDeltaOptions sd;
-    sd.cascade = options.cascade;
-    sd.min_overlap = options.min_sparse_overlap;
     BULLION_ASSIGN_OR_RETURN(
-        Buffer block, EncodeSparseDeltaColumn(page_rows.offsets()[0],
-                                              page_rows.int_values(), sd));
+        Buffer block,
+        EncodeSparseDeltaColumn(page_rows.offsets()[0], page_rows.int_values(),
+                                options.cascade));
     out.AppendSlice(block.AsSlice());
     return EncodedPage{out.Finish(), row_count,
                        static_cast<uint8_t>(EncodingType::kSparseDelta)};
@@ -153,46 +138,39 @@ Result<EncodedPage> EncodePage(const ColumnVector& col, size_t row_begin,
         ctx.EncodeIntChild(page_rows.offsets()[level], &out));
   }
 
-  uint8_t encoding = 0;
+  EncodingType chosen = EncodingType::kTrivial;
   switch (page_rows.domain()) {
     case ValueDomain::kInt: {
       if (options.deletable) {
+        uint8_t encoding = 0;
         BULLION_RETURN_NOT_OK(EncodeDeletableIntValues(
             page_rows.int_values(), /*allow_rle=*/page_rows.list_depth() == 0,
             &out, &encoding));
+        chosen = static_cast<EncodingType>(encoding);
       } else {
-        SelectionDecision decision;
         BULLION_ASSIGN_OR_RETURN(
-            Buffer block, EncodeInt64ColumnWithDecision(
-                              page_rows.int_values(), options.cascade,
-                              &decision));
-        encoding = static_cast<uint8_t>(decision.chosen);
+            Buffer block, EncodeInt64Column(page_rows.int_values(),
+                                            options.cascade, &chosen));
         out.AppendSlice(block.AsSlice());
       }
       break;
     }
     case ValueDomain::kReal: {
       BULLION_ASSIGN_OR_RETURN(
-          Buffer block,
-          EncodeDoubleColumn(page_rows.real_values(), options.cascade));
-      BULLION_ASSIGN_OR_RETURN(EncodingType t,
-                               PeekEncodingType(block.AsSlice()));
-      encoding = static_cast<uint8_t>(t);
+          Buffer block, EncodeDoubleColumn(page_rows.real_values(),
+                                           options.cascade, &chosen));
       out.AppendSlice(block.AsSlice());
       break;
     }
     case ValueDomain::kBinary: {
       BULLION_ASSIGN_OR_RETURN(
-          Buffer block,
-          EncodeStringColumn(page_rows.bin_values(), options.cascade));
-      BULLION_ASSIGN_OR_RETURN(EncodingType t,
-                               PeekEncodingType(block.AsSlice()));
-      encoding = static_cast<uint8_t>(t);
+          Buffer block, EncodeStringColumn(page_rows.bin_values(),
+                                           options.cascade, &chosen));
       out.AppendSlice(block.AsSlice());
       break;
     }
   }
-  return EncodedPage{out.Finish(), row_count, encoding};
+  return EncodedPage{out.Finish(), row_count, static_cast<uint8_t>(chosen)};
 }
 
 namespace {

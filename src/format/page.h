@@ -13,7 +13,7 @@
 // Deletable pages (§2.1, compliance level 2) restrict the values block
 // to in-place maskable encodings chosen by a deterministic decision
 // tree (not the cascade): Dictionary-with-mask-entry (codes forced to
-// FixedBitWidth), RLE with FOR-delta children, Varint, FixedBitWidth,
+// FixedBitWidth), RLE with ZigZag children, Varint, FixedBitWidth,
 // FOR-delta, or Trivial. See format/deletion.cc for the masking rules.
 
 #pragma once
@@ -39,8 +39,6 @@ struct PageEncodeOptions {
   bool deletable = false;
   /// Encode list<int64> pages with the sliding-window codec (§2.2).
   bool use_sparse_delta = false;
-  /// Reserve 0 as the dictionary deletion-mask code.
-  size_t min_sparse_overlap = 8;
 };
 
 /// \brief An encoded page plus the metadata the footer records.
@@ -92,5 +90,14 @@ Status DecodePage(Slice page, ColumnVector* out);
 Status EncodeDeletableIntValues(std::span<const int64_t> values,
                                 bool allow_rle, BufferBuilder* out,
                                 uint8_t* encoding_out);
+
+/// Encodes the deletable RLE block: run values and run lengths as ZigZag
+/// varint children. Each value's encoded size is independent of its
+/// neighbours, so deleting rows can only shrink the block (run values
+/// become a subset, run lengths only decrease, run count never grows),
+/// and format/deletion.cc re-encodes a masked RLE page with it in place.
+/// Width-shared children like FOR-delta are not monotone: removing rows
+/// can widen the run-length range and grow the shared bit width.
+Status EncodeDeletableRle(std::span<const int64_t> values, BufferBuilder* out);
 
 }  // namespace bullion

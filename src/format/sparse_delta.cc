@@ -55,7 +55,7 @@ WindowMatch FindBestWindow(std::span<const int64_t> prev,
 
 Result<Buffer> EncodeSparseDeltaColumn(std::span<const int64_t> offsets,
                                        std::span<const int64_t> values,
-                                       const SparseDeltaOptions& options) {
+                                       const CascadeOptions& cascade) {
   if (offsets.empty()) {
     return Status::InvalidArgument("offsets must have at least one entry");
   }
@@ -74,7 +74,7 @@ Result<Buffer> EncodeSparseDeltaColumn(std::span<const int64_t> offsets,
     size_t b = static_cast<size_t>(offsets[r]);
     size_t e = static_cast<size_t>(offsets[r + 1]);
     std::span<const int64_t> cur = values.subspan(b, e - b);
-    WindowMatch m = FindBestWindow(prev, cur, options.min_overlap);
+    WindowMatch m = FindBestWindow(prev, cur, kMinSparseOverlap);
     if (m.is_delta) {
       flags.push_back(1);
       range_starts.push_back(static_cast<int64_t>(m.range_start));
@@ -96,17 +96,15 @@ Result<Buffer> EncodeSparseDeltaColumn(std::span<const int64_t> offsets,
   // the bulk data child.
   BufferBuilder out;
   WriteBlockHeader(EncodingType::kSparseDelta, num_rows, &out);
-  CascadeContext ctx(options.cascade, 0);
+  CascadeContext ctx(cascade, 0);
   BULLION_RETURN_NOT_OK(ctx.EncodeBoolChild(flags, &out));
   BULLION_RETURN_NOT_OK(ctx.EncodeIntChild(range_starts, &out));
   BULLION_RETURN_NOT_OK(ctx.EncodeIntChild(range_ends, &out));
   BULLION_RETURN_NOT_OK(ctx.EncodeIntChild(head_lens, &out));
   BULLION_RETURN_NOT_OK(ctx.EncodeIntChild(tail_lens, &out));
   // Bulk data: mini-batch reads, infrequent filtering -> block compress.
-  CascadeOptions data_opts = options.cascade;
-  CascadeContext data_ctx(data_opts, 0);
   BULLION_RETURN_NOT_OK(
-      EncodeIntBlockAs(EncodingType::kChunked, data, &data_ctx, &out));
+      EncodeIntBlockAs(EncodingType::kChunked, data, &ctx, &out));
   return out.Finish();
 }
 

@@ -31,20 +31,16 @@
 
 namespace bullion {
 
-/// \brief Tuning for the sliding-window matcher.
-struct SparseDeltaOptions {
-  /// Minimum reused-segment length worth encoding as a delta; shorter
-  /// matches store the vector as a new base.
-  size_t min_overlap = 8;
-  /// Encoding options for the metadata and data child streams.
-  CascadeOptions cascade;
-};
+/// Minimum reused-segment length worth encoding as a delta; shorter
+/// matches store the vector as a new base.
+constexpr size_t kMinSparseOverlap = 8;
 
 /// Encodes a list<int64> column (offsets + flat values) with
-/// sliding-window deltas. `offsets` has num_rows+1 entries.
+/// sliding-window deltas. `offsets` has num_rows+1 entries. `cascade`
+/// selects the encodings of the metadata child streams.
 Result<Buffer> EncodeSparseDeltaColumn(std::span<const int64_t> offsets,
                                        std::span<const int64_t> values,
-                                       const SparseDeltaOptions& options = {});
+                                       const CascadeOptions& cascade = {});
 
 /// Decodes a column produced by EncodeSparseDeltaColumn.
 Status DecodeSparseDeltaColumn(Slice block, std::vector<int64_t>* offsets,

@@ -173,12 +173,10 @@ Result<StagedRowGroup> StageRowGroup(
     popts.cascade = options.cascade;
     popts.deletable = options.compliance == ComplianceLevel::kLevel2 &&
                       leaf.deletable && col.domain() == ValueDomain::kInt;
-    popts.use_sparse_delta = options.enable_sparse_delta &&
-                             leaf.logical == LogicalType::kIdSequence &&
+    popts.use_sparse_delta = leaf.logical == LogicalType::kIdSequence &&
                              leaf.list_depth == 1 &&
                              col.domain() == ValueDomain::kInt &&
                              !popts.deletable;
-    popts.min_sparse_overlap = options.min_sparse_overlap;
 
     for (size_t row = 0; row < rows; row += options.rows_per_page) {
       size_t end = std::min(rows, row + options.rows_per_page);

@@ -66,9 +66,6 @@ struct WriterOptions {
   /// Compliance level stamped into the footer. Level 2 restricts pages
   /// of deletable columns to maskable encodings (§2.1).
   ComplianceLevel compliance = ComplianceLevel::kLevel2;
-  /// Use the sliding-window codec for LogicalType::kIdSequence columns.
-  bool enable_sparse_delta = true;
-  size_t min_sparse_overlap = 8;
   /// Physical placement order of leaf columns within each row group
   /// (empty = schema order). Must be a permutation of leaf indices.
   std::vector<uint32_t> column_order;

@@ -118,13 +118,12 @@ TEST_P(IntRoundTrip, CascadeSelectsAndRoundTrips) {
   const IntCase& c = GetParam();
   std::vector<int64_t> data = GenIntData(c.kind, c.n, 99);
   CascadeOptions opts;
-  SelectionDecision decision;
-  auto res = EncodeInt64ColumnWithDecision(data, opts, &decision);
+  EncodingType chosen = EncodingType::kNumEncodings;
+  auto res = EncodeInt64Column(data, opts, &chosen);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   std::vector<int64_t> decoded;
   ASSERT_TRUE(DecodeInt64Column(res->AsSlice(), &decoded).ok());
-  EXPECT_EQ(decoded, data) << "cascade chose "
-                           << EncodingTypeName(decision.chosen);
+  EXPECT_EQ(decoded, data) << "cascade chose " << EncodingTypeName(chosen);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -740,10 +739,10 @@ TEST(Cascade, AllowlistRestrictsSelection) {
   std::vector<int64_t> data = GenIntData("low_cardinality", 2000, 10);
   CascadeOptions opts;
   opts.allowed = {EncodingType::kTrivial};
-  SelectionDecision decision;
-  auto res = EncodeInt64ColumnWithDecision(data, opts, &decision);
+  EncodingType chosen = EncodingType::kNumEncodings;
+  auto res = EncodeInt64Column(data, opts, &chosen);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(decision.chosen, EncodingType::kTrivial);
+  EXPECT_EQ(chosen, EncodingType::kTrivial);
 }
 
 TEST(Cascade, DecodeWeightSteersAwayFromExpensiveCodecs) {
@@ -753,23 +752,63 @@ TEST(Cascade, DecodeWeightSteersAwayFromExpensiveCodecs) {
   CascadeOptions decode_heavy;
   decode_heavy.w_size = 0.01;
   decode_heavy.w_decode = 1000.0;
-  SelectionDecision d1, d2;
-  ASSERT_TRUE(EncodeInt64ColumnWithDecision(data, size_only, &d1).ok());
-  ASSERT_TRUE(EncodeInt64ColumnWithDecision(data, decode_heavy, &d2).ok());
-  EncodingCost c1 = GetEncodingCost(d1.chosen);
-  EncodingCost c2 = GetEncodingCost(d2.chosen);
+  EncodingType t1 = EncodingType::kNumEncodings;
+  EncodingType t2 = EncodingType::kNumEncodings;
+  ASSERT_TRUE(EncodeInt64Column(data, size_only, &t1).ok());
+  ASSERT_TRUE(EncodeInt64Column(data, decode_heavy, &t2).ok());
+  EncodingCost c1 = GetEncodingCost(t1);
+  EncodingCost c2 = GetEncodingCost(t2);
   EXPECT_LE(c2.decode, c1.decode + 1e-9)
       << "decode-weighted selection picked a slower decoder: "
-      << EncodingTypeName(d2.chosen) << " vs " << EncodingTypeName(d1.chosen);
+      << EncodingTypeName(t2) << " vs " << EncodingTypeName(t1);
 }
 
-TEST(Cascade, PeekEncodingType) {
+TEST(Cascade, ReportsChosenEncoding) {
   std::vector<int64_t> data(100, 5);
-  auto res = EncodeInt64Column(data);
+  EncodingType chosen = EncodingType::kNumEncodings;
+  auto res = EncodeInt64Column(data, {}, &chosen);
   ASSERT_TRUE(res.ok());
-  auto peek = PeekEncodingType(res->AsSlice());
-  ASSERT_TRUE(peek.ok());
-  EXPECT_EQ(*peek, EncodingType::kConstant);
+  EXPECT_EQ(chosen, EncodingType::kConstant);
+}
+
+TEST(Cascade, BlockIsTheWinningTrial) {
+  // Whatever the selector picks, its block is exactly the forced
+  // encoding of that pick with children at depth 1: on inputs that fit
+  // the 8192-value sample the winning trial is the block, and on larger
+  // ones the winner is encoded again on the full input.
+  CascadeOptions opts;
+  auto check = [&](const std::string& what, auto encode_column,
+                   auto encode_as, const auto& values) {
+    EncodingType chosen = EncodingType::kNumEncodings;
+    auto block = encode_column(values, opts, &chosen);
+    ASSERT_TRUE(block.ok()) << what << ": " << block.status().ToString();
+    ASSERT_FALSE(block->empty()) << what;
+    EXPECT_EQ((*block)[0], static_cast<uint8_t>(chosen)) << what;
+    CascadeContext ctx(opts, 1);
+    BufferBuilder forced;
+    ASSERT_TRUE(encode_as(chosen, values, &ctx, &forced).ok()) << what;
+    EXPECT_TRUE(forced.Finish() == *block)
+        << what << " chose " << EncodingTypeName(chosen);
+  };
+  for (size_t n : {0, 1, 8191, 8192, 8193, 50000}) {
+    const std::string size = "/" + std::to_string(n);
+    for (const char* kind : {"runs", "zipf_ids", "sorted", "negatives"}) {
+      check(kind + size, EncodeInt64Column, EncodeIntBlockAs,
+            GenIntData(kind, n, 61));
+    }
+    for (const char* kind : {"embeddings", "decimal2"}) {
+      check(kind + size, EncodeDoubleColumn, EncodeDoubleBlockAs,
+            GenDoubleData(kind, n, 62));
+    }
+    for (const char* kind : {"urls", "low_cardinality"}) {
+      check(kind + size, EncodeStringColumn, EncodeStringBlockAs,
+            GenStringData(kind, n, 63));
+    }
+    for (const char* kind : {"sparse", "runs"}) {
+      check(kind + size, EncodeBoolColumn, EncodeBoolBlockAs,
+            GenBoolData(kind, n, 64));
+    }
+  }
 }
 
 // Statistics sanity.

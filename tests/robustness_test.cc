@@ -195,6 +195,40 @@ TEST(Robustness, CorruptDoubleBitPlaneBlocksFailCleanly) {
   }
 }
 
+TEST(Robustness, BlockCountBeyondPayloadAllocatesNothing) {
+  // A 5-byte block (tag and count, no payload) that claims 2^24 values
+  // of an encoding needing bytes per value, or of a tag the domain does
+  // not decode, is refused before the output is sized from the count.
+  constexpr uint64_t kClaimed = 1u << 24;
+  auto header_only = [](EncodingType t) {
+    BufferBuilder b;
+    WriteBlockHeader(t, kClaimed, &b);
+    return b.Finish();
+  };
+  for (EncodingType t :
+       {EncodingType::kTrivial, EncodingType::kFixedBitWidth,
+        EncodingType::kVarint, EncodingType::kZigZag,
+        EncodingType::kFastPFor, EncodingType::kFastBP128,
+        EncodingType::kBitShuffle, EncodingType::kChunked,
+        EncodingType::kGorilla, EncodingType::kStringDict}) {
+    Buffer block = header_only(t);
+    ASSERT_EQ(block.size(), 5u);
+    std::vector<int64_t> decoded;
+    SliceReader reader(block.AsSlice());
+    EXPECT_TRUE(DecodeIntBlock(&reader, &decoded).IsCorruption())
+        << EncodingTypeName(t);
+    EXPECT_LT(decoded.capacity(), 1u << 20) << EncodingTypeName(t);
+  }
+  for (EncodingType t : {EncodingType::kBitShuffle, EncodingType::kChunked}) {
+    Buffer block = header_only(t);
+    std::vector<double> decoded;
+    SliceReader reader(block.AsSlice());
+    EXPECT_TRUE(DecodeDoubleBlock(&reader, &decoded).IsCorruption())
+        << EncodingTypeName(t);
+    EXPECT_LT(decoded.capacity(), 1u << 20) << EncodingTypeName(t);
+  }
+}
+
 TEST(Robustness, DeleteThenCompactThenDeleteAgain) {
   // Lifecycle stress: interleave deletes and compactions.
   InMemoryFileSystem fs;
