@@ -82,9 +82,11 @@
 // ShardManifest records the shard list and global row-group index;
 // ShardedTableReader scans them as one table, fanning every shard's
 // coalesced reads through ONE shared ThreadPool. An optional
-// DecodedChunkCache (byte-budgeted LRU of decoded chunks) lets
-// repeated training epochs skip fetch + decode — fully cached row
-// groups issue zero preads (see DecodedChunkCache::hits()). The same
+// DecodedChunkCache (byte-budgeted LRU of decoded chunks behind a
+// frequency-gated admission test) lets repeated training epochs skip
+// fetch + decode — fully cached row groups issue zero preads (see
+// DecodedChunkCache::hits()), and a budget smaller than an epoch still
+// keeps part of every epoch decoded. The same
 // bullion::Scan front door reads a dataset:
 //
 //   auto ds = ShardedTableReader::Open(manifest, open_fn);

@@ -1,5 +1,7 @@
 #include "dataset/chunk_cache.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 
 namespace bullion {
@@ -28,6 +30,20 @@ CacheMetrics& Metrics() {
   return m;
 }
 
+static_assert(DecodedChunkCache::kSketchWidth <= (1u << 16) &&
+                  (DecodedChunkCache::kSketchWidth &
+                   (DecodedChunkCache::kSketchWidth - 1)) == 0,
+              "each sketch row is indexed by a 16-bit slice of the hash");
+
+constexpr uint8_t kSketchMax = 15;  // 4-bit saturating counters
+
+/// Row `row`'s counter for a key hashing to `hash`, indexed by bits
+/// [16 row, 16 row + log2(kSketchWidth)) of the hash.
+size_t SketchSlot(size_t row, uint64_t hash) {
+  constexpr size_t kWidth = DecodedChunkCache::kSketchWidth;
+  return row * kWidth + ((hash >> (16 * row)) & (kWidth - 1));
+}
+
 }  // namespace
 
 size_t ApproxColumnVectorBytes(const ColumnVector& v) {
@@ -47,9 +63,11 @@ size_t ApproxColumnVectorBytes(const ColumnVector& v) {
 
 bool DecodedChunkCache::Lookup(const ChunkCacheKey& key, ColumnVector* out) {
   const uint64_t probe_start = obs::NowNs();
+  const uint64_t hash = ChunkCacheKeyHash{}(key);
   bool hit = false;
   {
     MutexLock lock(&mu_);
+    RecordProbeLocked(hash);
     auto it = index_.find(key);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
@@ -78,14 +96,24 @@ void DecodedChunkCache::Insert(const ChunkCacheKey& key,
   const size_t bytes_before = size_bytes_;
   const size_t entries_before = lru_.size();
   auto it = index_.find(key);
-  if (it != index_.end()) {
+  const bool resident = it != index_.end();
+  if (resident) {
+    // Two racing scans decoded the same chunk: the second replaces the
+    // first without an admission test.
     size_bytes_ -= it->second->bytes;
     lru_.erase(it->second);
     index_.erase(it);
   }
-  if (bytes > capacity_bytes_) {
-    // Oversized chunk: caching it would immediately evict everything
-    // else and then itself — refuse, visibly.
+  // Oversized chunk: caching it would immediately evict everything
+  // else and then itself. A newcomer that needs room must have been
+  // probed more often than the tail it would displace; on a tie the
+  // resident stays, which is what keeps a cyclic scan's hits.
+  const bool refused =
+      bytes > capacity_bytes_ ||
+      (!resident && !lru_.empty() && size_bytes_ + bytes > capacity_bytes_ &&
+       EstimateLocked(ChunkCacheKeyHash{}(key)) <=
+           EstimateLocked(ChunkCacheKeyHash{}(lru_.back().key)));
+  if (refused) {
     rejects_.fetch_add(1, std::memory_order_relaxed);
     PublishOccupancyLocked(bytes_before, entries_before);
     Metrics().insert_ns->Record(obs::NowNs() - insert_start);
@@ -110,6 +138,25 @@ void DecodedChunkCache::PublishOccupancyLocked(size_t bytes_before,
     m.entries->Add(static_cast<int64_t>(lru_.size()) -
                    static_cast<int64_t>(entries_before));
   }
+}
+
+void DecodedChunkCache::RecordProbeLocked(uint64_t hash) {
+  for (size_t row = 0; row < kSketchRows; ++row) {
+    uint8_t& counter = sketch_[SketchSlot(row, hash)];
+    if (counter < kSketchMax) ++counter;
+  }
+  if (++sketch_probes_ == 10 * kSketchWidth) {
+    for (uint8_t& counter : sketch_) counter >>= 1;
+    sketch_probes_ = 0;
+  }
+}
+
+uint8_t DecodedChunkCache::EstimateLocked(uint64_t hash) const {
+  uint8_t estimate = kSketchMax;
+  for (size_t row = 0; row < kSketchRows; ++row) {
+    estimate = std::min(estimate, sketch_[SketchSlot(row, hash)]);
+  }
+  return estimate;
 }
 
 void DecodedChunkCache::EvictToFitLocked() {

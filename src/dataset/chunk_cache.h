@@ -1,5 +1,6 @@
-// DecodedChunkCache: a byte-budgeted, thread-safe LRU over *decoded*
-// column chunks, keyed by (shard, row group, column).
+// DecodedChunkCache: a byte-budgeted, thread-safe cache of *decoded*
+// column chunks, keyed by (shard, row group, column): LRU eviction
+// order behind a frequency-gated admission test.
 //
 // ML training rereads the same table epoch after epoch; the expensive
 // part of a warm re-scan is not the pread (the page cache absorbs
@@ -18,13 +19,27 @@
 // hits refresh recency, inserts evict from the cold tail until the
 // byte budget holds.
 //
+// Plain LRU keeps nothing of a cyclic scan larger than its budget:
+// every chunk of an epoch evicts one the next epoch needs first. So
+// admission is frequency-gated, as in TinyLFU (Einziger, Friedman and
+// Manes, ACM Transactions on Storage 2017): every Lookup, hit or miss,
+// records its key in a small count-min sketch, and an Insert that would
+// have to evict admits the new chunk only if the sketch says it was
+// probed more often than the LRU tail it would displace. Ties keep the
+// resident, so an epoch scan settles on a stable part of the epoch and
+// serves it decoded in every later epoch. The sketch halves every
+// counter after 10 x kSketchWidth probes, so a dead entry (say, one
+// decoded before an in-place delete, whose key no scan probes again)
+// loses its advantage within one period. A cache that never fills
+// never makes an admission decision.
+//
 // Thread safety: all methods are safe to call concurrently; one mutex
-// guards the map + LRU list. Lookups copy the cached vector out under
-// the lock (decoded chunks are modest — row_group_rows × value width —
-// and copying keeps the entry lifetime trivially correct while worker
-// threads race with evictions). Cache traffic is counted once, in the
-// cache's own atomics: hits() / misses() / evictions() / rejects() /
-// invalidations().
+// guards the map, the LRU list and the sketch. Lookups copy the cached
+// vector out under the lock (decoded chunks are modest — row_group_rows
+// × value width — and copying keeps the entry lifetime trivially
+// correct while worker threads race with evictions). Cache traffic is
+// counted once, in the cache's own atomics: hits() / misses() /
+// evictions() / rejects() / invalidations().
 
 #pragma once
 
@@ -33,6 +48,7 @@
 #include <cstdint>
 #include <list>
 #include <unordered_map>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -89,13 +105,19 @@ struct ChunkCacheKeyHash {
 /// string payloads) — the unit the cache budget is charged in.
 size_t ApproxColumnVectorBytes(const ColumnVector& v);
 
-/// \brief Thread-safe, byte-budgeted LRU of decoded column chunks.
+/// \brief Thread-safe, byte-budgeted LRU of decoded column chunks with
+/// frequency-gated admission.
 class DecodedChunkCache {
  public:
+  /// Counters per row of the admission sketch (4 rows of saturating
+  /// 4-bit counters, one byte each).
+  static constexpr size_t kSketchWidth = 4096;
+
   /// `capacity_bytes` bounds the sum of ApproxColumnVectorBytes over
   /// resident entries.
   explicit DecodedChunkCache(size_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
+      : capacity_bytes_(capacity_bytes),
+        sketch_(kSketchRows * kSketchWidth, 0) {}
 
   /// Returns this cache's residual occupancy to the process-wide
   /// registry gauges (bullion.cache.bytes_used / bullion.cache.entries).
@@ -105,12 +127,16 @@ class DecodedChunkCache {
   DecodedChunkCache& operator=(const DecodedChunkCache&) = delete;
 
   /// Copies the cached chunk into `*out` and refreshes its recency.
-  /// Returns false (and counts a miss) if absent.
+  /// Returns false (and counts a miss) if absent. Hit or miss, the probe
+  /// is recorded in the admission sketch.
   bool Lookup(const ChunkCacheKey& key, ColumnVector* out);
 
   /// Inserts (or replaces) the chunk, evicting cold entries until the
-  /// budget holds. A chunk larger than the whole budget is not cached;
-  /// the refusal is counted in rejects().
+  /// budget holds. A resident key is replaced unconditionally. A new
+  /// key that needs room in a non-empty cache is admitted only if it
+  /// was probed more often than the LRU tail; a refused chunk is not
+  /// copied. Refusals (this one, and a chunk larger than the whole
+  /// budget) are counted in rejects(). Insert records no probe.
   void Insert(const ChunkCacheKey& key, const ColumnVector& value);
 
   /// Drops every resident entry of shard `shard` whose generation is
@@ -134,7 +160,8 @@ class DecodedChunkCache {
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  /// Inserts refused because the chunk alone exceeds the byte budget.
+  /// Inserts refused: the chunk alone exceeds the byte budget, or it
+  /// needed room and was probed no more often than the LRU tail.
   uint64_t rejects() const { return rejects_.load(std::memory_order_relaxed); }
   /// Entries dropped by InvalidateShard (stale generations).
   uint64_t invalidations() const {
@@ -148,6 +175,14 @@ class DecodedChunkCache {
     size_t bytes = 0;
   };
   using LruList = std::list<Entry>;
+  static constexpr size_t kSketchRows = 4;
+
+  /// Counts one probe of the key hashing to `hash` in the sketch,
+  /// halving every counter once 10 x kSketchWidth probes accumulate.
+  void RecordProbeLocked(uint64_t hash) REQUIRES(mu_);
+  /// Count-min estimate of how often the key hashing to `hash` was
+  /// probed (since the last halving, roughly).
+  uint8_t EstimateLocked(uint64_t hash) const REQUIRES(mu_);
 
   /// Pops cold-tail entries until size_bytes_ <= capacity.
   void EvictToFitLocked() REQUIRES(mu_);
@@ -164,6 +199,10 @@ class DecodedChunkCache {
   std::unordered_map<ChunkCacheKey, LruList::iterator, ChunkCacheKeyHash>
       index_ GUARDED_BY(mu_);
   size_t size_bytes_ GUARDED_BY(mu_) = 0;
+  /// kSketchRows rows of kSketchWidth counters, row after row; each
+  /// row is indexed by its own 16-bit slice of ChunkCacheKeyHash.
+  std::vector<uint8_t> sketch_ GUARDED_BY(mu_);
+  size_t sketch_probes_ GUARDED_BY(mu_) = 0;  // since the last halving
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};

@@ -112,6 +112,11 @@ Status EncodePseudodecimal(std::span<const double> v, BufferBuilder* out) {
 Status DecodePseudodecimal(SliceReader* in, size_t n,
                            std::vector<double>* out) {
   out->clear();
+  // Every value needs at least its control byte: refuse a header count
+  // the payload cannot hold before sizing anything from it.
+  if (n > in->remaining()) {
+    return Status::Corruption("pseudodecimal count exceeds payload");
+  }
   out->reserve(n);
   Slice rest = in->ReadBytes(in->remaining());
   size_t pos = 0;

@@ -438,9 +438,13 @@ Status BatchStream::SubmitNext() {
       fl->late_slots.push_back(slot);
       continue;
     }
-    if (cache_ != nullptr &&
-        cache_->Lookup(CacheKey(*fl, col), &fl->out[slot])) {
-      continue;
+    if (cache_ != nullptr) {
+      const bool hit = cache_->Lookup(CacheKey(*fl, col), &fl->out[slot]);
+      if (spec_.report != nullptr) {
+        (hit ? spec_.report->cache_hits : spec_.report->cache_misses)
+            .fetch_add(1, std::memory_order_relaxed);
+      }
+      if (hit) continue;
     }
     fl->missing_slots.push_back(slot);
     fl->missing_cols.push_back(col);

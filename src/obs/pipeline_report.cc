@@ -11,6 +11,8 @@ void PipelineReport::Reset() {
   units.store(0, std::memory_order_relaxed);
   batches.store(0, std::memory_order_relaxed);
   groups_pruned.store(0, std::memory_order_relaxed);
+  cache_hits.store(0, std::memory_order_relaxed);
+  cache_misses.store(0, std::memory_order_relaxed);
   plan_ns.store(0, std::memory_order_relaxed);
   prepare_ns.store(0, std::memory_order_relaxed);
   work_ns.store(0, std::memory_order_relaxed);
@@ -34,6 +36,9 @@ std::string PipelineReport::ToString() const {
           bytes_per_sec() / 1048576.0);
   AppendF(&out, "  pruned: %" PRIu64 " row groups\n",
           groups_pruned.load(std::memory_order_relaxed));
+  AppendF(&out, "  cache: %" PRIu64 " hits, %" PRIu64 " misses\n",
+          cache_hits.load(std::memory_order_relaxed),
+          cache_misses.load(std::memory_order_relaxed));
   AppendF(
       &out,
       "  stages (ms): plan %.3f (before wall) | prepare %.3f | work %.3f "
@@ -58,6 +63,7 @@ std::string PipelineReport::ToJson() const {
       &out,
       "{\"rows\": %" PRIu64 ", \"bytes\": %" PRIu64 ", \"units\": %" PRIu64
       ", \"batches\": %" PRIu64 ", \"groups_pruned\": %" PRIu64
+      ", \"cache_hits\": %" PRIu64 ", \"cache_misses\": %" PRIu64
       ", \"wall_ns\": %" PRIu64
       ", \"rows_per_sec\": %.0f, \"bytes_per_sec\": %.0f"
       ", \"plan_ns\": %" PRIu64 ", \"prepare_ns\": %" PRIu64
@@ -71,6 +77,8 @@ std::string PipelineReport::ToJson() const {
       units.load(std::memory_order_relaxed),
       batches.load(std::memory_order_relaxed),
       groups_pruned.load(std::memory_order_relaxed),
+      cache_hits.load(std::memory_order_relaxed),
+      cache_misses.load(std::memory_order_relaxed),
       wall_ns.load(std::memory_order_relaxed), rows_per_sec(), bytes_per_sec(),
       plan_ns.load(std::memory_order_relaxed),
       prepare_ns.load(std::memory_order_relaxed),

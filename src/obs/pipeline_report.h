@@ -3,9 +3,10 @@
 //
 // A report describes one pipeline: what it produced (rows, bytes,
 // units, batches), how many row groups a scan's planner pruned before
-// any pread, and WHERE the time went, per stage, with a latency
-// distribution for the fanned-out work units. File-handle counts
-// (preads, writes, seeks) live in IoStats, not here.
+// any pread, its decoded-chunk cache probes, and WHERE the time went,
+// per stage, with a latency distribution for the fanned-out work
+// units. File-handle counts (preads, writes, seeks) live in IoStats,
+// not here.
 //
 //   read side  (exec/batch_stream.cc)      write side (format/writer.cc)
 //   ---------------------------------      -----------------------------
@@ -55,6 +56,11 @@ struct PipelineReport {
   /// skipped because footer zone maps or chunk Bloom filters proved no
   /// row could match.
   std::atomic<uint64_t> groups_pruned{0};
+  /// Dataset scans with a DecodedChunkCache: chunk probes the scan's
+  /// planner served from the cache, and probes that missed and were
+  /// fetched and decoded.
+  std::atomic<uint64_t> cache_hits{0};
+  std::atomic<uint64_t> cache_misses{0};
 
   /// Scan planning (spec resolution + row-group pruning) before the
   /// stream exists; not part of wall_ns.

@@ -660,6 +660,21 @@ TEST(DecodedChunkCache, EvictsUnderTinyByteBudgetAndStaysCorrect) {
     EXPECT_EQ(scan->groups, uncached->groups) << "epoch " << epoch;
     EXPECT_LE(cache.size_bytes(), cache.capacity_bytes());
   }
+  // Every full-table chunk is probed once per epoch, as often as the
+  // residents: ties keep the residents, so newcomers are refused.
+  EXPECT_GT(cache.rejects(), 0u);
+  // One column scanned alone out-probes the residents, and its chunks
+  // displace them.
+  for (int pass = 0; pass < 8 && cache.evictions() == 0; ++pass) {
+    auto scan = Scan(fx.reader.get())
+                    .ColumnIndices({3})
+                    .Threads(4)
+                    .Cache(&cache)
+                    .Collect();
+    ASSERT_TRUE(scan.ok());
+    EXPECT_EQ(scan->groups, probe->groups) << "column pass " << pass;
+    EXPECT_LE(cache.size_bytes(), cache.capacity_bytes());
+  }
   EXPECT_GT(cache.evictions(), 0u);
   EXPECT_GT(cache.misses(), 0u);
 }
@@ -687,6 +702,8 @@ TEST(DecodedChunkCache, LruKeepsHotEntriesUnderPressure) {
   cache.Insert(b, v);
   ColumnVector out;
   ASSERT_TRUE(cache.Lookup(a, &out));  // refresh a: b is now coldest
+  // The scanner's miss probe: c is now probed more often than b.
+  ASSERT_FALSE(cache.Lookup(c, &out));
   cache.Insert(c, v);                  // evicts b
   EXPECT_TRUE(cache.Lookup(a, &out));
   EXPECT_FALSE(cache.Lookup(b, &out));
@@ -706,6 +723,139 @@ TEST(DecodedChunkCache, KeySeparatesReadOptionVariants) {
   EXPECT_FALSE(cache.Lookup(ChunkCacheKey{1, 2, 3, true, true}, &out));
   EXPECT_TRUE(cache.Lookup(ChunkCacheKey{1, 2, 3, true, false}, &out));
   EXPECT_EQ(out, v);
+}
+
+/// Sum of ApproxColumnVectorBytes over every chunk of `groups`.
+size_t DecodedBytes(const std::vector<std::vector<ColumnVector>>& groups) {
+  size_t bytes = 0;
+  for (const auto& group : groups) {
+    for (const ColumnVector& chunk : group) {
+      bytes += ApproxColumnVectorBytes(chunk);
+    }
+  }
+  return bytes;
+}
+
+TEST(DecodedChunkCache, CyclicScanKeepsHalfAnEpochDecoded) {
+  // Training re-reads the same projection every epoch. With room for
+  // half an epoch, plain LRU evicts each chunk before its next use and
+  // hits nothing; the admission test keeps the residents, which then
+  // hit in every later epoch.
+  DatasetFixture fx(1600, 50, 400);
+  auto uncached = Scan(fx.reader.get()).Collect();
+  ASSERT_TRUE(uncached.ok());
+  DecodedChunkCache cache(DecodedBytes(uncached->groups) / 2);
+  for (int epoch = 1; epoch <= 4; ++epoch) {
+    const uint64_t hits0 = cache.hits(), misses0 = cache.misses();
+    const uint64_t evictions0 = cache.evictions();
+    auto scan = Scan(fx.reader.get()).Threads(4).Cache(&cache).Collect();
+    ASSERT_TRUE(scan.ok());
+    EXPECT_EQ(scan->groups, uncached->groups) << "epoch " << epoch;
+    EXPECT_LE(cache.size_bytes(), cache.capacity_bytes());
+    if (epoch == 1) continue;
+    const uint64_t hits = cache.hits() - hits0;
+    const uint64_t misses = cache.misses() - misses0;
+    const uint64_t evictions = cache.evictions() - evictions0;
+    EXPECT_GE(hits * 10, (hits + misses) * 4)
+        << "epoch " << epoch << ": " << hits << " hits, " << misses
+        << " misses";
+    EXPECT_LT(evictions * 10, misses)
+        << "epoch " << epoch << ": " << evictions << " evictions";
+  }
+}
+
+TEST(DecodedChunkCache, ColdNewcomerIsRefused) {
+  ColumnVector v(PhysicalType::kInt64, 0);
+  for (int i = 0; i < 4; ++i) v.AppendInt(i);
+  size_t bytes = ApproxColumnVectorBytes(v);
+  DecodedChunkCache cache(2 * bytes);  // room for exactly two entries
+
+  ChunkCacheKey a{0, 0, 0, true}, b{0, 0, 1, true}, c{0, 0, 2, true};
+  ColumnVector out;
+  // Each chunk is probed once before its insert, as the scanner does.
+  ASSERT_FALSE(cache.Lookup(a, &out));
+  cache.Insert(a, v);
+  ASSERT_FALSE(cache.Lookup(b, &out));
+  cache.Insert(b, v);
+  const size_t full = cache.size_bytes();
+  ASSERT_FALSE(cache.Lookup(c, &out));
+  cache.Insert(c, v);  // ties the tail: refused
+  EXPECT_FALSE(cache.Lookup(c, &out));
+  EXPECT_TRUE(cache.Lookup(a, &out));
+  EXPECT_TRUE(cache.Lookup(b, &out));
+  EXPECT_EQ(cache.rejects(), 1u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.size_bytes(), full);
+}
+
+TEST(DecodedChunkCache, ResidentReinsertReplacesWithoutAdmissionTest) {
+  ColumnVector v(PhysicalType::kInt64, 0), w(PhysicalType::kInt64, 0);
+  ColumnVector wide(PhysicalType::kInt64, 0);
+  for (int i = 0; i < 4; ++i) {
+    v.AppendInt(i);
+    w.AppendInt(100 + i);
+    wide.AppendInt(200 + i);
+    wide.AppendInt(300 + i);
+  }
+  const size_t bytes = ApproxColumnVectorBytes(v);
+  ASSERT_EQ(ApproxColumnVectorBytes(w), bytes);
+  ASSERT_EQ(ApproxColumnVectorBytes(wide), 2 * bytes);
+  DecodedChunkCache cache(2 * bytes);  // full with two entries
+
+  ChunkCacheKey a{0, 0, 0, true}, b{0, 0, 1, true};
+  cache.Insert(a, v);
+  cache.Insert(b, v);
+  ColumnVector out;
+  ASSERT_TRUE(cache.Lookup(b, &out));  // b outranks a in the sketch
+  cache.Insert(a, w);  // two racing scans decoded a: the second replaces
+  ASSERT_TRUE(cache.Lookup(a, &out));
+  EXPECT_EQ(out, w);
+  EXPECT_TRUE(cache.Lookup(b, &out));
+  EXPECT_EQ(cache.evictions(), 0u);
+  // A replacement that needs room is not tested against the tail
+  // either (b still outranks a): it evicts from the tail, as LRU does.
+  cache.Insert(a, wide);
+  ASSERT_TRUE(cache.Lookup(a, &out));
+  EXPECT_EQ(out, wide);
+  EXPECT_FALSE(cache.Lookup(b, &out));
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.rejects(), 0u);
+}
+
+TEST(DecodedChunkCache, AgingLetsNewKeysDisplaceStaleEntries) {
+  ColumnVector v(PhysicalType::kInt64, 0);
+  for (int i = 0; i < 4; ++i) v.AppendInt(i);
+  DecodedChunkCache cache(2 * ApproxColumnVectorBytes(v));
+
+  const ChunkCacheKey stale[2] = {{0, 0, 0, true}, {0, 0, 1, true}};
+  const ChunkCacheKey fresh[2] = {{1, 0, 0, true}, {1, 0, 1, true}};
+  ColumnVector out;
+  cache.Insert(stale[0], v);
+  cache.Insert(stale[1], v);
+  for (int i = 0; i < 16; ++i) {  // saturate their counters
+    ASSERT_TRUE(cache.Lookup(stale[0], &out));
+    ASSERT_TRUE(cache.Lookup(stale[1], &out));
+  }
+  // Saturated newcomers only tie the stale entries: refused.
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_FALSE(cache.Lookup(fresh[0], &out));
+    ASSERT_FALSE(cache.Lookup(fresh[1], &out));
+  }
+  cache.Insert(fresh[0], v);
+  EXPECT_EQ(cache.rejects(), 1u);
+  // Only the new keys are probed from here on. Within one halving
+  // period the stale counters halve, and the new keys outrank them.
+  for (size_t i = 0; i < 10 * DecodedChunkCache::kSketchWidth; ++i) {
+    cache.Lookup(fresh[i % 2], &out);
+  }
+  const uint64_t rejects = cache.rejects();
+  cache.Insert(fresh[0], v);
+  EXPECT_EQ(cache.evictions(), 1u);
+  cache.Insert(fresh[1], v);
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.rejects(), rejects);
+  for (const ChunkCacheKey& k : fresh) EXPECT_TRUE(cache.Lookup(k, &out));
+  for (const ChunkCacheKey& k : stale) EXPECT_FALSE(cache.Lookup(k, &out));
 }
 
 TEST(ShardedReader, ConcurrentScansShareOnePoolAndCache) {
@@ -733,6 +883,41 @@ TEST(ShardedReader, ConcurrentScansShareOnePoolAndCache) {
   }
   for (auto& t : scanners) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ShardedReader, ConcurrentScansShareOneHalfBudgetCache) {
+  // TSAN target: the same race with room for half the projection, so
+  // lookups, admitted inserts, refusals and evictions all interleave.
+  DatasetFixture fx(600, 50, 150);
+  ThreadPool pool(4);
+  auto uncached = Scan(fx.reader.get()).Pool(&pool).Collect();
+  ASSERT_TRUE(uncached.ok());
+  DecodedChunkCache cache(DecodedBytes(uncached->groups) / 2);
+  auto run = [&] {
+    return Scan(fx.reader.get())
+        .Pool(&pool)
+        .Cache(&cache)
+        .Collect();
+  };
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> scanners;
+  scanners.reserve(4);
+  for (int t = 0; t < 4; ++t) {
+    scanners.emplace_back([&] {
+      for (int epoch = 0; epoch < 3; ++epoch) {
+        auto scan = run();
+        if (!scan.ok() || scan->groups != uncached->groups) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : scanners) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LE(cache.size_bytes(), cache.capacity_bytes());
+  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(cache.rejects(), 0u);
 }
 
 }  // namespace

@@ -613,8 +613,9 @@ TEST(PipelineReport, JsonStaysValidAtExtremeValues) {
   obs::PipelineReport report;
   for (std::atomic<uint64_t>* field :
        {&report.rows, &report.bytes, &report.units, &report.batches,
-        &report.groups_pruned, &report.plan_ns, &report.prepare_ns,
-        &report.work_ns, &report.emit_ns, &report.stall_ns}) {
+        &report.groups_pruned, &report.cache_hits, &report.cache_misses,
+        &report.plan_ns, &report.prepare_ns, &report.work_ns,
+        &report.emit_ns, &report.stall_ns}) {
     field->store(UINT64_MAX);
   }
   report.wall_ns.store(1);
@@ -630,10 +631,21 @@ TEST(PipelineReport, JsonStaysValidAtExtremeValues) {
 
   EXPECT_NE(json.find("\"plan_ns\": 18446744073709551615"), std::string::npos)
       << json;
+  EXPECT_NE(json.find("\"cache_hits\": 18446744073709551615"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"cache_misses\": 18446744073709551615"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(report.ToString().find("cache: 18446744073709551615 hits, "
+                                   "18446744073709551615 misses"),
+            std::string::npos);
 
   report.Reset();
   EXPECT_EQ(report.groups_pruned.load(), 0u);
   EXPECT_EQ(report.plan_ns.load(), 0u);
+  EXPECT_EQ(report.cache_hits.load(), 0u);
+  EXPECT_EQ(report.cache_misses.load(), 0u);
 }
 
 TEST(PipelineReport, PopulatedByParallelWrite) {

@@ -219,7 +219,8 @@ TEST(Robustness, BlockCountBeyondPayloadAllocatesNothing) {
         << EncodingTypeName(t);
     EXPECT_LT(decoded.capacity(), 1u << 20) << EncodingTypeName(t);
   }
-  for (EncodingType t : {EncodingType::kBitShuffle, EncodingType::kChunked}) {
+  for (EncodingType t : {EncodingType::kBitShuffle, EncodingType::kChunked,
+                         EncodingType::kPseudodecimal}) {
     Buffer block = header_only(t);
     std::vector<double> decoded;
     SliceReader reader(block.AsSlice());

@@ -604,6 +604,36 @@ TEST(ScanStream, WarmCacheEpochIssuesZeroPreads) {
   EXPECT_GT(cache.hits(), 0u);
 }
 
+TEST(ScanStream, ReportCountsItsOwnCacheTraffic) {
+  // Each scan's report counts the cache probes that scan made, and
+  // agrees with the cache's own counters over the same scan.
+  DatasetFixture fx(600, 50, 200);
+  DecodedChunkCache cache(64 << 20);
+  const uint64_t probes = 2 * fx.reader->num_row_groups();  // 2 columns
+  auto epoch = [&](obs::PipelineReport* report) {
+    const uint64_t hits0 = cache.hits(), misses0 = cache.misses();
+    auto stream = Scan(fx.reader.get())
+                      .Columns({"uid", "score"})
+                      .Threads(2)
+                      .Cache(&cache)
+                      .Report(report)
+                      .Stream();
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    EXPECT_EQ(TotalRows(Drain(stream->get())), 600u);
+    EXPECT_EQ(report->cache_hits.load(), cache.hits() - hits0);
+    EXPECT_EQ(report->cache_misses.load(), cache.misses() - misses0);
+  };
+  obs::PipelineReport cold, warm;
+  epoch(&cold);
+  EXPECT_EQ(cold.cache_misses.load(), probes);
+  EXPECT_EQ(cold.cache_hits.load(), 0u);
+  epoch(&warm);
+  EXPECT_EQ(warm.cache_hits.load(), probes);
+  EXPECT_EQ(warm.cache_misses.load(), 0u);
+  EXPECT_NE(warm.ToJson().find("\"cache_hits\": " + std::to_string(probes)),
+            std::string::npos);
+}
+
 TEST(ScanStream, FilteredScanSharesCacheWithUnfilteredScan) {
   DatasetFixture fx(600, 50, 200);
   DecodedChunkCache cache(64 << 20);
